@@ -239,6 +239,19 @@ def tangle_alternating_sum(word: SliceWord | str, k: int | None = None) -> tuple
     return mats, cube.final_sig
 
 
+class _UnionFind(dict):
+    """Union-find forest: maps each item to its parent, and a root to itself."""
+
+    def find(self, x):
+        while self[x] != x:
+            self[x] = self[self[x]]
+            x = self[x]
+        return x
+
+    def union(self, x, y) -> None:
+        self[self.find(x)] = self.find(y)
+
+
 def link_components(word: SliceWord | str, k: int | None = None) -> int:
     """Number of link components of the closed diagram."""
     if isinstance(word, str):
@@ -247,34 +260,24 @@ def link_components(word: SliceWord | str, k: int | None = None) -> int:
         word = parse_slice_word(word, k)
     if not word.closed:
         raise ValueError("diagram has open boundary")
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
+    forest = _UnionFind()
     cur: list = []
     nodes = []
     for idx, (kind, i) in enumerate(word.tokens):
         if kind in ("cup", "cup'"):
             a, b = (idx, 0), (idx, 1)
-            parent[a] = a
-            parent[b] = b
-            union(a, b)
+            forest[a] = a
+            forest[b] = b
+            forest.union(a, b)
             nodes.extend([a, b])
             cur[i - 1 : i - 1] = [a, b]
         elif kind in ("cap", "cap'"):
-            union(cur[i - 1], cur[i])
+            forest.union(cur[i - 1], cur[i])
             del cur[i - 1 : i + 1]
         else:
             cur[i - 1], cur[i] = cur[i], cur[i - 1]
     assert not cur
-    return len({find(x) for x in nodes})
+    return len({forest.find(x) for x in nodes})
 
 
 def _resolution_circles(word: SliceWord, bits: tuple[int, ...]) -> list[frozenset]:
@@ -287,17 +290,7 @@ def _resolution_circles(word: SliceWord, bits: tuple[int, ...]) -> list[frozense
     (merge) or an exact partition (split) of circle sets.
     """
     bit_of = dict(zip(word.crossings, bits))
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
+    forest = _UnionFind()
     cur: list = []
     for idx, (kind, i) in enumerate(word.tokens):
         if kind in ("cup", "cup'"):
@@ -305,20 +298,20 @@ def _resolution_circles(word: SliceWord, bits: tuple[int, ...]) -> list[frozense
             paired = (i - 1, i)
         elif kind in ("cap", "cap'"):
             width = len(cur) - 2
-            union(cur[i - 1], cur[i])
+            forest.union(cur[i - 1], cur[i])
             del cur[i - 1 : i + 1]
             paired = ()
         else:
             width = len(cur)
             horizontal = (kind == "pos") == (bit_of[idx] == 1)
             if horizontal:
-                union(cur[i - 1], cur[i])
+                forest.union(cur[i - 1], cur[i])
                 paired = (i - 1, i)
             else:
                 paired = ()
         fresh = [(idx, pos) for pos in range(width)]
         for seg in fresh:
-            parent[seg] = seg
+            forest[seg] = seg
         if kind in ("cup", "cup'"):
             straight = list(zip(cur, fresh[: i - 1] + fresh[i + 1 :]))
         elif paired:
@@ -326,14 +319,14 @@ def _resolution_circles(word: SliceWord, bits: tuple[int, ...]) -> list[frozense
         else:
             straight = list(zip(cur, fresh))
         for old, new in straight:
-            union(old, new)
+            forest.union(old, new)
         for a, b in zip(paired, paired[1:]):
-            union(fresh[a], fresh[b])
+            forest.union(fresh[a], fresh[b])
         cur = fresh
     assert not cur
     groups: dict = {}
-    for x in parent:
-        groups.setdefault(find(x), []).append(x)
+    for x in forest:
+        groups.setdefault(forest.find(x), []).append(x)
     return [frozenset(g) for g in groups.values()]
 
 

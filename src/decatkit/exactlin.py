@@ -6,13 +6,18 @@ Matrices are sparse (dict keyed by (row, col)) and vectors are columns, so a
 map C -> D is a matrix with D-many rows and C-many columns and composition is
 left multiplication.
 
-Rank over Q clears denominators and runs fraction-free Bareiss elimination on
-integers; rank over F_p is ordinary Gaussian elimination on residues.
+All elimination goes through one kernel, `Echelon`: an incremental sparse
+row-echelon basis. Over Q its rows are primitive integer vectors, so no
+fraction arithmetic happens while eliminating; over F_p they are residue rows
+with pivot 1. `matrix_rank` inserts the rows of a matrix and `nullspace`
+reduces its tagged columns; the simple-quotient construction in `verma` keeps
+one `Echelon` per weight space.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -49,28 +54,11 @@ class RationalField:
     def of(self, x) -> Fraction:
         return Fraction(x)
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(a)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -104,28 +92,11 @@ class PrimeField:
             return x.numerator * pow(den, -1, self.p) % self.p
         return x % self.p
 
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of 0 mod {self.p}")
-        return pow(a, -1, self.p)
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
@@ -296,7 +267,7 @@ class SparseMatrix:
             return SparseMatrix.zeros(self.nrows, self.ncols)
         out = {}
         for pos, v in self.entries.items():
-            w = v * c if not isinstance(v, LaurentPoly) else v * c
+            w = v * c
             if w:
                 out[pos] = w
         return SparseMatrix(self.nrows, self.ncols, out)
@@ -351,127 +322,121 @@ class SparseMatrix:
         return iter(sorted(by_row.items()))
 
 
-def _bareiss_rank(rows: list[dict[int, int]], ncols: int) -> int:
-    """Fraction-free Bareiss elimination on integer sparse rows."""
-    rank = 0
-    prev = 1
-    cols = sorted({j for row in rows for j in row})
-    live = [r for r in rows if r]
-    for c in cols:
-        pivot_idx = None
-        for idx, row in enumerate(live):
-            if row.get(c):
-                pivot_idx = idx
+class Echelon:
+    """Incremental sparse row-echelon basis of a subspace, over QQ or F_p.
+
+    Vectors are dicts {column: value}. A stored row's pivot is its smallest
+    column, and no stored row has an entry in the pivot column of an earlier
+    row, so one pass over the rows in insertion order clears every pivot.
+    Over Q a stored row is a primitive integer vector with positive pivot;
+    over F_p it is a residue row with pivot 1.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.p = field.p if isinstance(field, PrimeField) else None
+        self.rows: list[tuple[int, dict[int, int]]] = []
+
+    def reduce(self, vec: Mapping[int, object]) -> tuple[object, dict[int, int]]:
+        """(s, r) with s * vec - r in the span and no pivot column in r.
+
+        s is a nonzero rational over Q and 1 over F_p; r holds integers over Q
+        and residues over F_p.
+        """
+        p = self.p
+        if p is None:
+            num = math.lcm(*(v.denominator for v in vec.values()))
+            r = {j: v.numerator * (num // v.denominator) for j, v in vec.items() if v}
+            den = math.gcd(*r.values()) or 1
+            if den != 1:
+                r = {j: x // den for j, x in r.items()}
+        else:
+            of = self.field.of
+            r = {j: x for j, v in vec.items() if (x := of(v))}
+            num = den = 1
+        for pivot, row in self.rows:
+            c = r.get(pivot)
+            if not c:
+                continue
+            a = row[pivot]
+            if a != 1:
+                # Over Q only: scale r so that the pivot entries cancel.
+                g = math.gcd(a, c)
+                a //= g
+                c //= g
+                if a != 1:
+                    for j in r:
+                        r[j] *= a
+                    num *= a
+            for j, w in row.items():
+                x = r.get(j, 0) - c * w
+                if p:
+                    x %= p
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+            if not r:
                 break
-        if pivot_idx is None:
-            continue
-        pivot_row = live.pop(pivot_idx)
-        p = pivot_row[c]
-        nxt = []
-        for row in live:
-            rc = row.get(c, 0)
-            # Every remaining row is rescaled, not only those hit by the
-            # pivot; the one-step division is exact only on that invariant.
-            touched = (set(row) | set(pivot_row)) if rc else set(row)
-            new = {}
-            for j in touched:
-                if j == c:
-                    continue
-                v = row.get(j, 0) * p - rc * pivot_row.get(j, 0)
-                assert v % prev == 0
-                v //= prev
-                if v:
-                    new[j] = v
-            if new:
-                nxt.append(new)
-        live = nxt
-        prev = p
-        rank += 1
-        if not live:
-            break
-    return rank
+            if p is None:
+                g = math.gcd(*r.values())
+                if g != 1:
+                    r = {j: x // g for j, x in r.items()}
+                    den *= g
+        return (Fraction(num, den) if p is None else 1), r
 
+    def insert(self, vec: Mapping[int, object]) -> bool:
+        """Add vec to the span; False when it was already there."""
+        _, r = self.reduce(vec)
+        if not r:
+            return False
+        self._store(r)
+        return True
 
-def _gauss_rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
-    rank = 0
-    live = []
-    for row in rows:
-        r = {j: v % p for j, v in row.items() if v % p}
-        if r:
-            live.append(r)
-    pivots: list[tuple[int, dict[int, int]]] = []
-    for row in live:
-        for pc, prow in pivots:
-            v = row.get(pc)
-            if v:
-                for j, w in prow.items():
-                    nv = (row.get(j, 0) - v * w) % p
-                    if nv:
-                        row[j] = nv
-                    elif j in row:
-                        del row[j]
-        if row:
-            c = min(row)
-            inv = pow(row[c], -1, p)
-            row = {j: v * inv % p for j, v in row.items()}
-            pivots.append((c, row))
-            rank += 1
-    return rank
+    def _store(self, r: dict[int, int]) -> None:
+        """Append a nonzero reduced vector as a row, normalizing its pivot."""
+        pivot = min(r)
+        lead = r[pivot]
+        if self.p is not None:
+            if lead != 1:
+                inv = pow(lead, -1, self.p)
+                r = {j: x * inv % self.p for j, x in r.items()}
+        elif lead < 0:
+            r = {j: -x for j, x in r.items()}
+        self.rows.append((pivot, r))
 
 
 def matrix_rank(m: SparseMatrix, field) -> int:
     """Exact rank over the given field."""
-    rows = [dict(r) for _, r in m.rows()]
-    if isinstance(field, PrimeField):
-        return _gauss_rank_mod_p([{j: field.of(v) for j, v in row.items()} for row in rows], field.p)
-    int_rows = []
-    for row in rows:
-        frs = {j: Fraction(v) for j, v in row.items()}
-        lcm = 1
-        for f in frs.values():
-            lcm = lcm * f.denominator // _gcd(lcm, f.denominator)
-        int_rows.append({j: int(f * lcm) for j, f in frs.items()})
-    return _bareiss_rank(int_rows, m.ncols)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    echelon = Echelon(field)
+    for _, row in m.rows():
+        echelon.insert(row)
+    return len(echelon.rows)
 
 
 def nullspace(m: SparseMatrix, field) -> list[list]:
-    """Basis of the right kernel, as dense column vectors of field elements."""
-    dense = [[field.of(0)] * m.ncols for _ in range(m.nrows)]
+    """Basis of the right kernel, as dense column vectors of field elements.
+
+    Column j, tagged with a 1 in position nrows + j, is reduced against the
+    columns before it. If only the tag part survives, that part is a kernel
+    vector, scaled to have entry 1 at j; otherwise the column joins the basis
+    of the column space.
+    """
+    cols: list[dict[int, object]] = [{} for _ in range(m.ncols)]
     for (i, j), v in m.entries.items():
-        dense[i][j] = field.of(v)
-    nr, nc = m.nrows, m.ncols
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if not field.is_zero(dense[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        dense[r], dense[pr] = dense[pr], dense[r]
-        inv = field.inv(dense[r][c])
-        dense[r] = [field.mul(inv, x) for x in dense[r]]
-        for i in range(nr):
-            if i != r and not field.is_zero(dense[i][c]):
-                f = dense[i][c]
-                dense[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(dense[i], dense[r])]
-        pivot_of_col[c] = r
-        r += 1
-    free = [c for c in range(nc) if c not in pivot_of_col]
+        cols[j][i] = v
+    echelon = Echelon(field)
     basis = []
-    for fc in free:
-        vec = [field.of(0)] * nc
-        vec[fc] = field.of(1)
-        for c, pr in pivot_of_col.items():
-            vec[c] = field.neg(dense[pr][fc])
+    for j, col in enumerate(cols):
+        col[m.nrows + j] = 1
+        _, r = echelon.reduce(col)
+        if min(r) < m.nrows:
+            echelon._store(r)
+            continue
+        lead = r[m.nrows + j]
+        vec = [field.of(0)] * m.ncols
+        for i, v in r.items():
+            vec[i - m.nrows] = field.of(Fraction(v, lead))
         basis.append(vec)
     return basis
 

@@ -176,8 +176,6 @@ def move_matrix(k: int, sig: Sig, move: Move) -> tuple[SparseMatrix, Sig]:
     kind = move[0]
     if kind == "merge":
         return merge_matrix(k, sig, move[1])
-    if kind == "kmerge":
-        return merge_matrix_shifted(k, sig, move[1])
     if kind == "split":
         return split_matrix(k, sig, move[1], move[2])
     if kind == "ins":

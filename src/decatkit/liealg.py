@@ -49,12 +49,6 @@ class RelationAlgebra:
     def dim(self) -> int:
         return len(self.pairs)
 
-    def index(self, pair: Pair) -> int:
-        try:
-            return self.pairs.index(pair)
-        except ValueError:
-            raise KeyError(f"{pair} is not a basis pair of this algebra") from None
-
     def weight(self, pair: Pair) -> Weight:
         """Adjoint weight of e_ij: the vector e_i - e_j (zero for i = j)."""
         v = [0] * self.n
@@ -78,16 +72,6 @@ class RelationAlgebra:
             # Transitivity makes the span closed; anything else is a bug.
             assert p in set(self.pairs), p
         return out
-
-    def structure_constants(self) -> dict[tuple[int, int], dict[int, int]]:
-        """[x_a, x_b] = sum_c K[(a, b)][c] x_c over basis indices."""
-        table = {}
-        for a, pa in enumerate(self.pairs):
-            for b, pb in enumerate(self.pairs):
-                br = self.bracket(pa, pb)
-                if br:
-                    table[(a, b)] = {self.index(p): c for p, c in br.items()}
-        return table
 
 
 def gl(n: int) -> RelationAlgebra:

@@ -24,7 +24,7 @@ import itertools
 from fractions import Fraction
 
 from decatkit import liealg, weights
-from decatkit.exactlin import QQ, PrimeField, SparseMatrix, matrix_rank, nullspace
+from decatkit.exactlin import QQ, Echelon, PrimeField, SparseMatrix, matrix_rank, nullspace
 
 Pair = tuple[int, int]
 CharacterTable = dict[weights.Weight, int]
@@ -353,32 +353,7 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
     simple_raisings = [(i, i + 1) for i in range(1, n)]
     raising_mats = {g: verma.action(g) for g in simple_raisings}
 
-    spans: dict[weights.Weight, list[tuple[int, dict[int, object]]]] = {}
-
-    def reduce_vec(w: weights.Weight, vec: dict[int, object]) -> dict[int, object]:
-        for pivot, row in spans.get(w, []):
-            cv = vec.get(pivot)
-            if cv is not None and not field.is_zero(cv):
-                for idx, rv in row.items():
-                    nv = field.sub(vec.get(idx, field.zero()), field.mul(cv, rv))
-                    if field.is_zero(nv):
-                        vec.pop(idx, None)
-                    else:
-                        vec[idx] = nv
-            else:
-                vec.pop(pivot, None)
-        return {i: v for i, v in vec.items() if not field.is_zero(v)}
-
-    def insert_vec(w: weights.Weight, vec: dict[int, object]) -> bool:
-        vec = reduce_vec(w, vec)
-        if not vec:
-            return False
-        pivot = min(vec)
-        inv = field.inv(vec[pivot])
-        row = {i: field.mul(inv, v) for i, v in vec.items()}
-        spans.setdefault(w, []).append((pivot, row))
-        spans[w].sort(key=lambda pr: pr[0])
-        return True
+    spans: dict[weights.Weight, Echelon] = {}
 
     queue: list[tuple[weights.Weight, dict[int, object]]] = []
     for w, members in verma.weight_index.items():
@@ -404,13 +379,13 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
     }
     while queue:
         w, vec = queue.pop()
-        if not insert_vec(w, dict(vec)):
+        if not spans.setdefault(w, Echelon(field)).insert(vec):
             continue
         for g in verma.gens_low:
             img: dict[int, object] = {}
             for idx, c in vec.items():
                 for row_idx, v in lowering_cols[g][idx].items():
-                    nv = field.add(img.get(row_idx, field.zero()), field.mul(c, v))
+                    nv = field.add(img.get(row_idx, 0), field.mul(c, v))
                     if field.is_zero(nv):
                         img.pop(row_idx, None)
                     else:
@@ -419,7 +394,7 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
                 any_idx = next(iter(img))
                 queue.append((verma.basis_weight[any_idx], img))
 
-    pivots = {pivot for rows in spans.values() for pivot, _ in rows}
+    pivots = {pivot for span in spans.values() for pivot, _ in span.rows}
     kept = [k for k in range(verma.dim) if k not in pivots]
     new_index = {old: new for new, old in enumerate(kept)}
     basis_weight = tuple(verma.basis_weight[k] for k in kept)
@@ -429,10 +404,11 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
         mat = verma.action(pair)
         triples = []
         for old in kept:
-            img = dict(mat.column(old))
-            if img:
-                some = next(iter(img))
-                img = reduce_vec(verma.basis_weight[some], img)
+            img = mat.column(old)
+            span = spans.get(verma.basis_weight[next(iter(img))]) if img else None
+            if span is not None:
+                s, r = span.reduce(img)
+                img = {row_idx: field.of(Fraction(v) / s) for row_idx, v in r.items()}
             for row_idx, v in img.items():
                 assert row_idx in new_index, "reduced vector touched a pivot"
                 triples.append((new_index[row_idx], new_index[old], v))

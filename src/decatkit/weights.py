@@ -3,9 +3,7 @@
 Weights are integer n-tuples. Public entry points across the package take
 *shifted* weights: the staircase shift rho' = (n-1, n-2, ..., 0) is already
 added, so the twisted reflection action becomes plain coordinate permutation.
-`shift`/`unshift` convert. The half-sum rho = ((n-1)/2, (n-3)/2, ...) is
-exposed for completeness; it differs from rho' by a constant vector, so both
-give the same dot action on differences.
+`shift`/`unshift` convert.
 
 Positive roots are e_i - e_j for i < j; simple roots are the j = i + 1 cases.
 The height of a nonnegative root combination is the sum of its simple-root
@@ -16,14 +14,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from typing import Iterable, Optional
 
 Weight = tuple[int, ...]
-
-
-def rho(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(n - 1 - 2 * i, 2) for i in range(n))
 
 
 def rho_prime(n: int) -> Weight:
