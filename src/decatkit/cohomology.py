@@ -97,13 +97,7 @@ def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
         index.append({key: k for k, key in enumerate(basis_j)})
         by_subset.append(groups)
 
-    action_cols = {}
-    for k, pair in enumerate(pairs):
-        mat = module.action(pair)
-        cols: dict[int, dict[int, object]] = {}
-        for (r, c), v in mat.entries.items():
-            cols.setdefault(c, {})[r] = v
-        action_cols[k] = cols
+    action_cols = [module.action(pair).columns() for pair in pairs]
 
     mats = []
     for j in range(rank_count):

@@ -28,6 +28,11 @@ orientations: a pos token between parallel strands is a positive crossing,
 between antiparallel strands a negative one, and vice versa for neg. The
 Euler normalization uses the oriented count n_minus, so the invariant is
 (-1)^(n_minus) * sum over vertices of (-1)^(number of 1-bits) * value(t=1).
+
+That signed sum is multilinear in the per-crossing bits, so it is one product
+of transfer matrices, applied locally token by token: a crossing applies the
+difference M(0) - M(1) of its two resolutions. The cost is linear in the
+number of crossings; `build_cube` still evaluates all 2^c vertices, for tests.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import itertools
 import re
 
 from decatkit import functors
-from decatkit.exactlin import QQ, FiniteComplex, LaurentPoly, SparseMatrix
+from decatkit.exactlin import QQ, FiniteComplex, InvariantError, LaurentPoly, SparseMatrix
 
 TOKEN_RE = re.compile(r"^(cup'|cup|cap'|cap|pos|neg)\((\d+)\)$")
 
@@ -58,10 +63,6 @@ class SliceWord:
     @property
     def n_crossings(self) -> int:
         return len(self.crossings)
-
-    @property
-    def n_positive(self) -> int:
-        return sum(1 for s in self.crossing_signs if s > 0)
 
     @property
     def n_negative(self) -> int:
@@ -131,6 +132,14 @@ def parse_slice_word(text: str, k: int) -> SliceWord:
     )
 
 
+def _as_word(word: SliceWord | str, k: int | None) -> SliceWord:
+    if isinstance(word, str):
+        if k is None:
+            raise ValueError("k is required when passing a raw word string")
+        word = parse_slice_word(word, k)
+    return word
+
+
 def _token_moves(kind: str, i: int, k: int, bit: int | None):
     if kind == "cup":
         return [("ins", i), ("split", i, (1, k - 1))]
@@ -145,6 +154,12 @@ def _token_moves(kind: str, i: int, k: int, bit: int | None):
     raise AssertionError(kind)
 
 
+def _apply_token(k: int, token: Token, bit: int | None, sig, mat: SparseMatrix):
+    for move in _token_moves(*token, k, bit):
+        mat, sig = functors.apply_move(k, sig, move, mat)
+    return mat, sig
+
+
 @dataclasses.dataclass
 class Cube:
     """All resolutions of a slice word, with their Laurent matrix values."""
@@ -153,57 +168,60 @@ class Cube:
     values: dict[tuple[int, ...], SparseMatrix]
     final_sig: tuple[int, ...]
 
-    @property
-    def k(self) -> int:
-        return self.word.k
-
-    def vertex_degree(self, bits: tuple[int, ...]) -> int:
-        return sum(bits) - self.word.n_negative
-
-    def scalar_values(self) -> dict[tuple[int, ...], LaurentPoly]:
-        if not self.word.closed:
-            raise ValueError("diagram has open boundary; vertex values are matrices")
-        return {
-            bits: mat.entries.get((0, 0), LaurentPoly.zero())
-            for bits, mat in self.values.items()
-        }
-
 
 def build_cube(word: SliceWord | str, k: int | None = None) -> Cube:
-    """Evaluate every resolution of the word, sharing common prefixes."""
-    if isinstance(word, str):
-        if k is None:
-            raise ValueError("k is required when passing a raw word string")
-        word = parse_slice_word(word, k)
+    """Evaluate every resolution of the word, sharing common prefixes.
+
+    Exponential in the crossing count; `tangle_alternating_sum` gets the
+    signed sum of these values from one product and is checked against it.
+    """
+    word = _as_word(word, k)
     k = word.k
     values: dict[tuple[int, ...], SparseMatrix] = {}
     final_sigs: set[tuple[int, ...]] = set()
 
-    def rec(idx: int, sig: tuple[int, ...], mat: SparseMatrix, bits: tuple[int, ...]):
+    def rec(idx: int, mat: SparseMatrix, sig: tuple[int, ...], bits: tuple[int, ...]):
         if idx == len(word.tokens):
             values[bits] = mat
             final_sigs.add(sig)
             return
-        kind, i = word.tokens[idx]
-        if kind in ("pos", "neg"):
+        token = word.tokens[idx]
+        if token[0] in ("pos", "neg"):
             for bit in (0, 1):
-                cur_sig, cur_mat = sig, mat
-                for move in _token_moves(kind, i, k, bit):
-                    step, cur_sig = functors.move_matrix(k, cur_sig, move)
-                    cur_mat = step @ cur_mat
-                rec(idx + 1, cur_sig, cur_mat, bits + (bit,))
+                rec(idx + 1, *_apply_token(k, token, bit, sig, mat), bits + (bit,))
         else:
-            cur_sig, cur_mat = sig, mat
-            for move in _token_moves(kind, i, k, None):
-                step, cur_sig = functors.move_matrix(k, cur_sig, move)
-                cur_mat = step @ cur_mat
-            rec(idx + 1, cur_sig, cur_mat, bits)
+            rec(idx + 1, *_apply_token(k, token, None, sig, mat), bits)
 
-    rec(0, (), functors.identity_matrix(k, ()), ())
-    assert len(final_sigs) == 1
-    final_sig = final_sigs.pop()
-    assert final_sig == word.final_labels
-    return Cube(word=word, values=values, final_sig=final_sig)
+    rec(0, functors.identity_matrix(k, ()), (), ())
+    if final_sigs != {word.final_labels}:
+        raise InvariantError(f"resolutions end in signatures {final_sigs}, not {word.final_labels}")
+    return Cube(word=word, values=values, final_sig=word.final_labels)
+
+
+def tangle_alternating_sum(word: SliceWord | str, k: int | None = None) -> tuple[SparseMatrix, tuple[int, ...]]:
+    """Signed sum of the vertex values, as one product of transfer matrices.
+
+    The sum over bit vectors b of (-1)^|b| M_c(b_c) ... M_1(b_1) equals
+    (M_c(0) - M_c(1)) ... (M_1(0) - M_1(1)), so each crossing applies the
+    difference of its two resolutions to the running matrix.
+    """
+    word = _as_word(word, k)
+    k = word.k
+    sig: tuple[int, ...] = ()
+    mat = functors.identity_matrix(k, sig)
+    for token in word.tokens:
+        if token[0] in ("pos", "neg"):
+            # Both resolutions return to the (1, 1) labels of the crossing.
+            m0, _ = _apply_token(k, token, 0, sig, mat)
+            m1, sig = _apply_token(k, token, 1, sig, mat)
+            mat = m0 - m1
+        else:
+            mat, sig = _apply_token(k, token, None, sig, mat)
+    if sig != word.final_labels:
+        raise InvariantError(f"word ends in signature {sig}, not {word.final_labels}")
+    if word.n_negative % 2:
+        mat = mat.scaled(-1)
+    return mat, sig
 
 
 def euler_invariant(word: SliceWord | str, k: int | None = None) -> int:
@@ -212,31 +230,11 @@ def euler_invariant(word: SliceWord | str, k: int | None = None) -> int:
     Only closed diagrams have a scalar invariant; open boundary raises, and
     `tangle_alternating_sum` is the matrix-valued companion.
     """
-    cube = build_cube(word, k) if not isinstance(word, Cube) else word
-    if not cube.word.closed:
-        raise ValueError(
-            "diagram has open boundary; use tangle_alternating_sum for tangles"
-        )
-    total = 0
-    for bits, poly in cube.scalar_values().items():
-        sign = -1 if sum(bits) % 2 else 1
-        total += sign * poly.at_one()
-    if cube.word.n_negative % 2:
-        total = -total
-    return total
-
-
-def tangle_alternating_sum(word: SliceWord | str, k: int | None = None) -> tuple[SparseMatrix, tuple[int, ...]]:
-    """Signed sum of vertex matrices for a word with open boundary."""
-    cube = build_cube(word, k) if not isinstance(word, Cube) else word
-    mats = None
-    for bits, mat in cube.values.items():
-        signed = mat.scaled(LaurentPoly.const(-1 if sum(bits) % 2 else 1))
-        mats = signed if mats is None else mats + signed
-    assert mats is not None
-    if cube.word.n_negative % 2:
-        mats = mats.scaled(LaurentPoly.const(-1))
-    return mats, cube.final_sig
+    word = _as_word(word, k)
+    if not word.closed:
+        raise ValueError("diagram has open boundary; use tangle_alternating_sum for tangles")
+    mat, _ = tangle_alternating_sum(word)
+    return mat.entries.get((0, 0), LaurentPoly.zero()).at_one()
 
 
 class _UnionFind(dict):
@@ -254,10 +252,7 @@ class _UnionFind(dict):
 
 def link_components(word: SliceWord | str, k: int | None = None) -> int:
     """Number of link components of the closed diagram."""
-    if isinstance(word, str):
-        if k is None:
-            raise ValueError("k is required when passing a raw word string")
-        word = parse_slice_word(word, k)
+    word = _as_word(word, k)
     if not word.closed:
         raise ValueError("diagram has open boundary")
     forest = _UnionFind()
@@ -276,7 +271,8 @@ def link_components(word: SliceWord | str, k: int | None = None) -> int:
             del cur[i - 1 : i + 1]
         else:
             cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    assert not cur
+    if cur:
+        raise InvariantError("closed word left strands open")
     return len({forest.find(x) for x in nodes})
 
 
@@ -323,7 +319,8 @@ def _resolution_circles(word: SliceWord, bits: tuple[int, ...]) -> list[frozense
         for a, b in zip(paired, paired[1:]):
             forest.union(fresh[a], fresh[b])
         cur = fresh
-    assert not cur
+    if cur:
+        raise InvariantError("closed word left strands open")
     groups: dict = {}
     for x in forest:
         groups.setdefault(forest.find(x), []).append(x)
@@ -358,7 +355,6 @@ def khovanov_homology_k2(word: SliceWord | str, field=QQ) -> dict[int, int]:
         degree_dims[h] = degree_dims.get(h, 0) + (1 << len(circles[v]))
 
     entries_by_degree: dict[int, dict[tuple[int, int], object]] = {h: {} for h in range(nc)}
-    one = field.of(1)
     for v in vertices:
         for c in range(nc):
             if v[c] == 1:
@@ -403,7 +399,7 @@ def khovanov_homology_k2(word: SliceWord | str, field=QQ) -> dict[int, int]:
                     row = offsets[w] + out_bits
                     key = (row, col)
                     cur = ent.get(key)
-                    newv = field.mul(sign, one) if cur is None else field.add(cur, field.mul(sign, one))
+                    newv = sign if cur is None else field.add(cur, sign)
                     if field.is_zero(newv):
                         ent.pop(key, None)
                     else:

@@ -129,10 +129,6 @@ class LaurentPoly:
     def t_power(m: int, coeff: int = 1) -> "LaurentPoly":
         return LaurentPoly(((m, coeff),) if coeff else ())
 
-    @staticmethod
-    def const(c: int) -> "LaurentPoly":
-        return LaurentPoly(((0, c),) if c else ())
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -312,8 +308,12 @@ class SparseMatrix:
         """Evaluate LaurentPoly entries at t = 1, yielding an int matrix."""
         return self.map_values(lambda v: v.at_one() if isinstance(v, LaurentPoly) else v)
 
-    def column(self, j: int) -> dict[int, object]:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
+    def columns(self) -> dict[int, dict[int, object]]:
+        """The nonzero columns, {col: {row: value}}, grouped in one pass."""
+        by_col: dict[int, dict[int, object]] = {}
+        for (i, j), v in self.entries.items():
+            by_col.setdefault(j, {})[i] = v
+        return by_col
 
     def rows(self) -> Iterator[tuple[int, dict[int, object]]]:
         by_row: dict[int, dict[int, object]] = {}
@@ -422,12 +422,11 @@ def nullspace(m: SparseMatrix, field) -> list[list]:
     vector, scaled to have entry 1 at j; otherwise the column joins the basis
     of the column space.
     """
-    cols: list[dict[int, object]] = [{} for _ in range(m.ncols)]
-    for (i, j), v in m.entries.items():
-        cols[j][i] = v
+    cols = m.columns()
     echelon = Echelon(field)
     basis = []
-    for j, col in enumerate(cols):
+    for j in range(m.ncols):
+        col = cols.get(j, {})
         col[m.nrows + j] = 1
         _, r = echelon.reduce(col)
         if min(r) < m.nrows:
@@ -443,6 +442,10 @@ def nullspace(m: SparseMatrix, field) -> list[list]:
 
 class ComplexError(ValueError):
     """Raised when candidate differentials fail to square to zero."""
+
+
+class InvariantError(RuntimeError):
+    """Raised when an internal invariant of a computation fails: a bug, not bad input."""
 
 
 @dataclasses.dataclass

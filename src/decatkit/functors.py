@@ -13,6 +13,10 @@ its transpose. The shifted merge divides by t^(2d) where d is the nilradical
 dimension lost by merging the two blocks (d = a_i * a_(i+1)); the exponent is
 computed from the block data, not hard-coded.
 
+All five moves act locally through `apply_move`: it rewrites the digits of
+the replaced blocks in each row index and shifts by the local power of t,
+never forming the full matrix I (x) local (x) I.
+
 Words of moves are evaluated left to right (the first move acts first), so
 `evaluate` returns the product of the move matrices in reverse word order.
 Word syntax: merge(i), split(i;b,c), shift(m), ins(i), del(i), with 1-based
@@ -24,10 +28,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import re
 
 from decatkit import liealg
-from decatkit.exactlin import LaurentPoly, SparseMatrix, geometric_shift_sum
+from decatkit.exactlin import InvariantError, LaurentPoly, SparseMatrix, geometric_shift_sum
 
 Sig = tuple[int, ...]
 Move = tuple
@@ -45,10 +50,7 @@ def sig_dims(k: int, sig: Sig) -> list[int]:
 
 
 def sig_dim(k: int, sig: Sig) -> int:
-    out = 1
-    for d in sig_dims(k, sig):
-        out *= d
-    return out
+    return math.prod(sig_dims(k, sig))
 
 
 def identity_matrix(k: int, sig: Sig) -> SparseMatrix:
@@ -76,37 +78,14 @@ def local_merge(k: int, a: int, b: int) -> SparseMatrix:
     return SparseMatrix(len(rows), len(lefts) * len(rights), entries)
 
 
-def _embed(k: int, sig: Sig, pos: int, span: int, local: SparseMatrix, new_blocks: Sig) -> tuple[SparseMatrix, Sig]:
-    """Apply `local` to blocks [pos, pos+span) of sig (0-based), identity elsewhere."""
-    dims = sig_dims(k, sig)
-    left = 1
-    for d in dims[:pos]:
-        left *= d
-    right = 1
-    for d in dims[pos + span :]:
-        right *= d
-    mat = SparseMatrix.identity(left, LaurentPoly.one()).kron(local)
-    mat = mat.kron(SparseMatrix.identity(right, LaurentPoly.one()))
-    new_sig = sig[:pos] + new_blocks + sig[pos + span :]
-    return mat, new_sig
-
-
 def merge_matrix(k: int, sig: Sig, i: int) -> tuple[SparseMatrix, Sig]:
     """Merge blocks i and i+1 (1-based)."""
-    if not (1 <= i < len(sig)):
-        raise ValueError(f"no block pair at position {i} in signature {sig}")
-    a, b = sig[i - 1], sig[i]
-    return _embed(k, sig, i - 1, 2, local_merge(k, a, b), (a + b,))
+    return move_matrix(k, sig, ("merge", i))
 
 
 def split_matrix(k: int, sig: Sig, i: int, parts: tuple[int, int]) -> tuple[SparseMatrix, Sig]:
     """Split block i (1-based) into the two given weights; transpose of merge."""
-    if not (1 <= i <= len(sig)):
-        raise ValueError(f"no block at position {i} in signature {sig}")
-    b, c = parts
-    if b + c != sig[i - 1] or b <= 0 or c <= 0:
-        raise ValueError(f"parts {parts} do not split block weight {sig[i - 1]}")
-    return _embed(k, sig, i - 1, 1, local_merge(k, b, c).transpose(), (b, c))
+    return move_matrix(k, sig, ("split", i, parts))
 
 
 def merge_shift_exponent(sig: Sig, i: int) -> int:
@@ -123,25 +102,9 @@ def merge_matrix_shifted(k: int, sig: Sig, i: int) -> tuple[SparseMatrix, Sig]:
     return mat.scaled(LaurentPoly.t_power(-2 * d)), new_sig
 
 
-def insert_full_matrix(k: int, sig: Sig, i: int) -> tuple[SparseMatrix, Sig]:
-    """Insert a weight-k block at position i (1-based; len(sig)+1 appends).
-
-    The new factor is one-dimensional, so the matrix is an identity.
-    """
-    if not (1 <= i <= len(sig) + 1):
-        raise ValueError(f"cannot insert at position {i} in signature {sig}")
-    new_sig = sig[: i - 1] + (k,) + sig[i - 1 :]
-    return SparseMatrix.identity(sig_dim(k, sig), LaurentPoly.one()), new_sig
-
-
 def delete_full_matrix(k: int, sig: Sig, i: int) -> tuple[SparseMatrix, Sig]:
     """Remove the weight-k block at position i (1-based)."""
-    if not (1 <= i <= len(sig)):
-        raise ValueError(f"no block at position {i} in signature {sig}")
-    if sig[i - 1] != k:
-        raise ValueError(f"block {i} has weight {sig[i - 1]}, not {k}")
-    new_sig = sig[: i - 1] + sig[i:]
-    return SparseMatrix.identity(sig_dim(k, sig), LaurentPoly.one()), new_sig
+    return move_matrix(k, sig, ("del", i))
 
 
 _MOVE_RE = re.compile(r"^(merge|split|shift|ins|del)\(([-0-9;,\s]*)\)$")
@@ -172,31 +135,80 @@ def parse_word(text: str) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-def move_matrix(k: int, sig: Sig, move: Move) -> tuple[SparseMatrix, Sig]:
-    kind = move[0]
-    if kind == "merge":
-        return merge_matrix(k, sig, move[1])
-    if kind == "split":
-        return split_matrix(k, sig, move[1], move[2])
-    if kind == "ins":
-        return insert_full_matrix(k, sig, move[1])
-    if kind == "del":
-        return delete_full_matrix(k, sig, move[1])
+def _local_action(k: int, sig: Sig, move: Move) -> tuple[int, int, Sig, list]:
+    """(pos, span, new_blocks, images): the move replaces blocks [pos, pos+span)
+    of sig by new_blocks and sends local index j of the old blocks to t^e times
+    local index r of the new ones for each (r, e) in images[j].
+    """
+    kind, i = move[0], move[1]
     if kind == "shift":
-        dim = sig_dim(k, sig)
-        return SparseMatrix.identity(dim, LaurentPoly.t_power(move[1])), sig
-    raise ValueError(f"unknown move kind {kind!r}")
+        return 0, 0, (), [[(0, i)]]
+    if kind == "ins":
+        if not (1 <= i <= len(sig) + 1):
+            raise ValueError(f"cannot insert at position {i} in signature {sig}")
+        return i - 1, 0, (k,), [[(0, 0)]]
+    if kind == "merge":
+        if not (1 <= i < len(sig)):
+            raise ValueError(f"no block pair at position {i} in signature {sig}")
+        parts, span, new_blocks = sig[i - 1 : i + 1], 2, (sig[i - 1] + sig[i],)
+    elif kind in ("split", "del"):
+        if not (1 <= i <= len(sig)):
+            raise ValueError(f"no block at position {i} in signature {sig}")
+        if kind == "del":
+            if sig[i - 1] != k:
+                raise ValueError(f"block {i} has weight {sig[i - 1]}, not {k}")
+            return i - 1, 1, (), [[(0, 0)]]
+        parts = new_blocks = move[2]
+        span = 1
+        if sum(parts) != sig[i - 1] or min(parts) <= 0:
+            raise ValueError(f"parts {parts} do not split block weight {sig[i - 1]}")
+    else:
+        raise ValueError(f"unknown move kind {kind!r}")
+    local = local_merge(k, *parts)
+    images = [[] for _ in range(local.ncols if kind == "merge" else local.nrows)]
+    for (r, j), v in local.entries.items():
+        src, dst = (j, r) if kind == "merge" else (r, j)
+        images[src].append((dst, v.min_degree()))
+    return i - 1, span, new_blocks, images
+
+
+def apply_move(k: int, sig: Sig, move: Move, mat: SparseMatrix) -> tuple[SparseMatrix, Sig]:
+    """(move matrix @ mat, new signature) for a matrix whose rows index sig.
+
+    Only the mixed-radix digit of the moved blocks changes in each row index,
+    and each local entry is a power of t, so each product is a `shifted`.
+    """
+    pos, span, new_blocks, images = _local_action(k, sig, move)
+    dims = sig_dims(k, sig)
+    if mat.nrows != math.prod(dims):
+        raise ValueError(f"matrix has {mat.nrows} rows, but signature {sig} has dimension {math.prod(dims)}")
+    right = math.prod(dims[pos + span :])
+    new_mid = sig_dim(k, new_blocks)
+    entries: dict[tuple[int, int], LaurentPoly] = {}
+    for (row, col), v in mat.entries.items():
+        head, low = divmod(row, right)
+        high, mid = divmod(head, len(images))
+        for r, e in images[mid]:
+            key = ((high * new_mid + r) * right + low, col)
+            w = v.shifted(e) if e else v
+            entries[key] = entries[key] + w if key in entries else w
+    nrows = mat.nrows // len(images) * new_mid
+    nonzero = {key: v for key, v in entries.items() if v}
+    return SparseMatrix(nrows, mat.ncols, nonzero), sig[:pos] + new_blocks + sig[pos + span :]
+
+
+def move_matrix(k: int, sig: Sig, move: Move) -> tuple[SparseMatrix, Sig]:
+    return apply_move(k, sig, move, identity_matrix(k, sig))
 
 
 def evaluate(k: int, sig: Sig, moves) -> tuple[SparseMatrix, Sig]:
-    """Compose move matrices in word order (first move acts first)."""
+    """Apply the moves in word order (first move acts first) to the identity."""
     if isinstance(moves, str):
         moves = parse_word(moves)
     mat = identity_matrix(k, sig)
     cur = tuple(sig)
     for move in moves:
-        step, cur = move_matrix(k, cur, move)
-        mat = step @ mat
+        mat, cur = apply_move(k, cur, move, mat)
     return mat, cur
 
 
@@ -268,20 +280,25 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
     ident = identity_matrix(k, ambient)
     detail: dict = {}
 
+    def loop(moves) -> SparseMatrix:
+        """Value of a word that must return to the ambient signature."""
+        got, back = evaluate(k, ambient, moves)
+        if back != ambient:
+            raise InvariantError(f"word {moves} leaves {ambient} at {back}")
+        return got
+
     if relation == "R1":
         expected = ident.scaled(geometric_shift_sum(k))
         ok = True
         for parts in ((1, k - 1), (k - 1, 1)):
-            got, back = evaluate(k, ambient, [("split", o + 1, parts), ("merge", o + 1)])
-            assert back == ambient
+            got = loop([("split", o + 1, parts), ("merge", o + 1)])
             flavor_ok = got == expected
             detail[f"split_{parts[0]}_{parts[1]}"] = flavor_ok
             ok = ok and flavor_ok
         return RelationReport(relation, k, ambient, offset, ok, detail)
 
     if relation == "R2":
-        got, back = evaluate(k, ambient, [("split", o + 1, (1, 1)), ("merge", o + 1)])
-        assert back == ambient
+        got = loop([("split", o + 1, (1, 1)), ("merge", o + 1)])
         expected = ident.scaled(geometric_shift_sum(2))
         return RelationReport(relation, k, ambient, offset, got == expected, detail)
 
@@ -292,8 +309,7 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
             ("split", o + 1, (1, 1)),
             ("merge", o + 2),
         ]
-        got, back = evaluate(k, ambient, word)
-        assert back == ambient
+        got = loop(word)
         scalar = LaurentPoly.from_dict({2 * i: 1 for i in range(1, k)})
         expected = ident.scaled(scalar)
         return RelationReport(relation, k, ambient, offset, got == expected, detail)
@@ -309,10 +325,8 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
             ("split", o + 2, (1, 1)),
             ("merge", o + 1),
         ]
-        got, back = evaluate(k, ambient, word)
-        assert back == ambient
-        bubble, back2 = evaluate(k, ambient, [("merge", o + 2), ("split", o + 2, (1, k - 1))])
-        assert back2 == ambient
+        got = loop(word)
+        bubble = loop([("merge", o + 2), ("split", o + 2, (1, k - 1))])
         coeff = LaurentPoly.from_dict({2 * i: 1 for i in range(2, k)})
         matches = []
         for s in (2 * k - 2, 2 * k):
@@ -324,12 +338,7 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
         return RelationReport(relation, k, ambient, offset, len(matches) == 1, detail)
 
     if relation == "R5":
-        def e_op(i: int) -> SparseMatrix:
-            mat, back = evaluate(k, ambient, [("merge", o + i), ("split", o + i, (1, 1))])
-            assert back == ambient
-            return mat
-
-        e1, e2 = e_op(1), e_op(2)
+        e1, e2 = (loop([("merge", o + i), ("split", o + i, (1, 1))]) for i in (1, 2))
         t2 = LaurentPoly.t_power(2)
         lhs = e1 @ e2 @ e1 + e2.scaled(t2)
         rhs = e2 @ e1 @ e2 + e1.scaled(t2)
@@ -342,12 +351,10 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
             ("split", o + 2, (1, 1)),
             ("merge", o + 1),
         ]
-        got, back = evaluate(k, ambient, word)
-        assert back == ambient
+        got = loop(word)
         expected = ident.scaled(LaurentPoly.t_power(2))
         if k >= 3:
-            bubble, back2 = evaluate(k, ambient, [("merge", o + 1), ("split", o + 1, (2, 1))])
-            assert back2 == ambient
+            bubble = loop([("merge", o + 1), ("split", o + 1, (2, 1))])
             expected = expected + bubble
         detail["triple_block_term"] = k >= 3
         return RelationReport(relation, k, ambient, offset, got == expected, detail)

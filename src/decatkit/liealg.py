@@ -44,6 +44,8 @@ class RelationAlgebra:
                     )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", pairs)
+        # A plain attribute, not a field: eq, hash and repr see only n and pairs.
+        object.__setattr__(self, "_pair_set", pair_set)
 
     @property
     def dim(self) -> int:
@@ -59,7 +61,7 @@ class RelationAlgebra:
 
     def bracket(self, a: Pair, b: Pair) -> dict[Pair, int]:
         """[e_a, e_b] expanded over basis pairs; raises if a or b is foreign."""
-        if a not in set(self.pairs) or b not in set(self.pairs):
+        if a not in self._pair_set or b not in self._pair_set:
             raise KeyError(f"bracket arguments {a}, {b} must both be basis pairs")
         (i, j), (k, l) = a, b
         out: dict[Pair, int] = {}
@@ -70,7 +72,8 @@ class RelationAlgebra:
         out = {p: c for p, c in out.items() if c}
         for p in out:
             # Transitivity makes the span closed; anything else is a bug.
-            assert p in set(self.pairs), p
+            if p not in self._pair_set:
+                raise exactlin.InvariantError(f"bracket term {p} is not a basis pair")
         return out
 
 

@@ -351,7 +351,7 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
     verma = TruncatedVerma(n, lam_shifted, depth, field)
 
     simple_raisings = [(i, i + 1) for i in range(1, n)]
-    raising_mats = {g: verma.action(g) for g in simple_raisings}
+    raising_cols = [verma.action(g).columns() for g in simple_raisings]
 
     spans: dict[weights.Weight, Echelon] = {}
 
@@ -361,10 +361,9 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
             continue
         rows = []
         row_offset = 0
-        for g in simple_raisings:
-            mat = raising_mats[g]
+        for cols in raising_cols:
             for k, col in enumerate(members):
-                for row_idx, v in mat.column(col).items():
+                for row_idx, v in cols.get(col, {}).items():
                     rows.append((row_offset + row_idx, k, v))
             row_offset += verma.dim
         stacked = SparseMatrix.from_triples(row_offset, len(members), rows)
@@ -373,10 +372,7 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
             if vec:
                 queue.append((w, vec))
 
-    lowering_mats = {g: verma.action(g) for g in verma.gens_low}
-    lowering_cols = {
-        g: {j: m.column(j) for j in range(verma.dim)} for g, m in lowering_mats.items()
-    }
+    lowering_cols = {g: verma.action(g).columns() for g in verma.gens_low}
     while queue:
         w, vec = queue.pop()
         if not spans.setdefault(w, Echelon(field)).insert(vec):
@@ -384,7 +380,7 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
         for g in verma.gens_low:
             img: dict[int, object] = {}
             for idx, c in vec.items():
-                for row_idx, v in lowering_cols[g][idx].items():
+                for row_idx, v in lowering_cols[g].get(idx, {}).items():
                     nv = field.add(img.get(row_idx, 0), field.mul(c, v))
                     if field.is_zero(nv):
                         img.pop(row_idx, None)
@@ -401,10 +397,10 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
 
     actions: dict[Pair, SparseMatrix] = {}
     for pair in liealg.gl(n).pairs:
-        mat = verma.action(pair)
+        cols = verma.action(pair).columns()
         triples = []
         for old in kept:
-            img = mat.column(old)
+            img = cols.get(old, {})
             span = spans.get(verma.basis_weight[next(iter(img))]) if img else None
             if span is not None:
                 s, r = span.reduce(img)

@@ -94,13 +94,13 @@ def test_sparse_matrix_algebra():
     assert (m - m).is_zero()
     k = m.kron(ident)
     assert (k.nrows, k.ncols) == (4, 4)
-    assert m.column(1) == {0: 2, 1: 3}
+    assert m.columns() == {0: {0: 1}, 1: {0: 2, 1: 3}}
 
 
 def test_sparse_matrix_at_one_collapses_laurent_entries():
     m = SparseMatrix(1, 1, {(0, 0): LaurentPoly.from_dict({0: 1, 2: 1})})
     assert m.at_one().rows() is not None
-    assert dict(enumerate(m.at_one().column(0).values())) == {0: 2}
+    assert dict(enumerate(m.at_one().columns()[0].values())) == {0: 2}
 
 
 def test_matrix_rank_known_values():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decatkit import functors
-from decatkit.exactlin import LaurentPoly, geometric_shift_sum
+from decatkit.exactlin import LaurentPoly, SparseMatrix, geometric_shift_sum
 
 RELATIONS = ("R1", "R2", "R3", "R4", "R5", "L5")
 
@@ -160,3 +160,59 @@ def test_local_merge_entries_are_monomials(data):
         degree, coeff = poly.terms[0]
         assert coeff == 1
         assert 0 <= degree <= a * b
+
+
+def _reference_move(k, sig, move):
+    """The move as the full matrix I (x) local (x) I, built with kron."""
+    kind, i = move[0], move[1]
+    one = LaurentPoly.one()
+    if kind == "merge":
+        pos, span, local = i - 1, 2, functors.local_merge(k, sig[i - 1], sig[i])
+    elif kind == "split":
+        pos, span, local = i - 1, 1, functors.local_merge(k, *move[2]).transpose()
+    elif kind == "shift":
+        pos, span, local = 0, 0, SparseMatrix.identity(1, LaurentPoly.t_power(i))
+    else:
+        pos, span, local = i - 1, int(kind == "del"), SparseMatrix.identity(1, one)
+    left = SparseMatrix.identity(functors.sig_dim(k, sig[:pos]), one)
+    right = SparseMatrix.identity(functors.sig_dim(k, sig[pos + span :]), one)
+    return left.kron(local).kron(right)
+
+
+@st.composite
+def signature_move_matrix(draw):
+    k = draw(st.integers(min_value=2, max_value=4))
+    sig = tuple(draw(st.lists(st.integers(min_value=1, max_value=k), max_size=3)))
+    moves = [("shift", draw(st.integers(min_value=-3, max_value=3)))]
+    moves += [("ins", i) for i in range(1, len(sig) + 2)]
+    moves += [("del", i) for i in range(1, len(sig) + 1) if sig[i - 1] == k]
+    moves += [("merge", i) for i in range(1, len(sig)) if sig[i - 1] + sig[i] <= k]
+    moves += [
+        ("split", i, (b, sig[i - 1] - b)) for i in range(1, len(sig) + 1) for b in range(1, sig[i - 1])
+    ]
+    move = draw(st.sampled_from(moves))
+    nrows = functors.sig_dim(k, sig)
+    ncols = draw(st.integers(min_value=1, max_value=3))
+    poly = st.dictionaries(
+        st.integers(min_value=-3, max_value=3), st.integers(min_value=-2, max_value=2), max_size=2
+    ).map(LaurentPoly.from_dict)
+    cells = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), poly, max_size=12
+        )
+    )
+    return k, sig, move, SparseMatrix(nrows, ncols, {pos: v for pos, v in cells.items() if v})
+
+
+@given(signature_move_matrix())
+@settings(max_examples=200, deadline=None)
+def test_apply_move_matches_kron_reference(data):
+    k, sig, move, mat = data
+    got, new_sig = functors.apply_move(k, sig, move, mat)
+    assert got == _reference_move(k, sig, move) @ mat
+    assert functors.sig_dim(k, new_sig) == got.nrows
+
+
+def test_apply_move_rejects_wrong_row_count():
+    with pytest.raises(ValueError, match="dimension"):
+        functors.apply_move(2, (1, 1), ("merge", 1), SparseMatrix.identity(2, LaurentPoly.one()))

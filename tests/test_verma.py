@@ -66,7 +66,7 @@ def test_sl2_string_coefficients(ell_bar_minus_one, base, depth):
     module = verma.TruncatedVerma(2, lam, depth)
     raise_m = module.action((1, 2))
     for m in range(1, depth + 1):
-        image = raise_m.column(module.basis_index[(m,)])
+        image = raise_m.columns().get(module.basis_index[(m,)], {})
         coeff = m * (ell_bar - m)
         if coeff == 0:
             assert image == {}
@@ -78,7 +78,7 @@ def test_cartan_action_is_diagonal_with_unshifted_weights():
     module = verma.TruncatedVerma(2, (3, 0), 3)
     h1 = module.action((1, 1))
     for k, w in enumerate(module.basis_weight):
-        col = h1.column(k)
+        col = h1.columns().get(k, {})
         assert col == ({k: w[0]} if w[0] else {})
 
 
