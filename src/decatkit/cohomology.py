@@ -1,14 +1,22 @@
 """Nilpotent cochain complexes in a fixed weight slice, and their shadows.
 
 For a gl_n weight module M (truncated highest-weight or finite-dimensional,
-anything exposing n, field, basis_weight, weight_index, action), the cochain
-space in degree j is spanned by xi_I tensor v where I is a j-subset of the
-positive roots (strict upper pairs in lex order) and v a basis vector; the
-cochain's weight is wt(v) minus the sum of the roots in I. Fixing a slice
-weight mu picks out a finite subcomplex because the differential preserves
-weight. The differential is the standard alternating-sum formula: an action
-term moving one root onto the module and a contraction term pairing two roots
-through their bracket.
+anything exposing n, field, weight_index, action and action_columns), the
+cochain space in degree j is spanned by xi_I tensor v where I is a j-subset
+of the positive roots (`weights.positive_roots(n)`, which lines up with the
+strict upper pairs in lex order) and v a basis vector; the cochain's weight
+is wt(v) minus the sum of the roots in I. Fixing a slice weight mu picks out
+a finite subcomplex because the differential preserves weight. The
+differential is the standard alternating-sum formula: an action term moving
+one root onto the module and a contraction term pairing two roots through
+their bracket.
+
+All of that formula but the module depends on n alone: the root subsets
+with their weight offsets, each (j+1)-subset's signed action terms, and its
+contraction terms summed per j-subset. `_skeleton(n)` builds these once per
+n, on first use. `ce_slice` then only looks up one weight space per subset,
+skips subsets whose space is empty, and reads the action matrices through
+`action_columns`, grouped by column once per module.
 
 Raising operators never increase depth, so on a depth-truncated module every
 slice complex with window depth >= ht(lambda - mu) is computed exactly.
@@ -17,24 +25,57 @@ slice complex with window depth >= ht(lambda - mu) is computed exactly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import operator
 
 from decatkit import liealg, weights
-from decatkit.exactlin import QQ, FiniteComplex, PrimeField, SparseMatrix
+from decatkit.exactlin import QQ, FiniteComplex, InvariantError, PrimeField, SparseMatrix
 from decatkit.verma import TruncatedVerma, simple_quotient, weyl_dim
 
 Pair = tuple[int, int]
 
 
-def _positive_root_pairs(n: int) -> list[Pair]:
-    return list(liealg.strict_triangular(n, "upper").pairs)
+@functools.cache
+def _skeleton(n: int):
+    """The slice skeleton of gl_n: (pairs, subsets, offsets, action, contraction).
 
-
-def _root_vector(n: int, pair: Pair) -> weights.Weight:
-    v = [0] * n
-    v[pair[0] - 1] += 1
-    v[pair[1] - 1] -= 1
-    return tuple(v)
+    subsets[j] lists the j-subsets of root indices in combinations order and
+    offsets[j][t] the root sum of subsets[j][t]. For big = subsets[j+1][t],
+    action[j][t] lists (small, root, sign) and contraction[j][t] lists
+    (small, coefficient), with small an index into subsets[j].
+    """
+    nilpotent = liealg.strict_triangular(n, "upper")
+    roots = weights.positive_roots(n)
+    root_of = {pair: k for k, pair in enumerate(nilpotent.pairs)}
+    subsets = [list(itertools.combinations(range(len(roots)), j)) for j in range(len(roots) + 1)]
+    where = [{subset: t for t, subset in enumerate(level)} for level in subsets]
+    offsets = [
+        [tuple(sum(roots[k][c] for k in subset) for c in range(n)) for subset in level]
+        for level in subsets
+    ]
+    action, contraction = [], []
+    for j, level in enumerate(subsets[1:]):
+        action.append([
+            [(where[j][big[:a] + big[a + 1 :]], k, -1 if a % 2 else 1) for a, k in enumerate(big)]
+            for big in level
+        ])
+        contraction.append([])
+        for t, big in enumerate(level):
+            terms: dict[int, int] = {}
+            for a, b in itertools.combinations(range(len(big)), 2):
+                rest = tuple(x for u, x in enumerate(big) if u not in (a, b))
+                for z, c in nilpotent.bracket(nilpotent.pairs[big[a]], nilpotent.pairs[big[b]]).items():
+                    s = root_of[z]
+                    if s in rest:
+                        continue
+                    small = tuple(sorted(rest + (s,)))
+                    key = where[j][small]
+                    if offsets[j][key] != offsets[j + 1][t]:
+                        raise InvariantError("contraction term left the slice")
+                    terms[key] = terms.get(key, 0) + (-1) ** (a + b + small.index(s)) * c
+            contraction[j].append([(small, c) for small, c in terms.items() if c])
+    return nilpotent.pairs, subsets, offsets, action, contraction
 
 
 @dataclasses.dataclass
@@ -65,7 +106,6 @@ def slice_required_depth(module, mu_shifted: weights.Weight) -> int | None:
 
 def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
     """Cochain complex of the module in the given shifted weight slice."""
-    n = module.n
     field = module.field
     mu = weights.unshift(tuple(mu_shifted))
     required = slice_required_depth(module, mu_shifted)
@@ -74,96 +114,56 @@ def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
             f"slice at {tuple(mu_shifted)} sits at depth {required}, beyond the "
             f"window depth {module.depth}; rebuild the module with depth >= {required}"
         )
-    pairs = _positive_root_pairs(n)
-    vectors = [_root_vector(n, p) for p in pairs]
-    nilpotent = liealg.strict_triangular(n, "upper")
-    rank_count = len(pairs)
-
+    pairs, subsets, offsets, action, contraction = _skeleton(module.n)
+    members = [
+        [module.weight_index.get(tuple(map(operator.add, mu, off)), ()) for off in level]
+        for level in offsets
+    ]
     bases: list[list[tuple[tuple[int, ...], int]]] = []
-    index: list[dict[tuple[tuple[int, ...], int], int]] = []
-    by_subset: list[dict[tuple[int, ...], list[tuple[int, int]]]] = []
-    for j in range(rank_count + 1):
-        basis_j = []
-        groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for subset in itertools.combinations(range(rank_count), j):
-            w = list(mu)
-            for r in subset:
-                for c in range(n):
-                    w[c] += vectors[r][c]
-            members = module.weight_index.get(tuple(w), ())
-            groups[subset] = [(m, len(basis_j) + t) for t, m in enumerate(members)]
-            basis_j.extend((subset, m) for m in members)
+    starts: list[list[int]] = []
+    for level, level_members in zip(subsets, members):
+        basis_j: list[tuple[tuple[int, ...], int]] = []
+        start = []
+        for subset, ms in zip(level, level_members):
+            start.append(len(basis_j))
+            if ms:
+                basis_j.extend((subset, m) for m in ms)
         bases.append(basis_j)
-        index.append({key: k for k, key in enumerate(basis_j)})
-        by_subset.append(groups)
+        starts.append(start)
 
-    action_cols = [module.action(pair).columns() for pair in pairs]
-
+    action_cols = [module.action_columns(pair) for pair in pairs]
     mats = []
-    for j in range(rank_count):
+    for j in range(len(pairs)):
         entries: dict[tuple[int, int], object] = {}
-
-        def bump(row: int, col: int, val):
-            if field.is_zero(val):
-                return
-            cur = entries.get((row, col))
-            new = val if cur is None else field.add(cur, val)
-            if field.is_zero(new):
-                entries.pop((row, col), None)
-            else:
-                entries[(row, col)] = new
-
-        for big in itertools.combinations(range(rank_count), j + 1):
-            for a, k in enumerate(big):
-                small = big[:a] + big[a + 1 :]
-                sign = field.of(-1 if a % 2 else 1)
-                for m, col in by_subset[j].get(small, ()):
+        for t, big_members in enumerate(members[j + 1]):
+            if not big_members:
+                continue
+            row0 = starts[j + 1][t]
+            slot = {m: row0 + u for u, m in enumerate(big_members)}
+            for small, k, sign in action[j][t]:
+                col0 = starts[j][small]
+                for u, m in enumerate(members[j][small]):
                     for m2, val in action_cols[k].get(m, {}).items():
-                        row = index[j + 1].get((big, m2))
-                        assert row is not None, "action term left the slice"
-                        bump(row, col, field.mul(sign, val))
-            for a, b in itertools.combinations(range(len(big)), 2):
-                rest = tuple(x for t, x in enumerate(big) if t not in (a, b))
-                bracket = nilpotent.bracket(pairs[big[a]], pairs[big[b]])
-                for z, c in bracket.items():
-                    s = pairs.index(z)
-                    if s in rest:
-                        continue
-                    small = tuple(sorted(rest + (s,)))
-                    pos = small.index(s)
-                    total = field.of((-1) ** (a + b) * c * (-1) ** pos)
-                    for m, col in by_subset[j].get(small, ()):
-                        row = index[j + 1].get((big, m))
-                        assert row is not None, "contraction term left the slice"
-                        bump(row, col, total)
-        mats.append(
-            SparseMatrix(len(bases[j + 1]), len(bases[j]), entries)
-        )
+                        row = slot.get(m2)
+                        if row is None:
+                            raise InvariantError("action term left the slice")
+                        entries[row, col0 + u] = field.add(entries.get((row, col0 + u), 0), sign * val)
+            # A contraction term keeps the weight, so small and big share members.
+            for small, c in contraction[j][t]:
+                col0, c = starts[j][small], field.of(c)
+                for u in range(len(big_members)):
+                    entries[row0 + u, col0 + u] = field.add(entries.get((row0 + u, col0 + u), 0), c)
+        entries = {pos: v for pos, v in entries.items() if not field.is_zero(v)}
+        mats.append(SparseMatrix(len(bases[j + 1]), len(bases[j]), entries))
 
-    cx = FiniteComplex(
-        field=field,
-        dims=tuple(len(b) for b in bases),
-        maps=tuple(mats),
-    )
+    cx = FiniteComplex(field=field, dims=tuple(len(b) for b in bases), maps=tuple(mats))
     return SliceComplex(mu_shifted=tuple(mu_shifted), complex=cx, bases=bases)
 
 
 def slice_candidates(module) -> set[weights.Weight]:
     """Shifted weights where some cochain space of the module is nonzero."""
-    n = module.n
-    pairs = _positive_root_pairs(n)
-    vectors = [_root_vector(n, p) for p in pairs]
-    out: set[weights.Weight] = set()
-    module_weights = set(module.weight_index)
-    for w in module_weights:
-        for j in range(len(pairs) + 1):
-            for subset in itertools.combinations(range(len(pairs)), j):
-                mu = list(w)
-                for r in subset:
-                    for c in range(n):
-                        mu[c] -= vectors[r][c]
-                out.add(weights.shift(tuple(mu)))
-    return out
+    offsets = {off for level in _skeleton(module.n)[2] for off in level}
+    return {weights.shift(tuple(map(operator.sub, w, off))) for w in module.weight_index for off in offsets}
 
 
 def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:

@@ -246,7 +246,8 @@ def free_lie_multilinear_dim(n: int, field=exactlin.QQ) -> tuple[int, int]:
     for r, w in enumerate(words):
         exp = _bracket_expansion(w)
         lead = min(exp)
-        assert lead == w and abs(exp[lead]) == 1, (w, lead)
+        if lead != w or abs(exp[lead]) != 1:
+            raise exactlin.InvariantError(f"bracketing of {w} leads with {lead}, not with itself")
         for ww, c in exp.items():
             triples.append((r, col_index[ww], c))
     mat = exactlin.SparseMatrix.from_triples(len(words), math.factorial(n), triples)

@@ -6,10 +6,18 @@ Highest weights are passed *shifted* (the staircase shift already added, see
 The module basis is PBW: ordered monomials in the lowering generators e_ij
 (i > j), ordered ascending in (j, i); for gl_3 the order is e_21, e_31, e_32.
 A monomial's depth is the root height of its total weight drop, and the
-module keeps exactly the basis vectors of depth <= D. Lowering operators can
-push vectors out of the window; every dropped contribution is recorded in
-`truncation_losses` rather than silently discarded. Raising and Cartan
-operators never increase depth, so their matrices are exact on the window.
+module keeps exactly the basis vectors of depth <= D.
+
+`action(x)` builds each column by one commutation step. Write the basis
+vector as e_g v_rest, with g the first generator of its monomial. Then
+e_x e_g v_rest is the monomial with one more x when x is lowering and
+x <= g, the weight times the vector when x is Cartan, and otherwise
+e_g (e_x v_rest) + [e_x, e_g] v_rest, where e_x and the bracket act on the
+shorter v_rest. Columns are memoized for the length of one `action` call.
+A lowering e_x sends a monomial of depth d to depth d + ht(x), so its column
+leaves the window exactly when d + ht(x) > D; each such column is recorded
+in `truncation_losses` and not computed. Raising and Cartan operators never
+increase depth, so their matrices are exact on the window.
 
 `simple_quotient` builds the finite-dimensional quotient by the submodule
 generated by all singular vectors (vectors killed by every simple raising
@@ -20,11 +28,10 @@ exact because depth only grows along a lowering monomial.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from fractions import Fraction
 
 from decatkit import liealg, weights
-from decatkit.exactlin import QQ, Echelon, PrimeField, SparseMatrix, matrix_rank, nullspace
+from decatkit.exactlin import QQ, Echelon, InvariantError, PrimeField, SparseMatrix, matrix_rank, nullspace
 
 Pair = tuple[int, int]
 CharacterTable = dict[weights.Weight, int]
@@ -41,7 +48,26 @@ def generator_height(pair: Pair) -> int:
     return i - j
 
 
-class TruncatedVerma:
+class _WeightModule:
+    """Weight-space bookkeeping and column reads shared by both module kinds."""
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis_weight)
+
+    def weight_dims(self) -> CharacterTable:
+        """Dimension of each weight space, keyed by shifted weight."""
+        return {weights.shift(w): len(idx) for w, idx in self.weight_index.items()}
+
+    def action_columns(self, pair: Pair) -> dict[int, dict[int, object]]:
+        """`action(pair).columns()`, grouped once per pair and kept."""
+        cols = self._columns.get(pair)
+        if cols is None:
+            cols = self._columns[pair] = self.action(pair).columns()
+        return cols
+
+
+class TruncatedVerma(_WeightModule):
     """Depth-truncated universal highest-weight module for gl_n."""
 
     def __init__(self, n: int, lam_shifted: weights.Weight, depth: int, field=QQ):
@@ -55,6 +81,7 @@ class TruncatedVerma:
         self.lam_shifted = tuple(lam_shifted)
         self.lam = weights.unshift(self.lam_shifted)
         self.gens_low = lowering_generators(n)
+        self._gen_pos = {g: k for k, g in enumerate(self.gens_low)}
         self._gl = liealg.gl(n)
         self._heights = [generator_height(g) for g in self.gens_low]
         self.basis = self._enumerate_basis()
@@ -65,10 +92,7 @@ class TruncatedVerma:
             self.weight_index.setdefault(w, []).append(k)
         self.truncation_losses: list[tuple[Pair, int]] = []
         self._action_cache: dict[Pair, SparseMatrix] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+        self._columns: dict[Pair, dict[int, dict[int, object]]] = {}
 
     def _enumerate_basis(self) -> list[tuple[int, ...]]:
         monos: list[tuple[int, ...]] = []
@@ -94,61 +118,6 @@ class TruncatedVerma:
             w[j - 1] -= m
         return tuple(w)
 
-    def _key(self, pair: Pair):
-        i, j = pair
-        if i > j:
-            return (0, self.gens_low.index(pair))
-        if i == j:
-            return (1, i)
-        return (2, pair)
-
-    def _expand(self, mono: tuple[int, ...]) -> tuple[Pair, ...]:
-        out: list[Pair] = []
-        for m, g in zip(mono, self.gens_low):
-            out.extend([g] * m)
-        return tuple(out)
-
-    def _normal_order(self, word: tuple[Pair, ...]) -> tuple[dict[tuple[int, ...], int], bool]:
-        """Rewrite a word of generators applied to the highest weight vector.
-
-        Returns (PBW coefficients, lost) where `lost` marks contributions that
-        left the depth window. Coefficients are plain ints (the highest weight
-        is integral); callers normalize into their field.
-        """
-        out: dict[tuple[int, ...], int] = {}
-        lost = False
-        stack: list[tuple[tuple[Pair, ...], int]] = [(word, 1)]
-        while stack:
-            w, c = stack.pop()
-            for a in range(len(w) - 1):
-                if self._key(w[a]) > self._key(w[a + 1]):
-                    x, y = w[a], w[a + 1]
-                    stack.append((w[:a] + (y, x) + w[a + 2 :], c))
-                    for pair, coeff in self._gl.bracket(x, y).items():
-                        stack.append((w[:a] + (pair,) + w[a + 2 :], c * coeff))
-                    break
-            else:
-                coeff = c
-                exps = [0] * len(self.gens_low)
-                alive = True
-                for pair in reversed(w):
-                    i, j = pair
-                    if i < j:
-                        alive = False
-                        break
-                    if i == j:
-                        coeff *= self.lam[i - 1]
-                    else:
-                        exps[self.gens_low.index(pair)] += 1
-                if not alive or coeff == 0:
-                    continue
-                mono = tuple(exps)
-                if self.monomial_depth(mono) > self.depth:
-                    lost = True
-                    continue
-                out[mono] = out.get(mono, 0) + coeff
-        return {m: v for m, v in out.items() if v}, lost
-
     def action(self, pair: Pair) -> SparseMatrix:
         """Matrix of e_pair on the window, columns indexed by the basis."""
         if pair in self._action_cache:
@@ -156,22 +125,51 @@ class TruncatedVerma:
         i, j = pair
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"generator ({i}, {j}) outside gl_{self.n}")
+        height = generator_height(pair)
+        store: dict[Pair, dict[int, dict[int, int]]] = {}
         triples = []
         for col, mono in enumerate(self.basis):
-            result, lost = self._normal_order((pair,) + self._expand(mono))
-            if lost:
+            if height > 0 and self.monomial_depth(mono) + height > self.depth:
                 self.truncation_losses.append((pair, col))
-            for target, coeff in result.items():
+                continue
+            for row, coeff in self._column(store, pair, col).items():
                 v = self.field.of(coeff)
                 if not self.field.is_zero(v):
-                    triples.append((self.basis_index[target], col, v))
+                    triples.append((row, col, v))
         mat = SparseMatrix.from_triples(self.dim, self.dim, triples)
         self._action_cache[pair] = mat
         return mat
 
-    def weight_dims(self) -> CharacterTable:
-        """Dimension of each weight space, keyed by shifted weight."""
-        return {weights.shift(w): len(idx) for w, idx in self.weight_index.items()}
+    def _column(self, store, x: Pair, col: int) -> dict[int, int]:
+        """e_x times basis vector `col`, as {basis index: int coefficient},
+        by the one-step rule of the module docstring; `store` memoizes it."""
+        done = store.setdefault(x, {})
+        if col in done:
+            return done[col]
+        i, j = x
+        mono = self.basis[col]
+        lead = next((k for k, e in enumerate(mono) if e), None)
+        if i == j:
+            w = self.basis_weight[col][i - 1]
+            out = {col: w} if w else {}
+        elif i > j and (lead is None or self._gen_pos[x] <= lead):
+            k = self._gen_pos[x]
+            out = {self.basis_index[mono[:k] + (mono[k] + 1,) + mono[k + 1 :]]: 1}
+        elif lead is None:
+            out = {}
+        else:
+            g = self.gens_low[lead]
+            rest = self.basis_index[mono[:lead] + (mono[lead] - 1,) + mono[lead + 1 :]]
+            acc: dict[int, int] = {}
+            for mid, a in self._column(store, x, rest).items():
+                for row, b in self._column(store, g, mid).items():
+                    acc[row] = acc.get(row, 0) + a * b
+            for z, c in self._gl.bracket(x, g).items():
+                for row, b in self._column(store, z, rest).items():
+                    acc[row] = acc.get(row, 0) + c * b
+            out = {row: v for row, v in acc.items() if v}
+        done[col] = out
+        return out
 
     def bracket_violations(self) -> list[tuple[Pair, Pair, int]]:
         """Columns where [A_x, A_y] disagrees with the bracket's matrix.
@@ -261,7 +259,8 @@ def weyl_dim(lam_shifted: weights.Weight) -> int:
     for i in range(n):
         for j in range(i + 1, n):
             val *= Fraction(lam_shifted[i] - lam_shifted[j], j - i)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise InvariantError(f"Weyl product {val} is not an integer")
     return int(val)
 
 
@@ -307,7 +306,7 @@ def gl2_parabolic_induction_dim(ell: int, p: int) -> InductionReport:
 
 
 @dataclasses.dataclass
-class FiniteWeightModule:
+class FiniteWeightModule(_WeightModule):
     """A finite-dimensional gl_n weight module, all action matrices stored."""
 
     n: int
@@ -319,18 +318,12 @@ class FiniteWeightModule:
         self.weight_index: dict[weights.Weight, list[int]] = {}
         for k, w in enumerate(self.basis_weight):
             self.weight_index.setdefault(w, []).append(k)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_weight)
+        self._columns: dict[Pair, dict[int, dict[int, object]]] = {}
 
     def action(self, pair: Pair) -> SparseMatrix:
         if pair not in self.actions:
             raise KeyError(f"no action stored for {pair}")
         return self.actions[pair]
-
-    def weight_dims(self) -> CharacterTable:
-        return {weights.shift(w): len(ix) for w, ix in self.weight_index.items()}
 
 
 def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeightModule:
@@ -347,11 +340,12 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
     lowest = tuple(sorted(lam_shifted))
     drop = tuple(a - b for a, b in zip(lam_shifted, lowest))
     depth = weights.root_height(drop)
-    assert depth is not None
+    if depth is None:
+        raise InvariantError(f"lowest weight {lowest} is not below {lam_shifted}")
     verma = TruncatedVerma(n, lam_shifted, depth, field)
 
     simple_raisings = [(i, i + 1) for i in range(1, n)]
-    raising_cols = [verma.action(g).columns() for g in simple_raisings]
+    raising_cols = [verma.action_columns(g) for g in simple_raisings]
 
     spans: dict[weights.Weight, Echelon] = {}
 
@@ -372,15 +366,15 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
             if vec:
                 queue.append((w, vec))
 
-    lowering_cols = {g: verma.action(g).columns() for g in verma.gens_low}
     while queue:
         w, vec = queue.pop()
         if not spans.setdefault(w, Echelon(field)).insert(vec):
             continue
         for g in verma.gens_low:
+            cols = verma.action_columns(g)
             img: dict[int, object] = {}
             for idx, c in vec.items():
-                for row_idx, v in lowering_cols[g].get(idx, {}).items():
+                for row_idx, v in cols.get(idx, {}).items():
                     nv = field.add(img.get(row_idx, 0), field.mul(c, v))
                     if field.is_zero(nv):
                         img.pop(row_idx, None)
@@ -406,7 +400,8 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
                 s, r = span.reduce(img)
                 img = {row_idx: field.of(Fraction(v) / s) for row_idx, v in r.items()}
             for row_idx, v in img.items():
-                assert row_idx in new_index, "reduced vector touched a pivot"
+                if row_idx not in new_index:
+                    raise InvariantError("reduced vector touched a pivot")
                 triples.append((new_index[row_idx], new_index[old], v))
         actions[pair] = SparseMatrix.from_triples(len(kept), len(kept), triples)
     return FiniteWeightModule(n=n, field=field, basis_weight=basis_weight, actions=actions)

@@ -16,6 +16,8 @@ import functools
 import itertools
 from typing import Iterable, Optional
 
+from decatkit.exactlin import InvariantError
+
 Weight = tuple[int, ...]
 
 
@@ -155,7 +157,8 @@ def multiset_character(roots: Iterable[Weight], n: int, depth: int) -> dict[Weig
         new = dict(table)
         for w, count in table.items():
             base = root_height(w)
-            assert base is not None
+            if base is None:
+                raise InvariantError(f"root sum {w} has no height")
             m = 1
             while base + m * h <= depth:
                 key = tuple(w[i] + m * r[i] for i in range(n))

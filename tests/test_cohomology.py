@@ -6,11 +6,12 @@ alone and must agree with the cochain dimensions degree by degree.
 """
 
 import itertools
+import random
 
 import pytest
 
-from decatkit import cohomology, verma, weights
-from decatkit.exactlin import QQ, PrimeField
+from decatkit import cohomology, liealg, verma, weights
+from decatkit.exactlin import QQ, PrimeField, SparseMatrix
 
 
 def test_slice_at_highest_weight_is_h0():
@@ -160,3 +161,121 @@ def test_blocks_sweep_small():
     for rep in sweep.reports:
         if rep.nonvanishing:
             assert rep.block_congruent
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_positive_roots_line_up_with_strict_upper_pairs(n):
+    # The slice skeleton indexes roots and nilpotent basis pairs alike.
+    nilpotent = liealg.strict_triangular(n, "upper")
+    assert weights.positive_roots(n) == [nilpotent.weight(p) for p in nilpotent.pairs]
+
+
+def _alternating_sum_slice(module, mu_shifted):
+    """Reference for `ce_slice`: every subset, action term and contraction
+    term of the alternating-sum formula enumerated afresh for this slice.
+
+    Returns the differentials and the labeled bases.
+    """
+    n, field = module.n, module.field
+    mu = weights.unshift(tuple(mu_shifted))
+    nilpotent = liealg.strict_triangular(n, "upper")
+    pairs = list(nilpotent.pairs)
+    r = len(pairs)
+    bases, index, by_subset = [], [], []
+    for j in range(r + 1):
+        basis_j, groups = [], {}
+        for subset in itertools.combinations(range(r), j):
+            w = tuple(m + sum(nilpotent.weight(pairs[k])[c] for k in subset) for c, m in enumerate(mu))
+            members = module.weight_index.get(w, ())
+            groups[subset] = [(m, len(basis_j) + t) for t, m in enumerate(members)]
+            basis_j.extend((subset, m) for m in members)
+        bases.append(basis_j)
+        index.append({key: k for k, key in enumerate(basis_j)})
+        by_subset.append(groups)
+    action_cols = [module.action(pair).columns() for pair in pairs]
+    maps = []
+    for j in range(r):
+        entries = {}
+
+        def bump(row, col, val):
+            new = field.add(entries.get((row, col), field.of(0)), val)
+            if field.is_zero(new):
+                entries.pop((row, col), None)
+            else:
+                entries[(row, col)] = new
+
+        for big in itertools.combinations(range(r), j + 1):
+            for a, k in enumerate(big):
+                sign = field.of(-1 if a % 2 else 1)
+                for m, col in by_subset[j][big[:a] + big[a + 1 :]]:
+                    for m2, val in action_cols[k].get(m, {}).items():
+                        bump(index[j + 1][(big, m2)], col, field.mul(sign, val))
+            for a, b in itertools.combinations(range(len(big)), 2):
+                rest = tuple(x for t, x in enumerate(big) if t not in (a, b))
+                for z, c in nilpotent.bracket(pairs[big[a]], pairs[big[b]]).items():
+                    s = pairs.index(z)
+                    if s in rest:
+                        continue
+                    small = tuple(sorted(rest + (s,)))
+                    total = field.of((-1) ** (a + b + small.index(s)) * c)
+                    for m, col in by_subset[j][small]:
+                        bump(index[j + 1][(big, m)], col, total)
+        maps.append(SparseMatrix(len(bases[j + 1]), len(bases[j]), entries))
+    return maps, bases
+
+
+def _assert_slice_matches_reference(module, mu):
+    sl = cohomology.ce_slice(module, mu)
+    maps, bases = _alternating_sum_slice(module, mu)
+    assert sl.bases == bases
+    assert sl.complex.dims == tuple(len(b) for b in bases)
+    assert list(sl.complex.maps) == maps
+
+
+@pytest.mark.parametrize("simple", [False, True], ids=["verma", "simple"])
+def test_ce_slice_matches_alternating_sum_on_gl3(simple):
+    lam = (4, 2, 0)
+    module = verma.simple_quotient(3, lam) if simple else verma.TruncatedVerma(3, lam, 6)
+    # slice_candidates against the sum over all 2^r root subsets, too.
+    roots = weights.positive_roots(3)
+    expected = {
+        weights.shift(tuple(x - sum(root[c] for root in subset) for c, x in enumerate(w)))
+        for w in module.weight_index
+        for r in range(len(roots) + 1)
+        for subset in itertools.combinations(roots, r)
+    }
+    candidates = cohomology.slice_candidates(module)
+    assert candidates == expected
+    checked = 0
+    for mu in sorted(candidates):
+        required = cohomology.slice_required_depth(module, mu)
+        if required is not None and required > module.depth:
+            continue
+        _assert_slice_matches_reference(module, mu)
+        checked += 1
+    assert checked >= 15
+
+
+def test_ce_slice_matches_alternating_sum_on_gl4_blocks_pairs():
+    grid = list(itertools.product(range(3), repeat=4))
+    below = [(a, b) for a in grid for b in grid if weights.root_order_leq(a, b)]
+    for t, (a, b) in enumerate(random.Random(4).sample(below, 20)):
+        depth = weights.root_height(tuple(x - y for x, y in zip(b, a)))
+        module = verma.TruncatedVerma(4, b, depth, PrimeField(5 if t % 2 else 37))
+        _assert_slice_matches_reference(module, a)
+
+
+def test_ce_slice_makes_no_bracket_call_once_skeleton_and_columns_exist(monkeypatch):
+    module = verma.TruncatedVerma(3, (4, 2, 0), 4, PrimeField(31))
+    first = cohomology.ce_slice(module, (3, 2, 1))
+    calls = []
+    original = liealg.RelationAlgebra.bracket
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(liealg.RelationAlgebra, "bracket", counting)
+    assert cohomology.ce_slice(module, (3, 2, 1)).bases == first.bases
+    cohomology.ce_slice(module, (2, 2, 2))
+    assert calls == []

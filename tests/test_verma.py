@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decatkit import liealg, verma, weights
-from decatkit.exactlin import QQ, PrimeField
+from decatkit.exactlin import QQ, PrimeField, SparseMatrix
 
 
 def test_lowering_generators_order():
@@ -189,3 +189,73 @@ def test_raising_and_cartan_preserve_window_exactly():
     module.bracket_violations()
     for (i, j), _ in module.truncation_losses:
         assert i > j
+
+
+def _bubble_action(module, pair):
+    """Reference for `action`: e_pair times each basis vector, normal-ordered
+    by adjacent swaps x y -> y x + [x, y], restarting after every swap.
+
+    Returns the matrix and the (pair, column) truncation losses, in column
+    order: a column is lost when some term leaves the depth window.
+    """
+    gl = liealg.gl(module.n)
+    gens = module.gens_low
+
+    def key(p):
+        i, j = p
+        return (0, gens.index(p)) if i > j else (1, i) if i == j else (2, p)
+
+    triples, losses = [], []
+    for col, mono in enumerate(module.basis):
+        word = (pair,) + tuple(g for m, g in zip(mono, gens) for _ in range(m))
+        out, lost = {}, False
+        stack = [(word, 1)]
+        while stack:
+            w, c = stack.pop()
+            for a in range(len(w) - 1):
+                if key(w[a]) > key(w[a + 1]):
+                    x, y = w[a], w[a + 1]
+                    stack.append((w[:a] + (y, x) + w[a + 2 :], c))
+                    for z, cz in gl.bracket(x, y).items():
+                        stack.append((w[:a] + (z,) + w[a + 2 :], c * cz))
+                    break
+            else:
+                coeff, exps, alive = c, [0] * len(gens), True
+                for i, j in reversed(w):
+                    if i < j:
+                        alive = False
+                        break
+                    if i == j:
+                        coeff *= module.lam[i - 1]
+                    else:
+                        exps[gens.index((i, j))] += 1
+                if not alive or coeff == 0:
+                    continue
+                target = tuple(exps)
+                if module.monomial_depth(target) > module.depth:
+                    lost = True
+                    continue
+                out[target] = out.get(target, 0) + coeff
+        if lost:
+            losses.append((pair, col))
+        for target, coeff in out.items():
+            v = module.field.of(coeff)
+            if not module.field.is_zero(v):
+                triples.append((module.basis_index[target], col, v))
+    return SparseMatrix.from_triples(module.dim, module.dim, triples), losses
+
+
+@pytest.mark.parametrize(
+    "lam,depth",
+    [((3, 0), 6), ((1, 4), 6), ((4, 2, 0), 6), ((1, 3, 0), 5), ((3, 2, 1, 0), 6), ((5, 1, 3, 0), 5)],
+)
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_action_matches_bubble_normal_ordering(lam, depth, field):
+    n = len(lam)
+    module = verma.TruncatedVerma(n, lam, depth, field)
+    losses = []
+    for pair in liealg.gl(n).pairs:
+        expected, lost = _bubble_action(module, pair)
+        assert module.action(pair) == expected, pair
+        losses += lost
+    assert module.truncation_losses == losses
