@@ -213,12 +213,16 @@ def _run_khovanov(cfg: RunConfig) -> tuple[bool, dict]:
     }
     ok = True
     if cfg.k == 2:
-        dims = cube.khovanov_homology_k2(word, field)
+        table = cube.khovanov_bigraded_k2(word, field)
+        dims: dict[int, int] = {}
+        for (h, _), dim in table.items():
+            dims[h] = dims.get(h, 0) + dim
         lo = min(dims) if dims else 0
         hi = max(dims) if dims else -1
         doc["min_degree"] = lo
         doc["dims"] = [dims.get(j, 0) for j in range(lo, hi + 1)]
         doc["total_rank"] = sum(dims.values())
+        doc["bigraded"] = [[h, q, dim] for (h, q), dim in table.items()]
     if cfg.oracle:
         if cfg.k != 2:
             raise ConfigError("--oracle is only defined for k=2")

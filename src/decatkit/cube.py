@@ -151,7 +151,7 @@ def _token_moves(kind: str, i: int, k: int, bit: int | None):
         return [] if bit == 0 else [("merge", i), ("shift", -2), ("split", i, (1, 1))]
     if kind == "neg":
         return [("merge", i), ("split", i, (1, 1))] if bit == 0 else []
-    raise AssertionError(kind)
+    raise InvariantError(kind)
 
 
 def _apply_token(k: int, token: Token, bit: int | None, sig, mat: SparseMatrix):
@@ -327,15 +327,24 @@ def _resolution_circles(word: SliceWord, bits: tuple[int, ...]) -> list[frozense
     return [frozenset(g) for g in groups.values()]
 
 
-def khovanov_homology_k2(word: SliceWord | str, field=QQ) -> dict[int, int]:
-    """Homology dimensions of the k = 2 rank-one Frobenius cube.
+def khovanov_bigraded_k2(word: SliceWord | str, field=QQ) -> dict[tuple[int, int], int]:
+    """Bigraded homology {(h, q): dim} of the k = 2 rank-one Frobenius cube.
 
     Vertex state spaces are tensor powers of the two-dimensional algebra
     A = span(1, x) with x^2 = 0, one factor per circle of the resolution;
     edges apply multiplication or comultiplication on the circles changed by
-    flipping one crossing, with the usual alternating edge signs. Degrees are
-    shifted down by the oriented negative crossing count. Valid only for
-    k = 2, where vertex values are determined by circle counts.
+    flipping one crossing, with the usual alternating edge signs (ints, read
+    in either field). Valid only for k = 2, where vertex values are
+    determined by circle counts.
+
+    Every edge map preserves q = #circles - 2 #x + h at the vertex of height
+    h, so the complex splits into one subcomplex per q (Bar-Natan,
+    math/0201043). Each basis vector (vertex, assignment) is numbered inside
+    its (h, q) block: vertices in lexicographic order and assignments as
+    integers (bit t set when circle t carries x), ascending in even h and
+    descending in odd h, which keeps the elimination of every d_h sparse.
+    An edge that leaves its block raises `InvariantError`. The table is in
+    Bar-Natan's normalization: (h - n_minus, q + n_plus - 2 n_minus).
     """
     if isinstance(word, str):
         word = parse_slice_word(word, 2)
@@ -347,75 +356,86 @@ def khovanov_homology_k2(word: SliceWord | str, field=QQ) -> dict[int, int]:
     vertices = list(itertools.product((0, 1), repeat=nc))
     circles = {v: sorted(_resolution_circles(word, v), key=min) for v in vertices}
 
-    offsets: dict[tuple[int, ...], int] = {}
-    degree_dims: dict[int, int] = {}
+    block_dims: dict[tuple[int, int], int] = {}
+    index: dict[tuple[int, ...], list[int]] = {}
+    for v in vertices:
+        h, m = sum(v), len(circles[v])
+        index[v] = numbers = []
+        for a in range(1 << m):
+            block = (h, m - 2 * a.bit_count() + h)
+            numbers.append(block_dims.get(block, 0))
+            block_dims[block] = numbers[-1] + 1
+    for v in vertices:
+        h, m = sum(v), len(circles[v])
+        if h % 2:
+            index[v] = [block_dims[(h, m - 2 * a.bit_count() + h)] - 1 - i for a, i in enumerate(index[v])]
+
+    entries: dict[tuple[int, int], dict[tuple[int, int], int]] = {block: {} for block in block_dims}
     for v in vertices:
         h = sum(v)
-        offsets[v] = degree_dims.get(h, 0)
-        degree_dims[h] = degree_dims.get(h, 0) + (1 << len(circles[v]))
-
-    entries_by_degree: dict[int, dict[tuple[int, int], object]] = {h: {} for h in range(nc)}
-    for v in vertices:
+        cv = circles[v]
         for c in range(nc):
             if v[c] == 1:
                 continue
             w = v[:c] + (1,) + v[c + 1 :]
-            sign = field.of(-1 if sum(v[:c]) % 2 else 1)
-            cv, cw = circles[v], circles[w]
-            common = set(cv) & set(cw)
-            src_special = [s for s in cv if s not in common]
-            dst_special = [s for s in cw if s not in common]
+            sign = -1 if sum(v[:c]) % 2 else 1
+            cw = circles[w]
             src_pos = {s: t for t, s in enumerate(cv)}
             dst_pos = {s: t for t, s in enumerate(cw)}
-            if len(src_special) == 2 and len(dst_special) == 1:
-                mode = "merge"
-            elif len(src_special) == 1 and len(dst_special) == 2:
-                mode = "split"
-            else:
-                raise AssertionError("flipping one crossing must merge or split exactly one pair")
-            h = sum(v)
-            ent = entries_by_degree[h]
-            for assign in itertools.product((0, 1), repeat=len(cv)):
-                col = offsets[v] + sum(b << t for t, b in enumerate(assign))
-                images: list[dict] = []
-                if mode == "merge":
-                    a = assign[src_pos[src_special[0]]]
-                    b = assign[src_pos[src_special[1]]]
-                    if a + b == 2:
+            kept = [(src_pos[s], dst_pos[s]) for s in cw if s in src_pos]
+            src_special = [src_pos[s] for s in cv if s not in dst_pos]
+            dst_special = [dst_pos[s] for s in cw if s not in src_pos]
+            if {len(src_special), len(dst_special)} != {1, 2}:
+                raise InvariantError("flipping one crossing must merge or split exactly one pair")
+            merge = len(src_special) == 2
+            src_index, dst_index = index[v], index[w]
+            src_q, dst_q = len(cv) + h, len(cw) + h + 1
+            for a in range(1 << len(cv)):
+                base = 0
+                for t, u in kept:
+                    base |= (a >> t & 1) << u
+                if merge:
+                    x, y = (a >> src_special[0] & 1), (a >> src_special[1] & 1)
+                    if x and y:
                         continue
-                    images.append({dst_special[0]: a + b})
+                    images = [base | (x | y) << dst_special[0]]
+                elif a >> src_special[0] & 1:
+                    images = [base | 1 << dst_special[0] | 1 << dst_special[1]]
                 else:
-                    a = assign[src_pos[src_special[0]]]
-                    if a == 0:
-                        images.append({dst_special[0]: 1, dst_special[1]: 0})
-                        images.append({dst_special[0]: 0, dst_special[1]: 1})
-                    else:
-                        images.append({dst_special[0]: 1, dst_special[1]: 1})
-                for image in images:
-                    out_bits = 0
-                    for s in cw:
-                        bit = image[s] if s in image else assign[src_pos[s]]
-                        out_bits |= bit << dst_pos[s]
-                    row = offsets[w] + out_bits
-                    key = (row, col)
-                    cur = ent.get(key)
-                    newv = sign if cur is None else field.add(cur, sign)
-                    if field.is_zero(newv):
-                        ent.pop(key, None)
-                    else:
-                        ent[key] = newv
+                    images = [base | 1 << dst_special[0], base | 1 << dst_special[1]]
+                q = src_q - 2 * a.bit_count()
+                ent = entries[(h, q)]
+                col = src_index[a]
+                for out in images:
+                    if dst_q - 2 * out.bit_count() != q:
+                        raise InvariantError(f"edge map leaves quantum grading {q}")
+                    ent[(dst_index[out], col)] = sign
 
-    dims = tuple(degree_dims.get(h, 0) for h in range(nc + 1))
-    maps = tuple(
-        SparseMatrix(dims[h + 1], dims[h], entries_by_degree[h]) for h in range(nc)
-    )
-    cx = FiniteComplex(
-        field=field,
-        dims=dims,
-        maps=maps,
-        degrees=tuple(h - word.n_negative for h in range(nc + 1)),
-    )
-    return {deg: dim for deg, dim in cx.homology_dims().items() if dim}
+    n_minus = word.n_negative
+    n_plus = nc - n_minus
+    degrees = tuple(h - n_minus for h in range(nc + 1))
+    table: dict[tuple[int, int], int] = {}
+    for q in sorted({q for _, q in block_dims}):
+        dims = tuple(block_dims.get((h, q), 0) for h in range(nc + 1))
+        maps = tuple(SparseMatrix(dims[h + 1], dims[h], entries.get((h, q), {})) for h in range(nc))
+        cx = FiniteComplex(field=field, dims=dims, maps=maps, degrees=degrees)
+        for deg, dim in cx.homology_dims().items():
+            if dim:
+                table[(deg, q + n_plus - 2 * n_minus)] = dim
+    return dict(sorted(table.items()))
+
+
+def khovanov_homology_k2(word: SliceWord | str, field=QQ) -> dict[int, int]:
+    """Homology dimensions {h: dim} of the k = 2 cube, shifted down by n_minus.
+
+    The sum over q of `khovanov_bigraded_k2`: one complex per quantum
+    grading, its basis numbered inside each (h, q) block, ascending in even
+    h and descending in odd h.
+    """
+    dims: dict[int, int] = {}
+    for (h, _), dim in khovanov_bigraded_k2(word, field).items():
+        dims[h] = dims.get(h, 0) + dim
+    return dims
 
 
 def oracle_euler_k2(word: SliceWord | str) -> int:

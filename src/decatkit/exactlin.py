@@ -7,16 +7,18 @@ map C -> D is a matrix with D-many rows and C-many columns and composition is
 left multiplication.
 
 All elimination goes through one kernel, `Echelon`: an incremental sparse
-row-echelon basis. Over Q its rows are primitive integer vectors, so no
-fraction arithmetic happens while eliminating; over F_p they are residue rows
-with pivot 1. `matrix_rank` inserts the rows of a matrix and `nullspace`
-reduces its tagged columns; the simple-quotient construction in `verma` keeps
-one `Echelon` per weight space.
+row-echelon basis whose rows are indexed by their pivot column, so reducing a
+vector visits only the pivots it touches. Over Q its rows are primitive
+integer vectors, so no fraction arithmetic happens while eliminating; over
+F_p they are residue rows with pivot 1. `matrix_rank` inserts the rows of a
+matrix and `nullspace` reduces its tagged columns; the simple-quotient
+construction in `verma` keeps one `Echelon` per weight space.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -325,23 +327,26 @@ class SparseMatrix:
 class Echelon:
     """Incremental sparse row-echelon basis of a subspace, over QQ or F_p.
 
-    Vectors are dicts {column: value}. A stored row's pivot is its smallest
-    column, and no stored row has an entry in the pivot column of an earlier
-    row, so one pass over the rows in insertion order clears every pivot.
-    Over Q a stored row is a primitive integer vector with positive pivot;
-    over F_p it is a residue row with pivot 1.
+    Vectors are dicts {column: value}. `rows` maps each pivot to its stored
+    row, in insertion order; a row's pivot is its smallest column. Over Q a
+    stored row is a primitive integer vector with positive pivot; over F_p it
+    is a residue row with pivot 1. `reduce` finds the pivot columns of a
+    vector through this index, never scanning the rows.
     """
 
     def __init__(self, field):
         self.field = field
         self.p = field.p if isinstance(field, PrimeField) else None
-        self.rows: list[tuple[int, dict[int, int]]] = []
+        self.rows: dict[int, dict[int, int]] = {}
 
     def reduce(self, vec: Mapping[int, object]) -> tuple[object, dict[int, int]]:
         """(s, r) with s * vec - r in the span and no pivot column in r.
 
-        s is a nonzero rational over Q and 1 over F_p; r holds integers over Q
-        and residues over F_p.
+        s is a positive rational over Q and 1 over F_p; r holds integers over
+        Q, primitive, and residues over F_p. Pivot columns of r are cleared
+        smallest first from a heap: eliminating a row only adds columns past
+        its pivot, so each pivot is cleared at most once. The span and its
+        pivots determine r, so the elimination order does not change it.
         """
         p = self.p
         if p is None:
@@ -354,10 +359,15 @@ class Echelon:
             of = self.field.of
             r = {j: x for j, v in vec.items() if (x := of(v))}
             num = den = 1
-        for pivot, row in self.rows:
+        rows = self.rows
+        heap = [j for j in r if j in rows]
+        heapq.heapify(heap)
+        while heap:
+            pivot = heapq.heappop(heap)
             c = r.get(pivot)
             if not c:
                 continue
+            row = rows[pivot]
             a = row[pivot]
             if a != 1:
                 # Over Q only: scale r so that the pivot entries cancel.
@@ -369,7 +379,14 @@ class Echelon:
                         r[j] *= a
                     num *= a
             for j, w in row.items():
-                x = r.get(j, 0) - c * w
+                x = r.get(j)
+                if x is None:
+                    # A new entry: nonzero, and possibly a later pivot.
+                    r[j] = -c * w % p if p else -c * w
+                    if j in rows:
+                        heapq.heappush(heap, j)
+                    continue
+                x -= c * w
                 if p:
                     x %= p
                 if x:
@@ -394,7 +411,7 @@ class Echelon:
         return True
 
     def _store(self, r: dict[int, int]) -> None:
-        """Append a nonzero reduced vector as a row, normalizing its pivot."""
+        """Add a nonzero reduced vector as a row, normalizing its pivot."""
         pivot = min(r)
         lead = r[pivot]
         if self.p is not None:
@@ -403,7 +420,7 @@ class Echelon:
                 r = {j: x * inv % self.p for j, x in r.items()}
         elif lead < 0:
             r = {j: -x for j, x in r.items()}
-        self.rows.append((pivot, r))
+        self.rows[pivot] = r
 
 
 def matrix_rank(m: SparseMatrix, field) -> int:

@@ -131,7 +131,7 @@ def parse_word(text: str) -> tuple[Move, ...]:
                 raise ValueError(f"{kind} needs one argument, got {token!r}")
             moves.append((kind, args[0]))
         else:
-            raise AssertionError(kind)
+            raise InvariantError(kind)
     return tuple(moves)
 
 

@@ -126,7 +126,7 @@ class ParabolicData:
             acc += size
             if i <= acc:
                 return b
-        raise AssertionError
+        raise exactlin.InvariantError(f"block sizes {self.blocks} do not cover index {i}")
 
     def parabolic(self, side: str = "upper") -> RelationAlgebra:
         keep = (lambda bi, bj: bi <= bj) if side == "upper" else (lambda bi, bj: bi >= bj)
@@ -213,7 +213,7 @@ def _standard_factor(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
         suf = word[k:]
         if all(suf < suf[m:] for m in range(1, len(suf))):
             return word[:k], suf
-    raise AssertionError(f"{word} has no Lyndon suffix")
+    raise exactlin.InvariantError(f"{word} has no Lyndon suffix")
 
 
 def _bracket_expansion(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:

@@ -384,7 +384,7 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
                 any_idx = next(iter(img))
                 queue.append((verma.basis_weight[any_idx], img))
 
-    pivots = {pivot for span in spans.values() for pivot, _ in span.rows}
+    pivots = {pivot for span in spans.values() for pivot in span.rows}
     kept = [k for k in range(verma.dim) if k not in pivots]
     new_index = {old: new for new, old in enumerate(kept)}
     basis_weight = tuple(verma.basis_weight[k] for k in kept)

@@ -1,9 +1,11 @@
 """Slice-word diagrams, the resolution cube, and the k = 2 Frobenius oracle."""
 
+import itertools
+
 import pytest
 
 from decatkit import cube
-from decatkit.exactlin import QQ, PrimeField
+from decatkit.exactlin import QQ, FiniteComplex, LaurentPoly, PrimeField, SparseMatrix
 
 # name -> (euler at k=2, euler at k=3, components, k=2 rational homology)
 CATALOGUE = {
@@ -200,3 +202,116 @@ def test_reidemeister_check_detects_distinct_links():
     assert not cube.reidemeister_check(trefoil, unknot, 2)
     # Separated by the Euler value alone at k=3.
     assert not cube.reidemeister_check(cube.DIAGRAMS["hopf"], unknot, 3)
+
+
+def _torus(n):
+    return "cup'(1) cup(3) " + "pos(2) " * n + "cap(3) cap'(1)"
+
+
+def _catalogue_and_torus(ns):
+    """pytest params: the catalogue diagrams, then T(2, n) for n in ns."""
+    named = sorted(cube.DIAGRAMS.items()) + [(f"T2_{n}", _torus(n)) for n in ns]
+    return [pytest.param(text, id=name) for name, text in named]
+
+
+@pytest.mark.parametrize(
+    "name,table",
+    [
+        ("trefoil", {(0, 1): 1, (0, 3): 1, (2, 5): 1, (3, 9): 1}),
+        ("hopf", {(0, 0): 1, (0, 2): 1, (2, 4): 1, (2, 6): 1}),
+        ("figure_eight", {(-2, -5): 1, (-1, -1): 1, (0, -1): 1, (0, 1): 1, (1, 1): 1, (2, 5): 1}),
+    ],
+)
+def test_k2_bigraded_tables(name, table):
+    # Bar-Natan's tables for the right-handed trefoil, the positive Hopf
+    # link and the figure-eight knot.
+    for field in (QQ, PrimeField(5)):
+        assert cube.khovanov_bigraded_k2(cube.DIAGRAMS[name], field) == table
+
+
+@pytest.mark.parametrize("text", _catalogue_and_torus(range(1, 9)))
+def test_k2_bigraded_euler_matches_transfer_matrices(text):
+    # With h_raw = h + n_minus and q_raw = q - n_plus + 2 n_minus,
+    # (-1)^n_minus sum (-1)^h_raw dim t^q_raw = t^s P(1/t), where P is the
+    # (0, 0) entry of the transfer-matrix product and s = #cups + #neg tokens.
+    # (-1)^h of the shifted h already carries the factor (-1)^n_minus.
+    word = cube.parse_slice_word(text, 2)
+    n_minus = word.n_negative
+    n_plus = word.n_crossings - n_minus
+    table = cube.khovanov_bigraded_k2(word)
+    chi: dict[int, int] = {}
+    dims: dict[int, int] = {}
+    for (h, q), dim in table.items():
+        q_raw = q - n_plus + 2 * n_minus
+        chi[q_raw] = chi.get(q_raw, 0) + (-1) ** h * dim
+        dims[h] = dims.get(h, 0) + dim
+    mat, _ = cube.tangle_alternating_sum(word)
+    poly = mat.entries.get((0, 0), LaurentPoly.zero())
+    s = sum(1 for kind, _ in word.tokens if kind in ("cup", "cup'", "neg"))
+    assert LaurentPoly.from_dict(chi) == LaurentPoly.from_dict({s - e: c for e, c in poly.terms})
+    assert cube.khovanov_homology_k2(word) == dims
+
+
+def _unsplit_homology(word, field):
+    """Homology from one complex over all quantum gradings: the cube assembly
+    before the split, kept as the reference for the q-block path."""
+    word = cube.parse_slice_word(word, 2)
+    nc = word.n_crossings
+    vertices = list(itertools.product((0, 1), repeat=nc))
+    circles = {v: sorted(cube._resolution_circles(word, v), key=min) for v in vertices}
+    offsets = {}
+    degree_dims: dict[int, int] = {}
+    for v in vertices:
+        h = sum(v)
+        offsets[v] = degree_dims.get(h, 0)
+        degree_dims[h] = degree_dims.get(h, 0) + (1 << len(circles[v]))
+    entries_by_degree: dict[int, dict] = {h: {} for h in range(nc)}
+    for v in vertices:
+        for c in range(nc):
+            if v[c] == 1:
+                continue
+            w = v[:c] + (1,) + v[c + 1 :]
+            sign = field.of(-1 if sum(v[:c]) % 2 else 1)
+            cv, cw = circles[v], circles[w]
+            common = set(cv) & set(cw)
+            src_special = [s for s in cv if s not in common]
+            dst_special = [s for s in cw if s not in common]
+            src_pos = {s: t for t, s in enumerate(cv)}
+            dst_pos = {s: t for t, s in enumerate(cw)}
+            merge = len(src_special) == 2
+            ent = entries_by_degree[sum(v)]
+            for assign in itertools.product((0, 1), repeat=len(cv)):
+                col = offsets[v] + sum(b << t for t, b in enumerate(assign))
+                images = []
+                if merge:
+                    a = assign[src_pos[src_special[0]]]
+                    b = assign[src_pos[src_special[1]]]
+                    if a + b == 2:
+                        continue
+                    images.append({dst_special[0]: a + b})
+                elif assign[src_pos[src_special[0]]] == 0:
+                    images.append({dst_special[0]: 1, dst_special[1]: 0})
+                    images.append({dst_special[0]: 0, dst_special[1]: 1})
+                else:
+                    images.append({dst_special[0]: 1, dst_special[1]: 1})
+                for image in images:
+                    out_bits = 0
+                    for s in cw:
+                        bit = image[s] if s in image else assign[src_pos[s]]
+                        out_bits |= bit << dst_pos[s]
+                    key = (offsets[w] + out_bits, col)
+                    newv = field.add(ent.get(key, field.of(0)), sign)
+                    if field.is_zero(newv):
+                        ent.pop(key, None)
+                    else:
+                        ent[key] = newv
+    dims = tuple(degree_dims.get(h, 0) for h in range(nc + 1))
+    maps = tuple(SparseMatrix(dims[h + 1], dims[h], entries_by_degree[h]) for h in range(nc))
+    cx = FiniteComplex(field, dims, maps, degrees=tuple(h - word.n_negative for h in range(nc + 1)))
+    return {deg: dim for deg, dim in cx.homology_dims().items() if dim}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("text", _catalogue_and_torus(range(2, 8)))
+def test_q_split_matches_unsplit_assembly(text, field):
+    assert cube.khovanov_homology_k2(text, field) == _unsplit_homology(text, field)

@@ -6,6 +6,7 @@ sympy's rational rank is the independent oracle. The cohomology sweeps trust
 these ranks to move between characteristic 0 and characteristic p.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -193,10 +194,119 @@ def test_echelon_reduce_fraction_row():
     vec = {0: Fraction(3, 4), 1: Fraction(-1, 6), 2: Fraction(5, 9), 3: 1}
     s, r = span.reduce(vec)
     assert s != 0
-    assert not {pivot for pivot, _ in span.rows} & set(r)
+    assert not set(span.rows) & set(r)
     diff = {j: s * vec.get(j, 0) - r.get(j, 0) for j in set(vec) | set(r)}
     assert not span.insert({j: v for j, v in diff.items() if v})
     assert span.insert(vec)
+
+
+class _ScanEchelon:
+    """The echelon basis before the pivot index, kept as a test reference:
+    rows in insertion order, and `reduce` tests every stored pivot."""
+
+    def __init__(self, field):
+        self.field = field
+        self.p = field.p if isinstance(field, PrimeField) else None
+        self.rows = []
+
+    def reduce(self, vec):
+        p = self.p
+        if p is None:
+            num = math.lcm(*(Fraction(v).denominator for v in vec.values()))
+            r = {j: int(Fraction(v) * num) for j, v in vec.items() if v}
+            den = math.gcd(*r.values()) or 1
+            r = {j: x // den for j, x in r.items()}
+        else:
+            r = {j: x for j, v in vec.items() if (x := self.field.of(v))}
+            num = den = 1
+        for pivot, row in self.rows:
+            c = r.get(pivot)
+            if not c:
+                continue
+            a = row[pivot]
+            g = math.gcd(a, c)
+            a, c = a // g, c // g
+            if a != 1:
+                r = {j: x * a for j, x in r.items()}
+                num *= a
+            for j, w in row.items():
+                x = r.get(j, 0) - c * w
+                if p:
+                    x %= p
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+            if not r:
+                break
+            if p is None:
+                g = math.gcd(*r.values())
+                r = {j: x // g for j, x in r.items()}
+                den *= g
+        return (Fraction(num, den) if p is None else 1), r
+
+    def insert(self, vec):
+        _, r = self.reduce(vec)
+        if not r:
+            return False
+        self._store(r)
+        return True
+
+    def _store(self, r):
+        pivot = min(r)
+        lead = r[pivot]
+        if self.p is not None:
+            r = {j: x * pow(lead, -1, self.p) % self.p for j, x in r.items()}
+        elif lead < 0:
+            r = {j: -x for j, x in r.items()}
+        self.rows.append((pivot, r))
+
+
+def _scan_nullspace(m, field):
+    """`nullspace` on the scanning reference basis."""
+    cols = m.columns()
+    echelon = _ScanEchelon(field)
+    basis = []
+    for j in range(m.ncols):
+        col = cols.get(j, {})
+        col[m.nrows + j] = 1
+        _, r = echelon.reduce(col)
+        if min(r) < m.nrows:
+            echelon._store(r)
+            continue
+        vec = [field.of(0)] * m.ncols
+        for i, v in r.items():
+            vec[i - m.nrows] = field.of(Fraction(v, r[m.nrows + j]))
+        basis.append(vec)
+    return basis
+
+
+sparse_matrices = st.integers(min_value=1, max_value=8).flatmap(
+    lambda r: st.integers(min_value=1, max_value=8).flatmap(
+        lambda c: st.lists(
+            st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4]), min_size=(r + 1) * c, max_size=(r + 1) * c
+        ).map(lambda vals: (r, c, vals))
+    )
+)
+
+
+@given(sparse_matrices, st.sampled_from([QQ, PrimeField(5), PrimeField(65521)]))
+@settings(max_examples=150)
+def test_pivot_index_matches_scanning_reduce(data, field):
+    # The last row of values is a probe vector, reduced against the first r rows.
+    r, c, vals = data
+    m = _build(r, c, vals[: r * c])
+    probe = {j: v for j, v in enumerate(vals[r * c :]) if v}
+    indexed, scanned = Echelon(field), _ScanEchelon(field)
+    for _, row in m.rows():
+        assert indexed.insert(row) == scanned.insert(row)
+    assert list(indexed.rows.items()) == scanned.rows
+    s, red = indexed.reduce(probe)
+    s_ref, red_ref = scanned.reduce(probe)
+    assert red == red_ref
+    if red:
+        assert s == s_ref
+    assert nullspace(m, field) == _scan_nullspace(m, field)
 
 
 def test_finite_complex_accepts_exact_sequence():

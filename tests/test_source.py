@@ -6,13 +6,21 @@ import pathlib
 import decatkit
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_package_has_no_assert_statements():
-    # `python -O` strips asserts; invariants raise exactlin.InvariantError.
+    # `python -O` strips asserts, and `raise AssertionError` hides which
+    # invariant failed; both are exactlin.InvariantError instead.
     src = pathlib.Path(decatkit.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(src.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []
