@@ -134,6 +134,8 @@ def _run_cohomology(cfg: RunConfig) -> tuple[bool, dict]:
     if cfg.field == "Fp":
         _large_prime_guard(cfg)
     depth = cfg.depth
+    if depth is not None and depth < 0:
+        raise ConfigError("--depth must be nonnegative")
     if depth is None:
         # Window deep enough to reach every permutation of the entries.
         depth = weights.root_height(tuple(x - y for x, y in zip(lam, sorted(lam))))
@@ -236,6 +238,8 @@ def _run_khovanov(cfg: RunConfig) -> tuple[bool, dict]:
 def _run_operad_check(cfg: RunConfig) -> tuple[bool, dict]:
     if cfg.budget < 1:
         raise ConfigError("--budget must be positive")
+    if cfg.max_arity < 1:
+        raise ConfigError("--max-arity must be at least 1")
     report = operads.run_operad_checks(seed=cfg.seed, budget=cfg.budget, max_arity=cfg.max_arity)
     failed = {f["check"] for f in report.failures}
     doc = report.to_json()
@@ -366,6 +370,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = _config_from(args)
     try:
+        if cfg.n is not None and cfg.n < 1:
+            raise ConfigError("--n must be at least 1")
         ok, payload = _HANDLERS[cfg.subcommand](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

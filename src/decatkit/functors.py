@@ -78,16 +78,6 @@ def local_merge(k: int, a: int, b: int) -> SparseMatrix:
     return SparseMatrix(len(rows), len(lefts) * len(rights), entries)
 
 
-def merge_matrix(k: int, sig: Sig, i: int) -> tuple[SparseMatrix, Sig]:
-    """Merge blocks i and i+1 (1-based)."""
-    return move_matrix(k, sig, ("merge", i))
-
-
-def split_matrix(k: int, sig: Sig, i: int, parts: tuple[int, int]) -> tuple[SparseMatrix, Sig]:
-    """Split block i (1-based) into the two given weights; transpose of merge."""
-    return move_matrix(k, sig, ("split", i, parts))
-
-
 def merge_shift_exponent(sig: Sig, i: int) -> int:
     """Nilradical dimension lost by merging blocks i, i+1 of the composition."""
     finer = liealg.ParabolicData(sig)
@@ -97,14 +87,9 @@ def merge_shift_exponent(sig: Sig, i: int) -> int:
 
 def merge_matrix_shifted(k: int, sig: Sig, i: int) -> tuple[SparseMatrix, Sig]:
     """Merge normalized by t^(-2d), d the nilradical dimension difference."""
-    mat, new_sig = merge_matrix(k, sig, i)
+    mat, new_sig = move_matrix(k, sig, ("merge", i))
     d = merge_shift_exponent(sig, i)
     return mat.scaled(LaurentPoly.t_power(-2 * d)), new_sig
-
-
-def delete_full_matrix(k: int, sig: Sig, i: int) -> tuple[SparseMatrix, Sig]:
-    """Remove the weight-k block at position i (1-based)."""
-    return move_matrix(k, sig, ("del", i))
 
 
 _MOVE_RE = re.compile(r"^(merge|split|shift|ins|del)\(([-0-9;,\s]*)\)$")

@@ -11,16 +11,17 @@ common interior (max s_i >= min t_i). Composition rescales the inner
 families into the outer intervals affinely. The simplex operad includes into
 it by (s_1, ..., s_n) -> ([0, s_1], ..., [0, s_n]).
 
-All equality tests go through the quotient: two points are identified when
-both are basepoint-equivalent or their coordinates agree. `run_operad_checks`
-samples seeded rational points and verifies associativity, unit laws,
-symmetric-group equivariance, basepoint absorption, the section property of
-co-composition, and that the inclusion respects composition.
-"""
+Both point types share `Point`, so one compose, equal (through the quotient:
+both basepoint-equivalent or equal coordinates), permute and unit serve both.
+`run_operad_checks` samples seeded rational points and runs one loop over the
+two operads: associativity, unit laws, symmetric-group equivariance and
+basepoint absorption, then the section property of co-composition and that
+the inclusion respects composition."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -34,47 +35,110 @@ BASEPOINT = Basepoint()
 
 
 @dataclasses.dataclass(frozen=True)
-class SimplexPoint:
-    coords: tuple[Fraction, ...]
+class Point:
+    """A point of an n-ary part, n >= 1, with one coordinate per input.
+
+    Subclasses supply `_checked` (coerce and validate), `is_basepoint`, the
+    per-block composition rule `_block(outer coordinate, inner coords)` and
+    the coordinates `UNIT` of the unit."""
+
+    coords: tuple
 
     def __init__(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(coords)
         if not coords:
             raise ValueError("arity must be at least 1")
-        if any(c < 0 for c in coords):
-            raise ValueError(f"negative coordinate in {coords}")
-        if sum(coords) != 1:
-            raise ValueError(f"coordinates {coords} do not sum to 1")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", self._checked(coords))
 
     @property
     def arity(self) -> int:
         return len(self.coords)
 
+
+class SimplexPoint(Point):
+    UNIT = (Fraction(1),)
+
+    @staticmethod
+    def _checked(coords):
+        coords = tuple(Fraction(c) for c in coords)
+        if any(c < 0 for c in coords):
+            raise ValueError(f"negative coordinate in {coords}")
+        if sum(coords) != 1:
+            raise ValueError(f"coordinates {coords} do not sum to 1")
+        return coords
+
     @property
     def is_basepoint(self) -> bool:
         return any(c == 0 for c in self.coords)
 
+    @staticmethod
+    def _block(s, inner):
+        return tuple(s * t for t in inner)
 
-def j_unit() -> SimplexPoint:
-    return SimplexPoint((Fraction(1),))
+
+class IntervalFamily(Point):
+    UNIT = ((Fraction(0), Fraction(1)),)
+
+    @staticmethod
+    def _checked(coords):
+        coords = tuple((Fraction(s), Fraction(t)) for s, t in coords)
+        for s, t in coords:
+            if not (0 <= s < t <= 1):
+                raise ValueError(f"bad interval [{s}, {t}]")
+        return coords
+
+    @property
+    def is_basepoint(self) -> bool:
+        return max(s for s, _ in self.coords) >= min(t for _, t in self.coords)
+
+    @staticmethod
+    def _block(outer, inner):
+        s, t = outer
+        width = t - s
+        return tuple((s + width * a, s + width * b) for a, b in inner)
 
 
-def j_compose(outer, inners):
+def _based(point) -> bool:
+    return isinstance(point, Basepoint) or point.is_basepoint
+
+
+def _blocks(coords: tuple, arities) -> list[tuple]:
+    """Cut coords into consecutive blocks of the given lengths."""
+    it = iter(coords)
+    return [tuple(itertools.islice(it, n)) for n in arities]
+
+
+def unit(kind: type[Point]) -> Point:
+    return kind(kind.UNIT)
+
+
+def compose(outer, inners):
     """gamma(outer; inners), basepoint absorbing."""
     if isinstance(outer, Basepoint) or any(isinstance(x, Basepoint) for x in inners):
         return BASEPOINT
     if len(inners) != outer.arity:
         raise ValueError(f"need {outer.arity} inner points, got {len(inners)}")
-    coords = []
-    for s, inner in zip(outer.coords, inners):
-        coords.extend(s * t for t in inner.coords)
-    point = SimplexPoint(coords)
+    point = type(outer)(
+        c for s, inner in zip(outer.coords, inners) for c in outer._block(s, inner.coords)
+    )
     return BASEPOINT if point.is_basepoint else point
 
 
-def j_cocompose(point, arities: tuple[int, ...]):
-    """Split a point of arity sum(arities) into (outer, inners).
+def equal(a, b) -> bool:
+    """Equality in the quotient by the basepoint."""
+    if _based(a) or _based(b):
+        return _based(a) and _based(b)
+    return a.coords == b.coords
+
+
+def permute(point, sigma: tuple[int, ...]):
+    if isinstance(point, Basepoint):
+        return BASEPOINT
+    return type(point)(point.coords[s] for s in sigma)
+
+
+def cocompose(point, arities: tuple[int, ...]):
+    """Split a simplex point of arity sum(arities) into (outer, inners).
 
     Blocks are summed to the outer coordinates and renormalized to give the
     inner points; a zero block has no normalization and the whole answer is
@@ -86,10 +150,7 @@ def j_cocompose(point, arities: tuple[int, ...]):
         raise ValueError(f"arities {arities} do not sum to {point.arity}")
     outer = []
     inners = []
-    pos = 0
-    for n in arities:
-        block = point.coords[pos : pos + n]
-        pos += n
+    for block in _blocks(point.coords, arities):
         total = sum(block)
         outer.append(total)
         if total == 0:
@@ -98,79 +159,12 @@ def j_cocompose(point, arities: tuple[int, ...]):
     return SimplexPoint(tuple(outer)), tuple(inners)
 
 
-def j_equal(a, b) -> bool:
-    """Equality in the quotient by the basepoint."""
-    abase = isinstance(a, Basepoint) or a.is_basepoint
-    bbase = isinstance(b, Basepoint) or b.is_basepoint
-    if abase or bbase:
-        return abase and bbase
-    return a.coords == b.coords
-
-
-def j_permute(point, sigma: tuple[int, ...]):
-    if isinstance(point, Basepoint):
+def from_simplex(point):
+    """The inclusion (s_1, ..., s_n) -> ([0, s_1], ..., [0, s_n]); a zero
+    s_i gives no interval, so the boundary goes to the basepoint."""
+    if isinstance(point, Basepoint) or 0 in point.coords:
         return BASEPOINT
-    return SimplexPoint(tuple(point.coords[s] for s in sigma))
-
-
-@dataclasses.dataclass(frozen=True)
-class IntervalFamily:
-    pairs: tuple[tuple[Fraction, Fraction], ...]
-
-    def __init__(self, pairs):
-        pairs = tuple((Fraction(s), Fraction(t)) for s, t in pairs)
-        if not pairs:
-            raise ValueError("arity must be at least 1")
-        for s, t in pairs:
-            if not (0 <= s < t <= 1):
-                raise ValueError(f"bad interval [{s}, {t}]")
-        object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def arity(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def is_basepoint(self) -> bool:
-        return max(s for s, _ in self.pairs) >= min(t for _, t in self.pairs)
-
-
-def q_unit() -> IntervalFamily:
-    return IntervalFamily(((Fraction(0), Fraction(1)),))
-
-
-def q_compose(outer, inners):
-    if isinstance(outer, Basepoint) or any(isinstance(x, Basepoint) for x in inners):
-        return BASEPOINT
-    if len(inners) != outer.arity:
-        raise ValueError(f"need {outer.arity} inner families, got {len(inners)}")
-    pairs = []
-    for (s, t), inner in zip(outer.pairs, inners):
-        width = t - s
-        pairs.extend((s + width * a, s + width * b) for a, b in inner.pairs)
-    family = IntervalFamily(pairs)
-    return BASEPOINT if family.is_basepoint else family
-
-
-def q_equal(a, b) -> bool:
-    abase = isinstance(a, Basepoint) or a.is_basepoint
-    bbase = isinstance(b, Basepoint) or b.is_basepoint
-    if abase or bbase:
-        return abase and bbase
-    return a.pairs == b.pairs
-
-
-def q_permute(family, sigma: tuple[int, ...]):
-    if isinstance(family, Basepoint):
-        return BASEPOINT
-    return IntervalFamily(tuple(family.pairs[s] for s in sigma))
-
-
-def q_from_simplex(point):
-    """The inclusion (s_1, ..., s_n) -> ([0, s_1], ..., [0, s_n])."""
-    if isinstance(point, Basepoint) or point.is_basepoint:
-        return BASEPOINT
-    return IntervalFamily(tuple((Fraction(0), s) for s in point.coords))
+    return IntervalFamily((Fraction(0), s) for s in point.coords)
 
 
 def sample_simplex(rng: random.Random, n: int, boundary_rate: int = 8) -> SimplexPoint:
@@ -178,39 +172,32 @@ def sample_simplex(rng: random.Random, n: int, boundary_rate: int = 8) -> Simple
     weights = [Fraction(rng.randint(1, 9)) for _ in range(n)]
     if n > 1 and boundary_rate and rng.randrange(boundary_rate) == 0:
         weights[rng.randrange(n)] = Fraction(0)
-        if all(w == 0 for w in weights):
-            weights[0] = Fraction(1)
     total = sum(weights)
     return SimplexPoint(tuple(w / total for w in weights))
 
 
 def sample_intervals(rng: random.Random, n: int, basepoint_rate: int = 8) -> IntervalFamily:
-    denom = 24
+    """Random family in 48ths: one time in basepoint_rate deliberately
+    scattered (usually basepoint-equivalent), else nested."""
     if basepoint_rate and rng.randrange(basepoint_rate) == 0:
-        # Deliberately scattered intervals, usually basepoint-equivalent.
-        pairs = []
-        for _ in range(n):
-            a = rng.randrange(denom)
-            b = rng.randint(a + 1, denom)
-            pairs.append((Fraction(a, denom), Fraction(b, denom)))
-        return IntervalFamily(tuple(pairs))
-    lo = rng.randrange(denom - 1)
-    hi = rng.randint(lo + 2, denom)
-    pairs = []
-    for _ in range(n):
-        a = rng.randint(lo, hi - 2)
-        b = rng.randint(max(a + 1, lo + 1), hi - 1)
-        pairs.append((Fraction(a, denom), Fraction(b, denom)))
-    # Guarantee a common interior point at (lo + hi) / 2 by widening as needed.
-    mid_lo, mid_hi = Fraction(lo, denom), Fraction(hi, denom)
-    fixed = []
-    for a, b in pairs:
-        if a >= mid_hi:
-            a = mid_lo
-        if b <= mid_lo:
-            b = mid_hi
-        fixed.append((min(a, mid_lo), max(b, mid_hi)))
-    return IntervalFamily(tuple(fixed))
+        starts = (rng.randrange(24) for _ in range(n))
+        pairs = [(2 * a, 2 * rng.randint(a + 1, 24)) for a in starts]
+    else:
+        # Every [a, b] has a < mid < b: the family has a common interior point.
+        lo = rng.randrange(23)
+        hi = rng.randint(lo + 2, 24)
+        mid = lo + hi
+        pairs = [(rng.randint(2 * lo, mid - 1), rng.randint(mid + 1, 2 * hi)) for _ in range(n)]
+    return IntervalFamily((Fraction(a, 48), Fraction(b, 48)) for a, b in pairs)
+
+
+_HALF = Fraction(1, 2)
+# (check prefix, point class, sampler, coordinates of a based point of arity
+# m > 1): the simplex corner (0, ..., 0, 1), intervals meeting only at 1/2.
+_OPERADS = (
+    ("j", SimplexPoint, sample_simplex, lambda m: (0,) * (m - 1) + (1,)),
+    ("q", IntervalFamily, sample_intervals, lambda m: ((0, _HALF),) * (m - 1) + ((_HALF, 1),)),
+)
 
 
 @dataclasses.dataclass
@@ -243,6 +230,8 @@ def run_operad_checks(seed: int = 0, budget: int = 1200, max_arity: int = 5) -> 
     The budget is the total number of sampled configurations, spread evenly
     across the checks; each configuration exercises one axiom instance.
     """
+    if max_arity < 1:
+        raise ValueError(f"max_arity must be at least 1, got {max_arity}")
     rng = random.Random(seed)
     trials: dict[str, int] = {}
     failures: list[dict] = []
@@ -255,129 +244,61 @@ def run_operad_checks(seed: int = 0, budget: int = 1200, max_arity: int = 5) -> 
     def arity() -> int:
         return rng.randint(1, max_arity)
 
-    checks = [
-        "j_associativity",
-        "j_unit",
-        "j_equivariance",
-        "j_basepoint",
-        "j_cocompose_section",
-        "q_associativity",
-        "q_unit",
-        "q_equivariance",
-        "q_basepoint",
-        "inclusion_map",
-    ]
-    per_check = max(1, budget // len(checks))
+    n_checks = 4 * len(_OPERADS) + 2  # four axioms each, cocompose and inclusion
+    for _ in range(max(1, budget // n_checks)):
+        for tag, kind, sample, corner in _OPERADS:
+            m = arity()
+            ns = [arity() for _ in range(m)]
+            ps = [[arity() for _ in range(n)] for n in ns]
+            a = sample(rng, m)
+            bs = [sample(rng, n) for n in ns]
+            cs = [[sample(rng, p) for p in row] for row in ps]
+            left = compose(compose(a, bs), [c for row in cs for c in row])
+            right = compose(a, [compose(b, row) for b, row in zip(bs, cs)])
+            record(f"{tag}_associativity", equal(left, right), a=a, bs=bs)
 
-    for _ in range(per_check):
+            x = sample(rng, arity())
+            one = unit(kind)
+            ok = equal(compose(one, [x]), x) and equal(compose(x, [one] * x.arity), x)
+            record(f"{tag}_unit", ok, x=x)
+
+            m = arity()
+            sigma = tuple(rng.sample(range(m), m))
+            c = sample(rng, m)
+            ds = [sample(rng, arity()) for _ in range(m)]
+            lhs = compose(permute(c, sigma), [ds[s] for s in sigma])
+            rhs = base = compose(c, ds)
+            if not _based(base):
+                blocks = _blocks(base.coords, [d.arity for d in ds])
+                rhs = kind(y for s in sigma for y in blocks[s])
+            record(f"{tag}_equivariance", equal(lhs, rhs), c=c, sigma=sigma)
+
+            m = arity()
+            a = sample(rng, m)
+            bs = [sample(rng, arity()) for _ in range(m)]
+            with_base = list(bs)
+            with_base[rng.randrange(m)] = BASEPOINT
+            ok = isinstance(compose(BASEPOINT, bs), Basepoint)
+            ok = ok and isinstance(compose(a, with_base), Basepoint)
+            if m > 1:
+                ok = ok and equal(compose(kind(corner(m)), bs), BASEPOINT)
+            record(f"{tag}_basepoint", ok, a=a)
+
+            if kind is SimplexPoint:
+                arities = tuple(arity() for _ in range(arity()))
+                p = sample_simplex(rng, sum(arities), boundary_rate=4)
+                split = cocompose(p, arities)
+                if isinstance(split, Basepoint):
+                    ok = p.is_basepoint or any(sum(b) == 0 for b in _blocks(p.coords, arities))
+                else:
+                    ok = equal(compose(*split), p)
+                record("j_cocompose_section", ok, p=p, arities=arities)
+
         m = arity()
-        ns = [arity() for _ in range(m)]
-        ps = [[arity() for _ in range(n)] for n in ns]
         a = sample_simplex(rng, m)
-        bs = [sample_simplex(rng, n) for n in ns]
-        cs = [[sample_simplex(rng, p) for p in row] for row in ps]
-        left = j_compose(j_compose(a, bs), [c for row in cs for c in row])
-        right = j_compose(a, [j_compose(b, row) for b, row in zip(bs, cs)])
-        record("j_associativity", j_equal(left, right), a=a, bs=bs)
-
-        x = sample_simplex(rng, arity())
-        record(
-            "j_unit",
-            j_equal(j_compose(j_unit(), [x]), x)
-            and j_equal(j_compose(x, [j_unit()] * x.arity), x),
-            x=x,
-        )
-
-        m2 = arity()
-        sigma = tuple(rng.sample(range(m2), m2))
-        c = sample_simplex(rng, m2)
-        ds = [sample_simplex(rng, arity()) for _ in range(m2)]
-        lhs = j_compose(j_permute(c, sigma), [ds[s] for s in sigma])
-        base = j_compose(c, ds)
-        if isinstance(base, Basepoint) or base.is_basepoint:
-            rhs = BASEPOINT
-        else:
-            blocks = []
-            pos = 0
-            for d in ds:
-                blocks.append(base.coords[pos : pos + d.arity])
-                pos += d.arity
-            rhs = SimplexPoint(tuple(x for s in sigma for x in blocks[s]))
-        record("j_equivariance", j_equal(lhs, rhs), c=c, sigma=sigma)
-
-        m3 = arity()
-        a3 = sample_simplex(rng, m3)
-        b3 = [sample_simplex(rng, arity()) for _ in range(m3)]
-        with_base = list(b3)
-        with_base[rng.randrange(m3)] = BASEPOINT
-        ok = isinstance(j_compose(BASEPOINT, b3), Basepoint) and isinstance(
-            j_compose(a3, with_base), Basepoint
-        )
-        if m3 > 1:
-            boundary = SimplexPoint((Fraction(0),) * (m3 - 1) + (Fraction(1),))
-            ok = ok and j_equal(j_compose(boundary, b3), BASEPOINT)
-        record("j_basepoint", ok, a=a3)
-
-        arities = tuple(arity() for _ in range(arity()))
-        total = sum(arities)
-        p = sample_simplex(rng, total, boundary_rate=4)
-        split = j_cocompose(p, arities)
-        if isinstance(split, Basepoint):
-            ok = p.is_basepoint or any(
-                sum(p.coords[sum(arities[:i]) : sum(arities[: i + 1])]) == 0
-                for i in range(len(arities))
-            )
-        else:
-            outer, inners = split
-            ok = j_equal(j_compose(outer, list(inners)), p)
-        record("j_cocompose_section", ok, p=p, arities=arities)
-
-        mq = arity()
-        nq = [arity() for _ in range(mq)]
-        pq = [[arity() for _ in range(n)] for n in nq]
-        aq = sample_intervals(rng, mq)
-        bq = [sample_intervals(rng, n) for n in nq]
-        cq = [[sample_intervals(rng, p2) for p2 in row] for row in pq]
-        left = q_compose(q_compose(aq, bq), [c2 for row in cq for c2 in row])
-        right = q_compose(aq, [q_compose(b, row) for b, row in zip(bq, cq)])
-        record("q_associativity", q_equal(left, right), a=aq)
-
-        xq = sample_intervals(rng, arity())
-        record(
-            "q_unit",
-            q_equal(q_compose(q_unit(), [xq]), xq)
-            and q_equal(q_compose(xq, [q_unit()] * xq.arity), xq),
-            x=xq,
-        )
-
-        mq2 = arity()
-        sigma_q = tuple(rng.sample(range(mq2), mq2))
-        cq2 = sample_intervals(rng, mq2)
-        dq = [sample_intervals(rng, arity()) for _ in range(mq2)]
-        lhs_q = q_compose(q_permute(cq2, sigma_q), [dq[s] for s in sigma_q])
-        base_q = q_compose(cq2, dq)
-        if isinstance(base_q, Basepoint) or base_q.is_basepoint:
-            rhs_q = BASEPOINT
-        else:
-            blocks = []
-            pos = 0
-            for d in dq:
-                blocks.append(base_q.pairs[pos : pos + d.arity])
-                pos += d.arity
-            rhs_q = IntervalFamily(tuple(x for s in sigma_q for x in blocks[s]))
-        record("q_equivariance", q_equal(lhs_q, rhs_q), c=cq2, sigma=sigma_q)
-
-        record(
-            "q_basepoint",
-            isinstance(q_compose(BASEPOINT, bq), Basepoint)
-            and isinstance(q_compose(aq, [BASEPOINT] + bq[1:]), Basepoint),
-        )
-
-        mi = arity()
-        ai = sample_simplex(rng, mi)
-        bi = [sample_simplex(rng, arity()) for _ in range(mi)]
-        lhs_i = q_from_simplex(j_compose(ai, bi))
-        rhs_i = q_compose(q_from_simplex(ai), [q_from_simplex(b) for b in bi])
-        record("inclusion_map", q_equal(lhs_i, rhs_i), a=ai)
+        bs = [sample_simplex(rng, arity()) for _ in range(m)]
+        lhs = from_simplex(compose(a, bs))
+        rhs = compose(from_simplex(a), [from_simplex(b) for b in bs])
+        record("inclusion_map", equal(lhs, rhs), a=a)
 
     return OperadReport(seed=seed, trials=trials, failures=failures)

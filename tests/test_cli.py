@@ -158,6 +158,21 @@ def test_operad_check_budget_guard(capsys):
     assert cli.run(["operad-check", "--budget", "0"]) == 2
 
 
+def test_operad_check_max_arity_guard(capsys):
+    assert cli.run(["operad-check", "--max-arity", "0"]) == 2
+    assert "--max-arity" in capsys.readouterr().err
+
+
+def test_cohomology_depth_guard(capsys):
+    assert cli.run(["cohomology", "--n", "2", "--lam", "3,0", "--depth", "-1"]) == 2
+    assert "--depth" in capsys.readouterr().err
+
+
+def test_blocks_n_guard(capsys):
+    assert cli.run(["blocks", "--n", "0", "--p", "31"]) == 2
+    assert "--n" in capsys.readouterr().err
+
+
 def test_selftest(capsys):
     code, doc = run_json(capsys, ["selftest"])
     assert code == 0

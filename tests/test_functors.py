@@ -50,8 +50,8 @@ class TestLocalMatrices:
             (3, (2,), 1, (1, 1)),
             (4, (3,), 1, (2, 1)),
         ):
-            sm, down_sig = functors.split_matrix(k, sig, i, parts)
-            mm, up_sig = functors.merge_matrix(k, down_sig, i)
+            sm, down_sig = functors.move_matrix(k, sig, ("split", i, parts))
+            mm, up_sig = functors.move_matrix(k, down_sig, ("merge", i))
             assert up_sig == sig
             assert sm == mm.transpose()
 
@@ -66,7 +66,7 @@ class TestLocalMatrices:
         assert functors.merge_shift_exponent((1, 1), 1) == 1
         assert functors.merge_shift_exponent((2, 3), 1) == 6
         # Normalized merge rescales by t^(-2d).
-        mm, _ = functors.merge_matrix(2, (1, 1), 1)
+        mm, _ = functors.move_matrix(2, (1, 1), ("merge", 1))
         shifted, _ = functors.merge_matrix_shifted(2, (1, 1), 1)
         assert shifted == mm.map_values(lambda p: p.shifted(-2))
 
@@ -77,7 +77,7 @@ class TestLocalMatrices:
 
     def test_delete_requires_full_block(self):
         with pytest.raises(ValueError, match="weight"):
-            functors.delete_full_matrix(3, (1, 2), 1)
+            functors.move_matrix(3, (1, 2), ("del", 1))
 
 
 class TestWordGrammar:

@@ -27,11 +27,11 @@ class TestSimplexPoints:
         boundary = operads.SimplexPoint((Fraction(0), Fraction(1)))
         assert not interior.is_basepoint
         assert boundary.is_basepoint
-        assert operads.j_equal(boundary, operads.BASEPOINT)
-        assert not operads.j_equal(interior, operads.BASEPOINT)
+        assert operads.equal(boundary, operads.BASEPOINT)
+        assert not operads.equal(interior, operads.BASEPOINT)
 
     def test_unit_is_the_single_vertex(self):
-        assert operads.j_unit().coords == (Fraction(1),)
+        assert operads.unit(operads.SimplexPoint).coords == (Fraction(1),)
 
 
 class TestSimplexComposition:
@@ -41,7 +41,7 @@ class TestSimplexComposition:
             operads.SimplexPoint((Fraction(1, 3), Fraction(2, 3))),
             operads.SimplexPoint((Fraction(1),)),
         ]
-        assert operads.j_compose(outer, inners).coords == (
+        assert operads.compose(outer, inners).coords == (
             Fraction(1, 6),
             Fraction(1, 3),
             Fraction(1, 2),
@@ -49,38 +49,38 @@ class TestSimplexComposition:
 
     def test_compose_arity_mismatch(self):
         with pytest.raises(ValueError, match="inner points"):
-            operads.j_compose(operads.j_unit(), [])
+            operads.compose(operads.unit(operads.SimplexPoint), [])
 
     def test_basepoint_absorbs(self):
-        one = operads.j_unit()
-        assert operads.j_compose(operads.BASEPOINT, [one]) is operads.BASEPOINT
+        one = operads.unit(operads.SimplexPoint)
+        assert operads.compose(operads.BASEPOINT, [one]) is operads.BASEPOINT
         two = operads.SimplexPoint((Fraction(1, 2), Fraction(1, 2)))
-        assert operads.j_compose(two, [one, operads.BASEPOINT]) is operads.BASEPOINT
+        assert operads.compose(two, [one, operads.BASEPOINT]) is operads.BASEPOINT
 
     def test_boundary_output_collapses(self):
         outer = operads.SimplexPoint((Fraction(0), Fraction(1)))
-        inners = [operads.j_unit(), operads.j_unit()]
-        out = operads.j_compose(outer, inners)
-        assert operads.j_equal(out, operads.BASEPOINT)
+        inners = [operads.unit(operads.SimplexPoint), operads.unit(operads.SimplexPoint)]
+        out = operads.compose(outer, inners)
+        assert operads.equal(out, operads.BASEPOINT)
 
     def test_cocompose_sections_compose(self, rng):
         for _ in range(25):
             point = operads.sample_simplex(rng, 4, boundary_rate=0)
-            outer, inners = operads.j_cocompose(point, (2, 2))
-            assert operads.j_equal(operads.j_compose(outer, list(inners)), point)
+            outer, inners = operads.cocompose(point, (2, 2))
+            assert operads.equal(operads.compose(outer, list(inners)), point)
 
     def test_cocompose_zero_block_collapses(self):
         # A block of zero mass cannot be renormalized into a simplex point.
         point = operads.SimplexPoint((Fraction(0), Fraction(0), Fraction(1)))
-        assert operads.j_cocompose(point, (2, 1)) is operads.BASEPOINT
+        assert operads.cocompose(point, (2, 1)) is operads.BASEPOINT
 
     def test_cocompose_arity_mismatch(self):
         with pytest.raises(ValueError, match="do not sum"):
-            operads.j_cocompose(operads.j_unit(), (2,))
+            operads.cocompose(operads.unit(operads.SimplexPoint), (2,))
 
     def test_permute_reorders_coords(self):
         p = operads.SimplexPoint((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
-        q = operads.j_permute(p, (2, 0, 1))
+        q = operads.permute(p, (2, 0, 1))
         assert sorted(q.coords) == sorted(p.coords)
         assert q.arity == 3
 
@@ -107,32 +107,33 @@ class TestIntervalFamilies:
     def test_compose_rescales_affinely(self):
         outer = operads.IntervalFamily(((Fraction(0), Fraction(1, 2)),))
         inner = operads.IntervalFamily(((Fraction(1, 2), Fraction(1)),))
-        out = operads.q_compose(outer, [inner])
-        assert out.pairs == ((Fraction(1, 4), Fraction(1, 2)),)
+        out = operads.compose(outer, [inner])
+        assert out.coords == ((Fraction(1, 4), Fraction(1, 2)),)
 
     def test_basepoint_absorbs(self):
-        assert operads.q_compose(operads.BASEPOINT, [operads.q_unit()]) is operads.BASEPOINT
+        one = operads.unit(operads.IntervalFamily)
+        assert operads.compose(operads.BASEPOINT, [one]) is operads.BASEPOINT
 
     def test_from_simplex_uses_left_anchored_intervals(self):
         p = operads.SimplexPoint((Fraction(1, 3), Fraction(2, 3)))
-        fam = operads.q_from_simplex(p)
-        assert fam.pairs == (
+        fam = operads.from_simplex(p)
+        assert fam.coords == (
             (Fraction(0), Fraction(1, 3)),
             (Fraction(0), Fraction(2, 3)),
         )
         boundary = operads.SimplexPoint((Fraction(0), Fraction(1)))
-        assert operads.q_from_simplex(boundary) is operads.BASEPOINT
+        assert operads.from_simplex(boundary) is operads.BASEPOINT
 
     def test_inclusion_commutes_with_composition(self, rng):
         for _ in range(25):
             outer = operads.sample_simplex(rng, 3, boundary_rate=0)
             inners = [operads.sample_simplex(rng, 2, boundary_rate=0) for _ in range(3)]
-            lhs = operads.q_from_simplex(operads.j_compose(outer, inners))
-            rhs = operads.q_compose(
-                operads.q_from_simplex(outer),
-                [operads.q_from_simplex(p) for p in inners],
+            lhs = operads.from_simplex(operads.compose(outer, inners))
+            rhs = operads.compose(
+                operads.from_simplex(outer),
+                [operads.from_simplex(p) for p in inners],
             )
-            assert operads.q_equal(lhs, rhs)
+            assert operads.equal(lhs, rhs)
 
 
 class TestSamplers:
@@ -145,10 +146,14 @@ class TestSamplers:
         assert seen_boundary
 
     def test_sample_intervals_valid(self, rng):
+        seen_distinct = False
         for _ in range(40):
             fam = operads.sample_intervals(rng, 3)
-            for s, t in fam.pairs:
+            for s, t in fam.coords:
                 assert 0 <= s < t <= 1
+            # Nested families are not just one interval repeated.
+            seen_distinct = seen_distinct or (not fam.is_basepoint and len(set(fam.coords)) > 1)
+        assert seen_distinct
 
     def test_samplers_are_deterministic(self):
         a = operads.sample_simplex(random.Random(7), 4)
@@ -177,3 +182,58 @@ class TestCheckRunner:
         assert set(doc) == {"failures", "passed", "seed", "total_trials", "trials"}
         assert doc["seed"] == 0
         assert doc["passed"] is True
+
+    def test_max_arity_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_arity"):
+            operads.run_operad_checks(seed=0, budget=10, max_arity=0)
+
+
+def _reversed(point):
+    if isinstance(point, operads.Basepoint):
+        return point
+    return operads.permute(point, tuple(reversed(range(point.arity))))
+
+
+def _reversed_blocks(kind):
+    rule = kind._block
+    return staticmethod(lambda outer, inner: rule(outer, inner[::-1]))
+
+
+_cocompose = operads.cocompose
+_from_simplex = operads.from_simplex
+
+# One broken ingredient per check name: each run must report that check.
+BREAKAGES = {
+    "j_associativity": (operads.SimplexPoint, "_block", _reversed_blocks(operads.SimplexPoint)),
+    "q_associativity": (
+        operads.IntervalFamily,
+        "_block",
+        _reversed_blocks(operads.IntervalFamily),
+    ),
+    "j_unit": (operads, "unit", lambda kind: operads.BASEPOINT),
+    "q_unit": (operads.IntervalFamily, "UNIT", ((Fraction(0), Fraction(1, 2)),)),
+    "j_equivariance": (operads, "permute", lambda point, sigma: point),
+    "q_equivariance": (operads, "permute", lambda point, sigma: point),
+    "j_basepoint": (operads.SimplexPoint, "is_basepoint", property(lambda self: False)),
+    "q_basepoint": (operads.IntervalFamily, "is_basepoint", property(lambda self: False)),
+    "j_cocompose_section": (operads, "cocompose", lambda p, ar: _cocompose(_reversed(p), ar)),
+    "inclusion_map": (operads, "from_simplex", lambda p: _from_simplex(_reversed(p))),
+}
+
+# Interval composites of arity > 1 are nearly always basepoint-equivalent, and
+# there a reordering cannot show, so at budget 200 these two checks may meet
+# no configuration that exposes it.
+WEAK_AT_200 = {"q_associativity", "q_equivariance"}
+
+
+def test_breakages_cover_every_check():
+    assert set(BREAKAGES) == set(operads.run_operad_checks(seed=0, budget=100).trials)
+
+
+@pytest.mark.parametrize("check", sorted(BREAKAGES))
+def test_each_check_detects_its_broken_ingredient(monkeypatch, check):
+    target, name, broken = BREAKAGES[check]
+    monkeypatch.setattr(target, name, broken)
+    budget = 800 if check in WEAK_AT_200 else 200
+    report = operads.run_operad_checks(seed=0, budget=budget)
+    assert check in {f["check"] for f in report.failures}
