@@ -113,6 +113,8 @@ def _run_blocks(cfg: RunConfig) -> tuple[bool, dict]:
         b = _parse_weight(cfg.b, cfg.n)
         report = cohomology.verify_blocks_vanishing(cfg.n, a, b, cfg.p)
         return not report.counterexample, {"report": report.to_json()}
+    if cfg.max < 0:
+        raise ConfigError("--max must be nonnegative")
     sweep = cohomology.blocks_sweep(cfg.n, cfg.p, cfg.max)
     doc = sweep.to_json()
     doc["nonvanishing"] = [r.to_json() for r in sweep.nonvanishing]

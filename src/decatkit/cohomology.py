@@ -147,13 +147,13 @@ def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
                         row = slot.get(m2)
                         if row is None:
                             raise InvariantError("action term left the slice")
-                        entries[row, col0 + u] = field.add(entries.get((row, col0 + u), 0), sign * val)
+                        entries[row, col0 + u] = entries.get((row, col0 + u), 0) + sign * val
             # A contraction term keeps the weight, so small and big share members.
             for small, c in contraction[j][t]:
-                col0, c = starts[j][small], field.of(c)
+                col0 = starts[j][small]
                 for u in range(len(big_members)):
-                    entries[row0 + u, col0 + u] = field.add(entries.get((row0 + u, col0 + u), 0), c)
-        entries = {pos: v for pos, v in entries.items() if not field.is_zero(v)}
+                    entries[row0 + u, col0 + u] = entries.get((row0 + u, col0 + u), 0) + c
+        entries = {pos: x for pos, v in entries.items() if (x := field.of(v))}
         mats.append(SparseMatrix(len(bases[j + 1]), len(bases[j]), entries))
 
     cx = FiniteComplex(field=field, dims=tuple(len(b) for b in bases), maps=tuple(mats))

@@ -1,7 +1,10 @@
 """Exact linear algebra over Q, prime fields, and integer Laurent polynomials.
 
-Everything in this module is exact: rationals are `fractions.Fraction`, prime
-field elements are ints in [0, p), Laurent polynomial coefficients are ints.
+Everything in this module is exact: rationals are ints, or `fractions.Fraction`
+where a division happened; prime field elements are ints in [0, p); Laurent
+polynomial coefficients are ints. A field is its characteristic `p` (None for
+Q) and one conversion `of`; all other arithmetic is plain Python `+` and `*`
+on exact numbers, with `of` applied once to each entry that is stored.
 Matrices are sparse (dict keyed by (row, col)) and vectors are columns, so a
 map C -> D is a matrix with D-many rows and C-many columns and composition is
 left multiplication.
@@ -52,18 +55,11 @@ class RationalField:
     """The rationals; a stateless singleton, see QQ below."""
 
     name = "Q"
+    p = None
 
-    def of(self, x) -> Fraction:
-        return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
+    def of(self, x):
+        """An int unchanged, anything else as a `Fraction`."""
+        return x if type(x) is int else Fraction(x)
 
     def __repr__(self) -> str:
         return "QQ"
@@ -93,15 +89,6 @@ class PrimeField:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return x.numerator * pow(den, -1, self.p) % self.p
         return x % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,6 +188,9 @@ def geometric_shift_sum(count: int, step: int = 2) -> LaurentPoly:
 @dataclasses.dataclass
 class SparseMatrix:
     """Sparse matrix; entries may be ints, Fractions, or LaurentPoly.
+
+    Over Q the entries are ints wherever no division happened, and Fractions
+    elsewhere; over F_p they are residues in [0, p).
 
     No stored zeros, no out-of-range indices, no duplicate positions; the
     constructors enforce this. Entry values must support +, *, unary -, and
@@ -336,7 +326,7 @@ class Echelon:
 
     def __init__(self, field):
         self.field = field
-        self.p = field.p if isinstance(field, PrimeField) else None
+        self.p = field.p
         self.rows: dict[int, dict[int, int]] = {}
 
     def reduce(self, vec: Mapping[int, object]) -> tuple[object, dict[int, int]]:
@@ -356,8 +346,9 @@ class Echelon:
             if den != 1:
                 r = {j: x // den for j, x in r.items()}
         else:
+            # Int entries reduce directly; only a Fraction needs `of` to divide.
             of = self.field.of
-            r = {j: x for j, v in vec.items() if (x := of(v))}
+            r = {j: x for j, v in vec.items() if (x := v % p if type(v) is int else of(v))}
             num = den = 1
         rows = self.rows
         heap = [j for j in r if j in rows]
@@ -450,7 +441,7 @@ def nullspace(m: SparseMatrix, field) -> list[list]:
             echelon._store(r)
             continue
         lead = r[m.nrows + j]
-        vec = [field.of(0)] * m.ncols
+        vec = [0] * m.ncols
         for i, v in r.items():
             vec[i - m.nrows] = field.of(Fraction(v, lead))
         basis.append(vec)
@@ -494,9 +485,7 @@ class FiniteComplex:
 
     def check_complex(self) -> None:
         for j in range(len(self.maps) - 1):
-            comp = self.maps[j + 1] @ self.maps[j]
-            if isinstance(self.field, PrimeField):
-                comp = comp.map_values(self.field.of)
+            comp = (self.maps[j + 1] @ self.maps[j]).map_values(self.field.of)
             if not comp.is_zero():
                 raise ComplexError(f"differential squared is nonzero leaving degree {self.degrees[j]}")
 

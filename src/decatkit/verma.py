@@ -133,8 +133,7 @@ class TruncatedVerma(_WeightModule):
                 self.truncation_losses.append((pair, col))
                 continue
             for row, coeff in self._column(store, pair, col).items():
-                v = self.field.of(coeff)
-                if not self.field.is_zero(v):
+                if v := self.field.of(coeff):
                     triples.append((row, col, v))
         mat = SparseMatrix.from_triples(self.dim, self.dim, triples)
         self._action_cache[pair] = mat
@@ -188,10 +187,8 @@ class TruncatedVerma(_WeightModule):
                 comm = mats[x] @ mats[y] - mats[y] @ mats[x]
                 expect = SparseMatrix.zeros(self.dim, self.dim)
                 for z, c in self._gl.bracket(x, y).items():
-                    expect = expect + mats[z].scaled(self.field.of(c))
-                diff = comm - expect
-                if isinstance(self.field, PrimeField):
-                    diff = diff.map_values(self.field.of)
+                    expect = expect + mats[z].scaled(c)
+                diff = (comm - expect).map_values(self.field.of)
                 if diff.is_zero():
                     continue
                 for (_, col), _v in diff.entries.items():
@@ -295,8 +292,7 @@ def gl2_parabolic_induction_dim(ell: int, p: int) -> InductionReport:
             # coeff = C(d, m); the b-monomial is b11^(d-m) b21^(ell-d+m).
             key = (m, d - m)
             col = cols.setdefault(key, len(cols))
-            v = field.of(coeff)
-            if not field.is_zero(v):
+            if v := field.of(coeff):
                 triples.append((d, col, v))
             coeff = coeff * (d - m) // (m + 1)
     mat = SparseMatrix.from_triples(ell + 1, max(len(cols), 1), triples)
@@ -362,7 +358,7 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
             row_offset += verma.dim
         stacked = SparseMatrix.from_triples(row_offset, len(members), rows)
         for kernel_vec in nullspace(stacked, field):
-            vec = {members[k]: v for k, v in enumerate(kernel_vec) if not field.is_zero(v)}
+            vec = {members[k]: v for k, v in enumerate(kernel_vec) if v}
             if vec:
                 queue.append((w, vec))
 
@@ -372,14 +368,11 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
             continue
         for g in verma.gens_low:
             cols = verma.action_columns(g)
-            img: dict[int, object] = {}
+            acc: dict[int, object] = {}
             for idx, c in vec.items():
                 for row_idx, v in cols.get(idx, {}).items():
-                    nv = field.add(img.get(row_idx, 0), field.mul(c, v))
-                    if field.is_zero(nv):
-                        img.pop(row_idx, None)
-                    else:
-                        img[row_idx] = nv
+                    acc[row_idx] = acc.get(row_idx, 0) + c * v
+            img = {row_idx: x for row_idx, v in acc.items() if (x := field.of(v))}
             if img:
                 any_idx = next(iter(img))
                 queue.append((verma.basis_weight[any_idx], img))

@@ -173,6 +173,11 @@ def test_blocks_n_guard(capsys):
     assert "--n" in capsys.readouterr().err
 
 
+def test_blocks_max_guard(capsys):
+    assert cli.run(["blocks", "--n", "2", "--p", "31", "--max", "-1"]) == 2
+    assert "--max" in capsys.readouterr().err
+
+
 def test_selftest(capsys):
     code, doc = run_json(capsys, ["selftest"])
     assert code == 0

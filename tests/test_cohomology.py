@@ -149,6 +149,9 @@ def test_blocks_prebuilt_module_guards():
     module = verma.TruncatedVerma(2, (1, 0), 1, PrimeField(7))
     with pytest.raises(ValueError, match="does not match"):
         cohomology.verify_blocks_vanishing(2, (0, 1), (2, 0), 7, module=module)
+    rational = verma.TruncatedVerma(2, (1, 0), 2, QQ)
+    with pytest.raises(ValueError, match="does not match"):
+        cohomology.verify_blocks_vanishing(2, (0, 1), (1, 0), 7, module=rational)
 
 
 def test_blocks_sweep_small():
@@ -198,8 +201,8 @@ def _alternating_sum_slice(module, mu_shifted):
         entries = {}
 
         def bump(row, col, val):
-            new = field.add(entries.get((row, col), field.of(0)), val)
-            if field.is_zero(new):
+            new = field.of(entries.get((row, col), field.of(0)) + val)
+            if not new:
                 entries.pop((row, col), None)
             else:
                 entries[(row, col)] = new
@@ -209,7 +212,7 @@ def _alternating_sum_slice(module, mu_shifted):
                 sign = field.of(-1 if a % 2 else 1)
                 for m, col in by_subset[j][big[:a] + big[a + 1 :]]:
                     for m2, val in action_cols[k].get(m, {}).items():
-                        bump(index[j + 1][(big, m2)], col, field.mul(sign, val))
+                        bump(index[j + 1][(big, m2)], col, field.of(sign * val))
             for a, b in itertools.combinations(range(len(big)), 2):
                 rest = tuple(x for t, x in enumerate(big) if t not in (a, b))
                 for z, c in nilpotent.bracket(pairs[big[a]], pairs[big[b]]).items():

@@ -300,8 +300,8 @@ def _unsplit_homology(word, field):
                         bit = image[s] if s in image else assign[src_pos[s]]
                         out_bits |= bit << dst_pos[s]
                     key = (offsets[w] + out_bits, col)
-                    newv = field.add(ent.get(key, field.of(0)), sign)
-                    if field.is_zero(newv):
+                    newv = field.of(ent.get(key, field.of(0)) + sign)
+                    if not newv:
                         ent.pop(key, None)
                     else:
                         ent[key] = newv

@@ -239,8 +239,7 @@ def _bubble_action(module, pair):
         if lost:
             losses.append((pair, col))
         for target, coeff in out.items():
-            v = module.field.of(coeff)
-            if not module.field.is_zero(v):
+            if v := module.field.of(coeff):
                 triples.append((module.basis_index[target], col, v))
     return SparseMatrix.from_triples(module.dim, module.dim, triples), losses
 
