@@ -15,7 +15,6 @@ for example `--b 3,1,0`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import sys
@@ -26,36 +25,6 @@ from .exactlin import QQ, PrimeField, is_prime
 
 class ConfigError(Exception):
     pass
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Parsed invocation, one flat record per run."""
-
-    subcommand: str
-    k: int | None = None
-    n: int | None = None
-    p: int | None = None
-    depth: int | None = None
-    field: str = "Q"
-    word: str | None = None
-    out: str | None = None
-    seed: int = 0
-    oracle: bool = False
-    all: bool = False
-    lam: str | None = None
-    a: str | None = None
-    b: str | None = None
-    max: int = 3
-    relation: str | None = None
-    allow_small_p: bool = False
-    budget: int = 1000
-    max_arity: int = 5
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _parse_weight(text: str, n: int) -> weights.Weight:
@@ -73,49 +42,49 @@ def _require_prime(p: int) -> None:
         raise ConfigError(f"--p {p} is not prime")
 
 
-def _large_prime_guard(cfg: RunConfig) -> None:
+def _large_prime_guard(args: argparse.Namespace) -> None:
     """The modular results are only claimed for p well above the weight data;
     4*k*n is the enforced floor (k defaults to 1 where no k is in play)."""
-    k = cfg.k or 1
-    n = cfg.n or 1
-    _require_prime(cfg.p)
-    if cfg.p > 4 * k * n:
+    k = args.k or 1
+    n = args.n or 1
+    _require_prime(args.p)
+    if args.p > 4 * k * n:
         return
-    if cfg.allow_small_p:
+    if args.allow_small_p:
         print(
-            f"warning: p={cfg.p} is not above the large-prime floor 4*k*n={4 * k * n}; "
+            f"warning: p={args.p} is not above the large-prime floor 4*k*n={4 * k * n}; "
             "results outside the claimed regime",
             file=sys.stderr,
         )
         return
     raise ConfigError(
-        f"p={cfg.p} must exceed 4*k*n={4 * k * n} (pass --allow-small-p to override)"
+        f"p={args.p} must exceed 4*k*n={4 * k * n} (pass --allow-small-p to override)"
     )
 
 
-def _field_for(cfg: RunConfig):
-    if cfg.field == "Q":
+def _field_for(args: argparse.Namespace):
+    if args.field == "Q":
         return QQ
-    if cfg.field == "Fp":
-        if cfg.p is None:
+    if args.field == "Fp":
+        if args.p is None:
             raise ConfigError("--field Fp requires --p")
-        _require_prime(cfg.p)
-        return PrimeField(cfg.p)
-    raise ConfigError(f"unknown field tag {cfg.field!r}")
+        _require_prime(args.p)
+        return PrimeField(args.p)
+    raise ConfigError(f"unknown field tag {args.field!r}")
 
 
-def _run_blocks(cfg: RunConfig) -> tuple[bool, dict]:
-    _large_prime_guard(cfg)
-    if (cfg.a is None) != (cfg.b is None):
+def _run_blocks(args: argparse.Namespace) -> tuple[bool, dict]:
+    _large_prime_guard(args)
+    if (args.a is None) != (args.b is None):
         raise ConfigError("--a and --b must be given together")
-    if cfg.a is not None:
-        a = _parse_weight(cfg.a, cfg.n)
-        b = _parse_weight(cfg.b, cfg.n)
-        report = cohomology.verify_blocks_vanishing(cfg.n, a, b, cfg.p)
+    if args.a is not None:
+        a = _parse_weight(args.a, args.n)
+        b = _parse_weight(args.b, args.n)
+        report = cohomology.verify_blocks_vanishing(args.n, a, b, args.p)
         return not report.counterexample, {"report": report.to_json()}
-    if cfg.max < 0:
+    if args.max < 0:
         raise ConfigError("--max must be nonnegative")
-    sweep = cohomology.blocks_sweep(cfg.n, cfg.p, cfg.max)
+    sweep = cohomology.blocks_sweep(args.n, args.p, args.max)
     doc = sweep.to_json()
     doc["nonvanishing"] = [r.to_json() for r in sweep.nonvanishing]
     doc["matrix"] = [
@@ -130,12 +99,12 @@ def _run_blocks(cfg: RunConfig) -> tuple[bool, dict]:
     return not sweep.counterexamples, doc
 
 
-def _run_cohomology(cfg: RunConfig) -> tuple[bool, dict]:
-    lam = _parse_weight(cfg.lam, cfg.n)
-    field = _field_for(cfg)
-    if cfg.field == "Fp":
-        _large_prime_guard(cfg)
-    depth = cfg.depth
+def _run_cohomology(args: argparse.Namespace) -> tuple[bool, dict]:
+    lam = _parse_weight(args.lam, args.n)
+    field = _field_for(args)
+    if args.field == "Fp":
+        _large_prime_guard(args)
+    depth = args.depth
     if depth is not None and depth < 0:
         raise ConfigError("--depth must be nonnegative")
     if depth is None:
@@ -143,17 +112,17 @@ def _run_cohomology(cfg: RunConfig) -> tuple[bool, dict]:
         depth = weights.root_height(tuple(x - y for x, y in zip(lam, sorted(lam))))
         if depth is None:
             raise ConfigError("--depth required for this weight")
-    module = verma.TruncatedVerma(cfg.n, lam, depth, field)
+    module = verma.TruncatedVerma(args.n, lam, depth, field)
     table = cohomology.cohomology_table(module)
     entries = [
         {"degree": deg, "weight": list(mu), "dim": dim}
         for (deg, mu), dim in sorted(table.items())
     ]
     doc = {
-        "n": cfg.n,
+        "n": args.n,
         "lam": list(lam),
-        "field": cfg.field,
-        "p": cfg.p,
+        "field": args.field,
+        "p": args.p,
         "depth": depth,
         "truncation_losses": len(module.truncation_losses),
         "entries": entries,
@@ -162,20 +131,20 @@ def _run_cohomology(cfg: RunConfig) -> tuple[bool, dict]:
     return True, doc
 
 
-def _run_relations(cfg: RunConfig) -> tuple[bool, dict]:
-    if cfg.k < 2:
+def _run_relations(args: argparse.Namespace) -> tuple[bool, dict]:
+    if args.k < 2:
         raise ConfigError("--k must be at least 2")
-    wanted = [cfg.relation] if cfg.relation else list(functors.RELATION_IDS)
+    wanted = [args.relation] if args.relation else list(functors.RELATION_IDS)
     for rel in wanted:
         if rel not in functors.RELATION_IDS:
             raise ConfigError(f"unknown relation {rel!r}; known: {functors.RELATION_IDS}")
-    doc: dict = {"k": cfg.k, "ambient_sweep": bool(cfg.all), "detail": {}}
+    doc: dict = {"k": args.k, "ambient_sweep": bool(args.all), "detail": {}}
     ok = True
     for rel in wanted:
-        if cfg.all:
-            reports = functors.verify_relation_everywhere(rel, cfg.k)
+        if args.all:
+            reports = functors.verify_relation_everywhere(rel, args.k)
         else:
-            reports = [functors.verify_relation(rel, cfg.k)]
+            reports = [functors.verify_relation(rel, args.k)]
         holds = all(r.holds for r in reports)
         ok = ok and holds
         doc[rel] = holds
@@ -185,8 +154,11 @@ def _run_relations(cfg: RunConfig) -> tuple[bool, dict]:
 
 def _load_word_text(spec: str) -> str:
     path = pathlib.Path(spec)
-    if path.exists():
-        raw = path.read_text()
+    if path.is_file():
+        try:
+            raw = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"--word file {spec!r} is unreadable: {exc}")
     elif spec in cube.DIAGRAMS:
         raw = cube.DIAGRAMS[spec]
     else:
@@ -195,20 +167,20 @@ def _load_word_text(spec: str) -> str:
     return " ".join(" ".join(lines).split())
 
 
-def _run_khovanov(cfg: RunConfig) -> tuple[bool, dict]:
-    if cfg.k < 2:
+def _run_khovanov(args: argparse.Namespace) -> tuple[bool, dict]:
+    if args.k < 2:
         raise ConfigError("--k must be at least 2")
-    text = _load_word_text(cfg.word)
+    text = _load_word_text(args.word)
     try:
-        word = cube.parse_slice_word(text, cfg.k)
+        word = cube.parse_slice_word(text, args.k)
     except ValueError as exc:
         raise ConfigError(f"bad slice word: {exc}")
     if not word.closed:
         raise ConfigError("slice word leaves strands open; a closed diagram is required")
-    field = _field_for(cfg)
-    euler = cube.euler_invariant(word, cfg.k)
+    field = _field_for(args)
+    euler = cube.euler_invariant(word, args.k)
     doc: dict = {
-        "k": cfg.k,
+        "k": args.k,
         "word": text,
         "crossings": word.n_crossings,
         "negative_crossings": word.n_negative,
@@ -216,7 +188,7 @@ def _run_khovanov(cfg: RunConfig) -> tuple[bool, dict]:
         "euler": euler,
     }
     ok = True
-    if cfg.k == 2:
+    if args.k == 2:
         table = cube.khovanov_bigraded_k2(word, field)
         dims: dict[int, int] = {}
         for (h, _), dim in table.items():
@@ -227,8 +199,8 @@ def _run_khovanov(cfg: RunConfig) -> tuple[bool, dict]:
         doc["dims"] = [dims.get(j, 0) for j in range(lo, hi + 1)]
         doc["total_rank"] = sum(dims.values())
         doc["bigraded"] = [[h, q, dim] for (h, q), dim in table.items()]
-    if cfg.oracle:
-        if cfg.k != 2:
+    if args.oracle:
+        if args.k != 2:
             raise ConfigError("--oracle is only defined for k=2")
         oracle = cube.oracle_euler_k2(word)
         doc["oracle_euler"] = oracle
@@ -237,12 +209,12 @@ def _run_khovanov(cfg: RunConfig) -> tuple[bool, dict]:
     return ok, doc
 
 
-def _run_operad_check(cfg: RunConfig) -> tuple[bool, dict]:
-    if cfg.budget < 1:
+def _run_operad_check(args: argparse.Namespace) -> tuple[bool, dict]:
+    if args.budget < 1:
         raise ConfigError("--budget must be positive")
-    if cfg.max_arity < 1:
+    if args.max_arity < 1:
         raise ConfigError("--max-arity must be at least 1")
-    report = operads.run_operad_checks(seed=cfg.seed, budget=cfg.budget, max_arity=cfg.max_arity)
+    report = operads.run_operad_checks(seed=args.seed, budget=args.budget, max_arity=args.max_arity)
     failed = {f["check"] for f in report.failures}
     doc = report.to_json()
     doc["checks"] = {
@@ -252,7 +224,7 @@ def _run_operad_check(cfg: RunConfig) -> tuple[bool, dict]:
     return report.passed, doc
 
 
-def _run_selftest(cfg: RunConfig) -> tuple[bool, dict]:
+def _run_selftest(args: argparse.Namespace) -> tuple[bool, dict]:
     checks: dict[str, object] = {}
 
     def run_check(name, thunk):
@@ -294,7 +266,7 @@ def _run_selftest(cfg: RunConfig) -> tuple[bool, dict]:
         return cube.euler_invariant(unknot, 2) == 2 and dims == {0: 2, 2: 1, 3: 1}
 
     run_check("khovanov_trefoil", cube_ok)
-    run_check("operads", lambda: operads.run_operad_checks(seed=cfg.seed, budget=200).passed)
+    run_check("operads", lambda: operads.run_operad_checks(seed=args.seed, budget=200).passed)
     run_check("induction_gl2", lambda: verma.gl2_parabolic_induction_dim(3, 31).dim == 4)
 
     ok = all(v for key, v in checks.items() if not key.endswith(".error"))
@@ -317,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification suite: weight blocks, nilpotent cohomology, "
         "diagram relations, cube invariants, operad axioms.",
     )
+    # run and _large_prime_guard read k and n on every subcommand.
+    parser.set_defaults(k=None, n=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_out(sp):
@@ -370,19 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from(args)
     try:
-        if cfg.n is not None and cfg.n < 1:
+        if args.n is not None and args.n < 1:
             raise ConfigError("--n must be at least 1")
-        ok, payload = _HANDLERS[cfg.subcommand](cfg)
+        ok, payload = _HANDLERS[args.subcommand](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    document = {"schema": 1, "subcommand": cfg.subcommand, "passed": ok}
+    document = {"schema": 1, "subcommand": args.subcommand, "passed": ok}
     document.update(payload)
     text = json.dumps(document, sort_keys=True, indent=2)
-    if cfg.out:
-        pathlib.Path(cfg.out).write_text(text + "\n")
+    if args.out:
+        pathlib.Path(args.out).write_text(text + "\n")
     else:
         print(text)
     return 0 if ok else 1

@@ -3,8 +3,8 @@
 For a gl_n weight module M (truncated highest-weight or finite-dimensional,
 anything exposing n, field, weight_index, action and action_columns), the
 cochain space in degree j is spanned by xi_I tensor v where I is a j-subset
-of the positive roots (`weights.positive_roots(n)`, which lines up with the
-strict upper pairs in lex order) and v a basis vector; the cochain's weight
+of the positive roots, read off the strict upper pairs in lex order as their
+adjoint weights, and v a basis vector; the cochain's weight
 is wt(v) minus the sum of the roots in I. Fixing a slice weight mu picks out
 a finite subcomplex because the differential preserves weight. The
 differential is the standard alternating-sum formula: an action term moving
@@ -45,8 +45,8 @@ def _skeleton(n: int):
     action[j][t] lists (small, root, sign) and contraction[j][t] lists
     (small, coefficient), with small an index into subsets[j].
     """
-    nilpotent = liealg.strict_triangular(n, "upper")
-    roots = weights.positive_roots(n)
+    nilpotent = liealg.strict_triangular(n)
+    roots = [nilpotent.weight(pair) for pair in nilpotent.pairs]
     root_of = {pair: k for k, pair in enumerate(nilpotent.pairs)}
     subsets = [list(itertools.combinations(range(len(roots)), j)) for j in range(len(roots) + 1)]
     where = [{subset: t for t, subset in enumerate(level)} for level in subsets]

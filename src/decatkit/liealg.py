@@ -5,16 +5,21 @@ pair (i, j) stands for e_ij, which maps basis vector j to basis vector i. The
 span of {e_ij : (i, j) in T} is closed under the commutator exactly when T is
 transitive; construction rejects non-transitive relations with a witness.
 
-Standard instances (full gl_n, Borel, strict triangular, block parabolic,
-Levi, nilradical) come from the helper constructors. `ParabolicData` packages
-an ordered composition of n into block sizes.
+`ParabolicData` packages an ordered composition of n into block sizes. Every
+standard subalgebra keeps the pairs whose blocks satisfy one comparison: the
+parabolic (block of i <= block of j), the Levi (=) and the nilradical (<).
+gl_n is the Levi of the one-block composition (n,); the Borel and strict
+upper triangular algebras are the parabolic and nilradical of (1, ..., 1).
+Lower variants are the `opposite()` of upper ones.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
+import operator
 
 from decatkit import exactlin
 from decatkit.weights import Weight
@@ -76,29 +81,9 @@ class RelationAlgebra:
                 raise exactlin.InvariantError(f"bracket term {p} is not a basis pair")
         return out
 
-
-def gl(n: int) -> RelationAlgebra:
-    return RelationAlgebra(n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)])
-
-
-def borel(n: int, side: str = "upper") -> RelationAlgebra:
-    if side == "upper":
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    elif side == "lower":
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
-    else:
-        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    return RelationAlgebra(n, pairs)
-
-
-def strict_triangular(n: int, side: str = "upper") -> RelationAlgebra:
-    if side == "upper":
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    elif side == "lower":
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, i)]
-    else:
-        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    return RelationAlgebra(n, pairs)
+    def opposite(self) -> "RelationAlgebra":
+        """The algebra on the transposed pairs (e_ij becomes e_ji)."""
+        return RelationAlgebra(self.n, [(j, i) for i, j in self.pairs])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,64 +106,27 @@ class ParabolicData:
         """0-based block index containing the 1-based row/column i."""
         if not (1 <= i <= self.n):
             raise ValueError(f"index {i} outside 1..{self.n}")
-        acc = 0
-        for b, size in enumerate(self.blocks):
-            acc += size
-            if i <= acc:
-                return b
-        raise exactlin.InvariantError(f"block sizes {self.blocks} do not cover index {i}")
+        return bisect.bisect_left(list(itertools.accumulate(self.blocks)), i)
 
-    def parabolic(self, side: str = "upper") -> RelationAlgebra:
-        keep = (lambda bi, bj: bi <= bj) if side == "upper" else (lambda bi, bj: bi >= bj)
-        if side not in ("upper", "lower"):
-            raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-        n = self.n
-        pairs = [
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if keep(self.block_of(i), self.block_of(j))
-        ]
-        return RelationAlgebra(n, pairs)
+    def _subalgebra(self, keep) -> RelationAlgebra:
+        """Span of the e_ij with keep(block of i, block of j)."""
+        block = [b for b, size in enumerate(self.blocks) for _ in range(size)]
+        pairs = [(i, j) for i, bi in enumerate(block, 1) for j, bj in enumerate(block, 1) if keep(bi, bj)]
+        return RelationAlgebra(len(block), pairs)
+
+    def parabolic(self) -> RelationAlgebra:
+        return self._subalgebra(operator.le)
 
     def levi(self) -> RelationAlgebra:
-        n = self.n
-        pairs = [
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if self.block_of(i) == self.block_of(j)
-        ]
-        return RelationAlgebra(n, pairs)
+        return self._subalgebra(operator.eq)
 
-    def nilradical(self, side: str = "upper") -> RelationAlgebra:
-        if side not in ("upper", "lower"):
-            raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-        keep = (lambda bi, bj: bi < bj) if side == "upper" else (lambda bi, bj: bi > bj)
-        n = self.n
-        pairs = [
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if keep(self.block_of(i), self.block_of(j))
-        ]
-        return RelationAlgebra(n, pairs)
+    def nilradical(self) -> RelationAlgebra:
+        return self._subalgebra(operator.lt)
 
     def refines(self, other: "ParabolicData") -> bool:
-        """True when this composition subdivides the blocks of `other`."""
-        if self.n != other.n:
-            return False
-        it = iter(self.blocks)
-        for size in other.blocks:
-            acc = 0
-            while acc < size:
-                try:
-                    acc += next(it)
-                except StopIteration:
-                    return False
-            if acc != size:
-                return False
-        return True
+        """True when every cut point (partial sum) of `other` is one of ours."""
+        cuts = set(itertools.accumulate(self.blocks))
+        return self.n == other.n and cuts.issuperset(itertools.accumulate(other.blocks))
 
     def merge_adjacent(self, j: int) -> "ParabolicData":
         """Merge blocks j and j+1 (0-based)."""
@@ -187,6 +135,17 @@ class ParabolicData:
         merged = self.blocks[:j] + (self.blocks[j] + self.blocks[j + 1],) + self.blocks[j + 2 :]
         return ParabolicData(merged)
 
+
+def gl(n: int) -> RelationAlgebra:
+    return ParabolicData((n,)).levi()
+
+
+def borel(n: int) -> RelationAlgebra:
+    return ParabolicData((1,) * n).parabolic()
+
+
+def strict_triangular(n: int) -> RelationAlgebra:
+    return ParabolicData((1,) * n).nilradical()
 
 def nilradical_dim_difference(finer: ParabolicData, coarser: ParabolicData) -> int:
     """dim of the finer nilradical minus dim of the coarser one.

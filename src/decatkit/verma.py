@@ -38,8 +38,9 @@ CharacterTable = dict[weights.Weight, int]
 
 
 def lowering_generators(n: int) -> list[Pair]:
-    """Pairs (i, j) with i > j, ascending in (j, i)."""
-    return [(i, j) for j in range(1, n) for i in range(j + 1, n + 1)]
+    """Pairs (i, j) with i > j, ascending in (j, i): the transposes of the
+    strict upper pairs, in their order."""
+    return [(j, i) for i, j in liealg.strict_triangular(n).pairs]
 
 
 def generator_height(pair: Pair) -> int:
@@ -232,7 +233,7 @@ def coverma_character(
     if nilradical_side not in ("opposite", "same"):
         raise ValueError(f"nilradical_side must be 'opposite' or 'same', got {nilradical_side!r}")
     n = par.n
-    nil = par.nilradical("upper")
+    nil = par.nilradical()
     cross = [nil.weight(p) for p in nil.pairs]
     table = weights.multiset_character(cross, n, depth)
     sign = -1 if nilradical_side == "opposite" else 1

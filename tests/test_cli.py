@@ -140,6 +140,18 @@ def test_khovanov_unknown_word(capsys):
     assert cli.run(["khovanov", "--k", "2", "--word", "no_such_diagram"]) == 2
 
 
+def test_khovanov_word_directory_is_config_error(tmp_path, capsys):
+    assert cli.run(["khovanov", "--k", "2", "--word", str(tmp_path)]) == 2
+    assert "neither a file" in capsys.readouterr().err
+
+
+def test_khovanov_undecodable_word_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.sw"
+    path.write_bytes(b"x\xff\xfe")
+    assert cli.run(["khovanov", "--k", "2", "--word", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_khovanov_open_word_rejected(tmp_path, capsys):
     path = tmp_path / "open.sw"
     path.write_text("cup(1)\n")

@@ -169,7 +169,7 @@ def test_blocks_sweep_small():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_positive_roots_line_up_with_strict_upper_pairs(n):
     # The slice skeleton indexes roots and nilpotent basis pairs alike.
-    nilpotent = liealg.strict_triangular(n, "upper")
+    nilpotent = liealg.strict_triangular(n)
     assert weights.positive_roots(n) == [nilpotent.weight(p) for p in nilpotent.pairs]
 
 
@@ -181,7 +181,7 @@ def _alternating_sum_slice(module, mu_shifted):
     """
     n, field = module.n, module.field
     mu = weights.unshift(tuple(mu_shifted))
-    nilpotent = liealg.strict_triangular(n, "upper")
+    nilpotent = liealg.strict_triangular(n)
     pairs = list(nilpotent.pairs)
     r = len(pairs)
     bases, index, by_subset = [], [], []

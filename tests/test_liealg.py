@@ -38,9 +38,9 @@ def test_subalgebra_dims():
     assert liealg.gl(4).dim == 16
     assert liealg.borel(4).dim == 10
     assert liealg.strict_triangular(4).dim == 6
-    assert liealg.strict_triangular(4, side="lower").dim == 6
-    with pytest.raises(ValueError, match="side"):
-        liealg.strict_triangular(3, side="middle")
+    lower = liealg.strict_triangular(4).opposite()
+    assert lower.dim == 6
+    assert all(i > j for i, j in lower.pairs)
 
 
 def test_weight_of_basis_pair():
@@ -98,7 +98,7 @@ def test_parabolic_data_blocks():
     assert par.n == 4
     assert [par.block_of(i) for i in range(1, 5)] == [0, 0, 1, 2]
     assert par.nilradical().dim == 5
-    assert par.nilradical(side="lower").dim == 5
+    assert par.nilradical().opposite().dim == 5
     assert par.levi().dim == 6
     assert par.parabolic().dim == 11
     with pytest.raises(ValueError, match="positive"):
@@ -114,6 +114,93 @@ def test_parabolic_refinement():
     assert fine.refines(coarse)
     assert not mid.refines(fine)
     assert not liealg.ParabolicData((3, 1)).refines(mid)
+
+
+def _block_of_by_scan(blocks, i):
+    acc = 0
+    for b, size in enumerate(blocks):
+        acc += size
+        if i <= acc:
+            return b
+
+
+def _pairs_by_scan(blocks, keep):
+    n = sum(blocks)
+    return {
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if keep(_block_of_by_scan(blocks, i), _block_of_by_scan(blocks, j))
+    }
+
+
+def _refines_by_scan(fine, coarse):
+    if sum(fine) != sum(coarse):
+        return False
+    it = iter(fine)
+    for size in coarse:
+        acc = 0
+        while acc < size:
+            try:
+                acc += next(it)
+            except StopIteration:
+                return False
+        if acc != size:
+            return False
+    return True
+
+
+@st.composite
+def compositions(draw, max_n=6):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else set()
+    points = [0, *sorted(cuts), n]
+    return tuple(b - a for a, b in zip(points, points[1:]))
+
+
+@given(compositions())
+@settings(max_examples=150)
+def test_block_filter_matches_scanning_reference(blocks):
+    par = liealg.ParabolicData(blocks)
+    assert [par.block_of(i) for i in range(1, par.n + 1)] == [
+        _block_of_by_scan(blocks, i) for i in range(1, par.n + 1)
+    ]
+    for algebra, keep in (
+        (par.parabolic(), lambda a, b: a <= b),
+        (par.levi(), lambda a, b: a == b),
+        (par.nilradical(), lambda a, b: a < b),
+    ):
+        assert algebra.n == par.n
+        assert set(algebra.pairs) == _pairs_by_scan(blocks, keep)
+        opposite = algebra.opposite()
+        assert opposite.pairs == tuple(sorted((j, i) for i, j in algebra.pairs))
+        assert opposite.opposite() == algebra
+
+
+@given(compositions(), compositions())
+@settings(max_examples=300)
+def test_refines_matches_scanning_reference(a, b):
+    assert liealg.ParabolicData(a).refines(liealg.ParabolicData(b)) == _refines_by_scan(a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_standard_subalgebras_and_their_opposites(n):
+    everything = set(_pairs(n))
+    expected = {
+        liealg.gl: (everything, everything),
+        liealg.borel: (
+            {(i, j) for i, j in everything if i <= j},
+            {(i, j) for i, j in everything if i >= j},
+        ),
+        liealg.strict_triangular: (
+            {(i, j) for i, j in everything if i < j},
+            {(i, j) for i, j in everything if i > j},
+        ),
+    }
+    for build, (upper, lower) in expected.items():
+        algebra = build(n)
+        assert set(algebra.pairs) == upper
+        assert set(algebra.opposite().pairs) == lower
 
 
 def test_merge_adjacent():
