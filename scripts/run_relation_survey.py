@@ -2,11 +2,14 @@
 """Check every diagrammatic relation across a range of k, in all ambient
 signatures up to a length bound, and tabulate the placement counts.
 
+Exits 1 when a relation fails and 2 when the arguments admit no placement.
+
 Example:
     python3 scripts/run_relation_survey.py --kmax 4 --max-len 4
 """
 
 import argparse
+import sys
 import time
 
 from decatkit import functors
@@ -24,7 +27,11 @@ def main() -> int:
     for k in range(args.kmin, args.kmax + 1):
         for relation in functors.RELATION_IDS:
             started = time.monotonic()
-            reports = functors.verify_relation_everywhere(relation, k, args.max_len)
+            try:
+                reports = functors.verify_relation_everywhere(relation, k, args.max_len)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             ok = all(r.holds for r in reports)
             failures += 0 if ok else 1
             status = "ok" if ok else "FAIL"

@@ -42,7 +42,7 @@ import itertools
 import re
 
 from decatkit import functors
-from decatkit.exactlin import QQ, FiniteComplex, InvariantError, LaurentPoly, SparseMatrix
+from decatkit.exactlin import QQ, FiniteComplex, InvariantError, LaurentMatrix, SparseMatrix
 
 TOKEN_RE = re.compile(r"^(cup'|cup|cap'|cap|pos|neg)\((\d+)\)$")
 
@@ -154,7 +154,7 @@ def _token_moves(kind: str, i: int, k: int, bit: int | None):
     raise InvariantError(kind)
 
 
-def _apply_token(k: int, token: Token, bit: int | None, sig, mat: SparseMatrix):
+def _apply_token(k: int, token: Token, bit: int | None, sig, mat: LaurentMatrix):
     for move in _token_moves(*token, k, bit):
         mat, sig = functors.apply_move(k, sig, move, mat)
     return mat, sig
@@ -165,7 +165,7 @@ class Cube:
     """All resolutions of a slice word, with their Laurent matrix values."""
 
     word: SliceWord
-    values: dict[tuple[int, ...], SparseMatrix]
+    values: dict[tuple[int, ...], LaurentMatrix]
     final_sig: tuple[int, ...]
 
 
@@ -177,10 +177,10 @@ def build_cube(word: SliceWord | str, k: int | None = None) -> Cube:
     """
     word = _as_word(word, k)
     k = word.k
-    values: dict[tuple[int, ...], SparseMatrix] = {}
+    values: dict[tuple[int, ...], LaurentMatrix] = {}
     final_sigs: set[tuple[int, ...]] = set()
 
-    def rec(idx: int, mat: SparseMatrix, sig: tuple[int, ...], bits: tuple[int, ...]):
+    def rec(idx: int, mat: LaurentMatrix, sig: tuple[int, ...], bits: tuple[int, ...]):
         if idx == len(word.tokens):
             values[bits] = mat
             final_sigs.add(sig)
@@ -198,7 +198,7 @@ def build_cube(word: SliceWord | str, k: int | None = None) -> Cube:
     return Cube(word=word, values=values, final_sig=word.final_labels)
 
 
-def tangle_alternating_sum(word: SliceWord | str, k: int | None = None) -> tuple[SparseMatrix, tuple[int, ...]]:
+def tangle_alternating_sum(word: SliceWord | str, k: int | None = None) -> tuple[LaurentMatrix, tuple[int, ...]]:
     """Signed sum of the vertex values, as one product of transfer matrices.
 
     The sum over bit vectors b of (-1)^|b| M_c(b_c) ... M_1(b_1) equals
@@ -214,7 +214,7 @@ def tangle_alternating_sum(word: SliceWord | str, k: int | None = None) -> tuple
             # Both resolutions return to the (1, 1) labels of the crossing.
             m0, _ = _apply_token(k, token, 0, sig, mat)
             m1, sig = _apply_token(k, token, 1, sig, mat)
-            mat = m0 - m1
+            mat = m0 + m1.scaled(-1)
         else:
             mat, sig = _apply_token(k, token, None, sig, mat)
     if sig != word.final_labels:
@@ -234,7 +234,7 @@ def euler_invariant(word: SliceWord | str, k: int | None = None) -> int:
     if not word.closed:
         raise ValueError("diagram has open boundary; use tangle_alternating_sum for tangles")
     mat, _ = tangle_alternating_sum(word)
-    return mat.entries.get((0, 0), LaurentPoly.zero()).at_one()
+    return sum(c for (i, j, _), c in mat.terms.items() if i == j == 0)
 
 
 class _UnionFind(dict):

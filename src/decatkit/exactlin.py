@@ -7,7 +7,8 @@ Q) and one conversion `of`; all other arithmetic is plain Python `+` and `*`
 on exact numbers, with `of` applied once to each entry that is stored.
 Matrices are sparse (dict keyed by (row, col)) and vectors are columns, so a
 map C -> D is a matrix with D-many rows and C-many columns and composition is
-left multiplication.
+left multiplication. A `LaurentMatrix` is one dict of int coefficients keyed
+by (row, col, exponent of t), so a power of t is integer key arithmetic.
 
 All elimination goes through one kernel, `Echelon`: an incremental sparse
 row-echelon basis whose rows are indexed by their pivot column, so reducing a
@@ -97,7 +98,7 @@ class LaurentPoly:
 
     `terms` is a sorted tuple of (exponent, coefficient) pairs with nonzero
     coefficients; the zero polynomial has empty terms. t is the formal shift
-    variable: multiplying by t**m is `shifted(m)`.
+    variable; a matrix of these is a `LaurentMatrix`.
     """
 
     terms: tuple[tuple[int, int], ...] = ()
@@ -107,16 +108,8 @@ class LaurentPoly:
         return LaurentPoly(tuple(sorted((e, c) for e, c in coeffs.items() if c != 0)))
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly(((0, 1),))
-
-    @staticmethod
-    def t_power(m: int, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly(((m, coeff),) if coeff else ())
+    def t_power(m: int) -> "LaurentPoly":
+        return LaurentPoly(((m, 1),))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -129,17 +122,7 @@ class LaurentPoly:
             acc[e] = acc.get(e, 0) + c
         return LaurentPoly.from_dict(acc)
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly(tuple((e, c * other) for e, c in self.terms)) if other else LaurentPoly()
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         acc: dict[int, int] = {}
@@ -148,24 +131,6 @@ class LaurentPoly:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
         return LaurentPoly.from_dict(acc)
-
-    __rmul__ = __mul__
-
-    def shifted(self, m: int) -> "LaurentPoly":
-        return LaurentPoly(tuple((e + m, c) for e, c in self.terms))
-
-    def at_one(self) -> int:
-        return sum(c for _, c in self.terms)
-
-    def min_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return self.terms[0][0]
-
-    def max_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return self.terms[-1][0]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -186,15 +151,74 @@ def geometric_shift_sum(count: int, step: int = 2) -> LaurentPoly:
 
 
 @dataclasses.dataclass
+class LaurentMatrix:
+    """Matrix over the integer Laurent polynomials as graded terms: `terms`
+    maps (row, col, exp) to the nonzero int coefficient of t^exp in entry
+    (row, col). The constructor checks every position and coefficient; the
+    operations build through `from_sums`, which only drops zero sums.
+    """
+
+    nrows: int
+    ncols: int
+    terms: dict[tuple[int, int, int], int]
+
+    def __post_init__(self):
+        for (i, j, e), c in self.terms.items():
+            if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+                raise ValueError(f"term position ({i}, {j}) outside {self.nrows} x {self.ncols}")
+            if not c:
+                raise ValueError(f"zero coefficient of t^{e} at ({i}, {j})")
+
+    @classmethod
+    def from_sums(cls, nrows: int, ncols: int, sums: Mapping[tuple[int, int, int], int]) -> "LaurentMatrix":
+        """The terms of `sums` whose coefficient is nonzero; positions unchecked."""
+        mat = object.__new__(cls)
+        mat.nrows, mat.ncols = nrows, ncols
+        mat.terms = {key: c for key, c in sums.items() if c}
+        return mat
+
+    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} + {other.nrows}x{other.ncols}")
+        sums = dict(self.terms)
+        for key, c in other.terms.items():
+            sums[key] = sums.get(key, 0) + c
+        return LaurentMatrix.from_sums(self.nrows, self.ncols, sums)
+
+    def scaled(self, c: "int | LaurentPoly") -> "LaurentMatrix":
+        """Every entry times the int or Laurent polynomial c."""
+        poly = c.terms if isinstance(c, LaurentPoly) else ((0, c),)
+        sums: dict[tuple[int, int, int], int] = {}
+        for (i, j, e), u in self.terms.items():
+            for f, v in poly:
+                key = (i, j, e + f)
+                sums[key] = sums.get(key, 0) + u * v
+        return LaurentMatrix.from_sums(self.nrows, self.ncols, sums)
+
+    def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        if self.ncols != other.nrows:
+            raise ValueError(f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}")
+        by_row: dict[int, list[tuple[int, int, int]]] = {}
+        for (j, k, f), v in other.terms.items():
+            by_row.setdefault(j, []).append((k, f, v))
+        sums: dict[tuple[int, int, int], int] = {}
+        for (i, j, e), u in self.terms.items():
+            for k, f, v in by_row.get(j, ()):
+                key = (i, k, e + f)
+                sums[key] = sums.get(key, 0) + u * v
+        return LaurentMatrix.from_sums(self.nrows, other.ncols, sums)
+
+
+@dataclasses.dataclass
 class SparseMatrix:
-    """Sparse matrix; entries may be ints, Fractions, or LaurentPoly.
+    """Sparse matrix of exact scalars.
 
     Over Q the entries are ints wherever no division happened, and Fractions
     elsewhere; over F_p they are residues in [0, p).
 
     No stored zeros, no out-of-range indices, no duplicate positions; the
-    constructors enforce this. Entry values must support +, *, unary -, and
-    truthiness (zero is falsy), which holds for all three scalar types.
+    constructors enforce this. Entry values need + and * (by each other, and
+    by ints in `scaled`) and truthiness (zero is falsy).
     """
 
     nrows: int
@@ -221,10 +245,6 @@ class SparseMatrix:
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "SparseMatrix":
         return SparseMatrix(nrows, ncols, {})
-
-    @staticmethod
-    def identity(n: int, one=1) -> "SparseMatrix":
-        return SparseMatrix(n, n, {(i, i): one for i in range(n)})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -295,10 +315,6 @@ class SparseMatrix:
             if w:
                 out[pos] = w
         return SparseMatrix(self.nrows, self.ncols, out)
-
-    def at_one(self) -> "SparseMatrix":
-        """Evaluate LaurentPoly entries at t = 1, yielding an int matrix."""
-        return self.map_values(lambda v: v.at_one() if isinstance(v, LaurentPoly) else v)
 
     def columns(self) -> dict[int, dict[int, object]]:
         """The nonzero columns, {col: {row: value}}, grouped in one pass."""

@@ -9,13 +9,12 @@ row-major mixed radix (first block most significant).
 The local merge Lambda^a (x) Lambda^b -> Lambda^(a+b) sends e_S (x) e_T to 0
 when the subsets meet and to t^inv(S,T) e_(S u T) otherwise, where inv counts
 pairs (s, t) in S x T with s > t and t is the formal shift variable. Split is
-its transpose. The shifted merge divides by t^(2d) where d is the nilradical
-dimension lost by merging the two blocks (d = a_i * a_(i+1)); the exponent is
-computed from the block data, not hard-coded.
+its transpose.
 
-All five moves act locally through `apply_move`: it rewrites the digits of
-the replaced blocks in each row index and shifts by the local power of t,
-never forming the full matrix I (x) local (x) I.
+Matrices are `LaurentMatrix` graded terms {(row, col, exp): int}. Each move
+acts locally through `apply_move` as a key rewrite: the mixed-radix digit of
+the moved blocks changes in each row and the local exponent is added, with
+local images cached per (k, kind, parts); I (x) local (x) I is never formed.
 
 Words of moves are evaluated left to right (the first move acts first), so
 `evaluate` returns the product of the move matrices in reverse word order.
@@ -27,12 +26,12 @@ factor) at position i, del removes one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import re
 
-from decatkit import liealg
-from decatkit.exactlin import InvariantError, LaurentPoly, SparseMatrix, geometric_shift_sum
+from decatkit.exactlin import InvariantError, LaurentMatrix, LaurentPoly, geometric_shift_sum
 
 Sig = tuple[int, ...]
 Move = tuple
@@ -53,43 +52,30 @@ def sig_dim(k: int, sig: Sig) -> int:
     return math.prod(sig_dims(k, sig))
 
 
-def identity_matrix(k: int, sig: Sig) -> SparseMatrix:
-    return SparseMatrix.identity(sig_dim(k, sig), LaurentPoly.one())
+def identity_matrix(k: int, sig: Sig) -> LaurentMatrix:
+    n = sig_dim(k, sig)
+    return LaurentMatrix.from_sums(n, n, {(i, i, 0): 1 for i in range(n)})
 
 
 def _inv(s: tuple[int, ...], t: tuple[int, ...]) -> int:
     return sum(1 for x in s for y in t if x > y)
 
 
-def local_merge(k: int, a: int, b: int) -> SparseMatrix:
-    """Lambda^a (x) Lambda^b -> Lambda^(a+b) over LaurentPoly."""
+def local_merge(k: int, a: int, b: int) -> LaurentMatrix:
+    """Lambda^a (x) Lambda^b -> Lambda^(a+b); every entry is a power of t."""
     if a + b > k:
         raise ValueError(f"cannot merge weights {a} + {b} > {k}")
     rows = {s: i for i, s in enumerate(wedge_subsets(k, a + b))}
     lefts = wedge_subsets(k, a)
     rights = wedge_subsets(k, b)
-    entries = {}
+    terms = {}
     for i, s in enumerate(lefts):
         for j, t in enumerate(rights):
             if set(s) & set(t):
                 continue
             target = tuple(sorted(s + t))
-            entries[(rows[target], i * len(rights) + j)] = LaurentPoly.t_power(_inv(s, t))
-    return SparseMatrix(len(rows), len(lefts) * len(rights), entries)
-
-
-def merge_shift_exponent(sig: Sig, i: int) -> int:
-    """Nilradical dimension lost by merging blocks i, i+1 of the composition."""
-    finer = liealg.ParabolicData(sig)
-    coarser = finer.merge_adjacent(i - 1)
-    return liealg.nilradical_dim_difference(finer, coarser)
-
-
-def merge_matrix_shifted(k: int, sig: Sig, i: int) -> tuple[SparseMatrix, Sig]:
-    """Merge normalized by t^(-2d), d the nilradical dimension difference."""
-    mat, new_sig = move_matrix(k, sig, ("merge", i))
-    d = merge_shift_exponent(sig, i)
-    return mat.scaled(LaurentPoly.t_power(-2 * d)), new_sig
+            terms[(rows[target], i * len(rights) + j, _inv(s, t))] = 1
+    return LaurentMatrix(len(rows), len(lefts) * len(rights), terms)
 
 
 _MOVE_RE = re.compile(r"^(merge|split|shift|ins|del)\(([-0-9;,\s]*)\)$")
@@ -120,18 +106,29 @@ def parse_word(text: str) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-def _local_action(k: int, sig: Sig, move: Move) -> tuple[int, int, Sig, list]:
+@functools.cache
+def _local_images(k: int, kind: str, parts: tuple[int, int]) -> tuple:
+    """images[j]: the (local index, exponent of t) pairs that j is sent to."""
+    local = local_merge(k, *parts)
+    images = [[] for _ in range(local.ncols if kind == "merge" else local.nrows)]
+    for r, j, e in local.terms:
+        src, dst = (j, r) if kind == "merge" else (r, j)
+        images[src].append((dst, e))
+    return tuple(map(tuple, images))
+
+
+def _local_action(k: int, sig: Sig, move: Move) -> tuple[int, int, Sig, tuple]:
     """(pos, span, new_blocks, images): the move replaces blocks [pos, pos+span)
     of sig by new_blocks and sends local index j of the old blocks to t^e times
     local index r of the new ones for each (r, e) in images[j].
     """
     kind, i = move[0], move[1]
     if kind == "shift":
-        return 0, 0, (), [[(0, i)]]
+        return 0, 0, (), (((0, i),),)
     if kind == "ins":
         if not (1 <= i <= len(sig) + 1):
             raise ValueError(f"cannot insert at position {i} in signature {sig}")
-        return i - 1, 0, (k,), [[(0, 0)]]
+        return i - 1, 0, (k,), (((0, 0),),)
     if kind == "merge":
         if not (1 <= i < len(sig)):
             raise ValueError(f"no block pair at position {i} in signature {sig}")
@@ -142,26 +139,21 @@ def _local_action(k: int, sig: Sig, move: Move) -> tuple[int, int, Sig, list]:
         if kind == "del":
             if sig[i - 1] != k:
                 raise ValueError(f"block {i} has weight {sig[i - 1]}, not {k}")
-            return i - 1, 1, (), [[(0, 0)]]
+            return i - 1, 1, (), (((0, 0),),)
         parts = new_blocks = move[2]
         span = 1
         if sum(parts) != sig[i - 1] or min(parts) <= 0:
             raise ValueError(f"parts {parts} do not split block weight {sig[i - 1]}")
     else:
         raise ValueError(f"unknown move kind {kind!r}")
-    local = local_merge(k, *parts)
-    images = [[] for _ in range(local.ncols if kind == "merge" else local.nrows)]
-    for (r, j), v in local.entries.items():
-        src, dst = (j, r) if kind == "merge" else (r, j)
-        images[src].append((dst, v.min_degree()))
-    return i - 1, span, new_blocks, images
+    return i - 1, span, new_blocks, _local_images(k, kind, tuple(parts))
 
 
-def apply_move(k: int, sig: Sig, move: Move, mat: SparseMatrix) -> tuple[SparseMatrix, Sig]:
+def apply_move(k: int, sig: Sig, move: Move, mat: LaurentMatrix) -> tuple[LaurentMatrix, Sig]:
     """(move matrix @ mat, new signature) for a matrix whose rows index sig.
 
-    Only the mixed-radix digit of the moved blocks changes in each row index,
-    and each local entry is a power of t, so each product is a `shifted`.
+    Each local entry is a power of t, so a term of the product is a term of
+    mat with the moved blocks' digit of its row rewritten and t^e multiplied.
     """
     pos, span, new_blocks, images = _local_action(k, sig, move)
     dims = sig_dims(k, sig)
@@ -169,24 +161,22 @@ def apply_move(k: int, sig: Sig, move: Move, mat: SparseMatrix) -> tuple[SparseM
         raise ValueError(f"matrix has {mat.nrows} rows, but signature {sig} has dimension {math.prod(dims)}")
     right = math.prod(dims[pos + span :])
     new_mid = sig_dim(k, new_blocks)
-    entries: dict[tuple[int, int], LaurentPoly] = {}
-    for (row, col), v in mat.entries.items():
+    sums: dict[tuple[int, int, int], int] = {}
+    for (row, col, exp), c in mat.terms.items():
         head, low = divmod(row, right)
         high, mid = divmod(head, len(images))
         for r, e in images[mid]:
-            key = ((high * new_mid + r) * right + low, col)
-            w = v.shifted(e) if e else v
-            entries[key] = entries[key] + w if key in entries else w
+            key = ((high * new_mid + r) * right + low, col, exp + e)
+            sums[key] = sums.get(key, 0) + c
     nrows = mat.nrows // len(images) * new_mid
-    nonzero = {key: v for key, v in entries.items() if v}
-    return SparseMatrix(nrows, mat.ncols, nonzero), sig[:pos] + new_blocks + sig[pos + span :]
+    return LaurentMatrix.from_sums(nrows, mat.ncols, sums), sig[:pos] + new_blocks + sig[pos + span :]
 
 
-def move_matrix(k: int, sig: Sig, move: Move) -> tuple[SparseMatrix, Sig]:
+def move_matrix(k: int, sig: Sig, move: Move) -> tuple[LaurentMatrix, Sig]:
     return apply_move(k, sig, move, identity_matrix(k, sig))
 
 
-def evaluate(k: int, sig: Sig, moves) -> tuple[SparseMatrix, Sig]:
+def evaluate(k: int, sig: Sig, moves) -> tuple[LaurentMatrix, Sig]:
     """Apply the moves in word order (first move acts first) to the identity."""
     if isinstance(moves, str):
         moves = parse_word(moves)
@@ -207,14 +197,7 @@ class RelationReport:
     detail: dict
 
     def to_json(self) -> dict:
-        return {
-            "relation": self.relation,
-            "k": self.k,
-            "ambient": list(self.ambient),
-            "offset": self.offset,
-            "holds": self.holds,
-            "detail": self.detail,
-        }
+        return dataclasses.asdict(self)
 
 
 RELATION_IDS = ("R1", "R2", "R3", "R4", "R5", "L5")
@@ -238,11 +221,12 @@ def core_signature(relation: str, k: int) -> Sig:
 
 def ambient_signatures(relation: str, k: int, max_len: int = 4):
     """All signatures of length <= max_len containing the core contiguously,
-    padded by blocks with weights in 1..k. Yields (ambient, offset)."""
+    padded by blocks with weights in 1..k. Yields (ambient, offset); raises
+    ValueError when max_len is shorter than the core, so no sweep is empty."""
     core = core_signature(relation, k)
     budget = max_len - len(core)
     if budget < 0:
-        return
+        raise ValueError(f"max_len {max_len} is shorter than the {relation} core {core}")
     for left_len in range(budget + 1):
         for right_len in range(budget - left_len + 1):
             for left in itertools.product(range(1, k + 1), repeat=left_len):
@@ -265,7 +249,7 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
     ident = identity_matrix(k, ambient)
     detail: dict = {}
 
-    def loop(moves) -> SparseMatrix:
+    def loop(moves) -> LaurentMatrix:
         """Value of a word that must return to the ambient signature."""
         got, back = evaluate(k, ambient, moves)
         if back != ambient:

@@ -1,10 +1,18 @@
 """Command-line surface: exit codes, JSON document shape, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
 from decatkit import cli
+
+# sha256 of the `relations --k K --all` documents as the LaurentPoly-entry
+# functor layer wrote them; the flat graded terms must not change a byte.
+RELATIONS_ALL_SHA256 = {
+    2: "73235f530c5747c7855e97279e765a45518d5cd913c518e840e984e145578f22",
+    3: "15ffcbd83a91f878958e2f6d9b721ecb315256306904c566678e29cc6edb75b9",
+}
 
 
 def run_json(capsys, argv):
@@ -29,6 +37,13 @@ def test_relations_single_relation(capsys):
     assert doc["R4"] is True
     (report,) = doc["detail"]["R4"]
     assert report["detail"]["normalization_holding"] == [6]
+
+
+@pytest.mark.parametrize("k", sorted(RELATIONS_ALL_SHA256))
+def test_relations_all_documents_are_pinned(tmp_path, k):
+    out = tmp_path / "relations.json"
+    assert cli.run(["relations", "--k", str(k), "--all", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RELATIONS_ALL_SHA256[k]
 
 
 def test_relations_unknown_relation_is_config_error(capsys):

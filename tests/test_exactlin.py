@@ -19,6 +19,7 @@ from decatkit.exactlin import (
     ComplexError,
     Echelon,
     FiniteComplex,
+    LaurentMatrix,
     LaurentPoly,
     PrimeField,
     SparseMatrix,
@@ -59,22 +60,15 @@ def test_laurent_poly_arithmetic():
     q = LaurentPoly.t_power(-1)
     assert (p * q).terms == ((-1, 1), (1, 1))
     assert (p + p).terms == ((0, 2), (2, 2))
-    assert (p - p) == LaurentPoly.zero()
-    assert p.at_one() == 2
-    assert p.min_degree() == 0 and p.max_degree() == 2
-    assert p.shifted(3).terms == ((3, 1), (5, 1))
-
-
-def test_laurent_poly_zero_has_no_degree():
-    with pytest.raises(ValueError, match="no degree"):
-        LaurentPoly.zero().min_degree()
+    assert p + p * LaurentPoly.from_dict({0: -1}) == LaurentPoly()
+    assert (p * LaurentPoly.t_power(3)).terms == ((3, 1), (5, 1))
 
 
 def test_geometric_shift_sum():
-    assert geometric_shift_sum(1) == LaurentPoly.one()
+    assert geometric_shift_sum(1) == LaurentPoly.t_power(0)
     assert geometric_shift_sum(3).terms == ((0, 1), (2, 1), (4, 1))
     assert geometric_shift_sum(4, step=1).terms == ((0, 1), (1, 1), (2, 1), (3, 1))
-    assert geometric_shift_sum(0) == LaurentPoly.zero()
+    assert geometric_shift_sum(0) == LaurentPoly()
 
 
 def test_sparse_matrix_construction_guards():
@@ -88,7 +82,7 @@ def test_sparse_matrix_construction_guards():
 
 def test_sparse_matrix_algebra():
     m = SparseMatrix.from_triples(2, 2, [(0, 0, 1), (0, 1, 2), (1, 1, 3)])
-    ident = SparseMatrix.identity(2)
+    ident = SparseMatrix.from_triples(2, 2, [(0, 0, 1), (1, 1, 1)])
     assert m @ ident == m
     assert ident @ m == m
     assert m.transpose().transpose() == m
@@ -98,17 +92,53 @@ def test_sparse_matrix_algebra():
     assert m.columns() == {0: {0: 1}, 1: {0: 2, 1: 3}}
 
 
-def test_sparse_matrix_at_one_collapses_laurent_entries():
-    m = SparseMatrix(1, 1, {(0, 0): LaurentPoly.from_dict({0: 1, 2: 1})})
-    assert m.at_one().rows() is not None
-    assert dict(enumerate(m.at_one().columns()[0].values())) == {0: 2}
+def test_laurent_matrix_construction_guards():
+    with pytest.raises(ValueError, match="zero coefficient"):
+        LaurentMatrix(2, 2, {(0, 0, 3): 0})
+    with pytest.raises(ValueError, match="outside"):
+        LaurentMatrix(2, 2, {(0, 2, 0): 1})
+    with pytest.raises(ValueError, match="shape mismatch"):
+        LaurentMatrix(2, 2, {}) + LaurentMatrix(3, 3, {})
+    with pytest.raises(ValueError, match="cannot compose"):
+        LaurentMatrix(2, 2, {}) @ LaurentMatrix(3, 1, {})
+    assert LaurentMatrix.from_sums(1, 1, {(0, 0, 1): 0, (0, 0, 2): 5}).terms == {(0, 0, 2): 5}
+
+
+def _as_poly_matrix(m: LaurentMatrix) -> SparseMatrix:
+    """The same matrix with one LaurentPoly per nonzero entry."""
+    coeffs: dict = {}
+    for (i, j, e), c in m.terms.items():
+        coeffs.setdefault((i, j), {})[e] = c
+    return SparseMatrix(m.nrows, m.ncols, {pos: LaurentPoly.from_dict(d) for pos, d in coeffs.items()})
+
+
+def _laurent_matrices(nrows, ncols):
+    keys = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), st.integers(-3, 3))
+    terms = st.dictionaries(keys, st.integers(-2, 2).filter(bool), max_size=8)
+    return terms.map(lambda t: LaurentMatrix(nrows, ncols, t))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_laurent_matrix_algebra_matches_laurent_poly_entries(data):
+    n, m, l = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a, b = data.draw(_laurent_matrices(n, m)), data.draw(_laurent_matrices(n, m))
+    c = data.draw(_laurent_matrices(m, l))
+    coeffs = data.draw(st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=2))
+    poly = LaurentPoly.from_dict(coeffs)
+    assert _as_poly_matrix(a + b) == _as_poly_matrix(a) + _as_poly_matrix(b)
+    assert _as_poly_matrix(a.scaled(poly)) == _as_poly_matrix(a).scaled(poly)
+    assert _as_poly_matrix(a.scaled(-3)) == _as_poly_matrix(a).scaled(LaurentPoly.from_dict({0: -3}))
+    assert _as_poly_matrix(a @ c) == _as_poly_matrix(a) @ _as_poly_matrix(c)
+    assert (a + a.scaled(-1)).terms == {}
+    assert LaurentMatrix(n, n, {(i, i, 0): 1 for i in range(n)}) @ a == a
 
 
 def test_matrix_rank_known_values():
     m = SparseMatrix.from_triples(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 4)])
     assert matrix_rank(m, QQ) == 1
     assert matrix_rank(SparseMatrix.zeros(3, 5), QQ) == 0
-    assert matrix_rank(SparseMatrix.identity(4), PrimeField(5)) == 4
+    assert matrix_rank(SparseMatrix.from_triples(4, 4, [(i, i, 1) for i in range(4)]), PrimeField(5)) == 4
     # Rank can genuinely drop mod p.
     drop = SparseMatrix.from_triples(1, 1, [(0, 0, 5)])
     assert matrix_rank(drop, QQ) == 1
@@ -346,8 +376,8 @@ def test_finite_complex_accepts_exact_sequence():
 
 
 def test_finite_complex_rejects_nonzero_square():
-    d0 = SparseMatrix.identity(1)
-    d1 = SparseMatrix.identity(1)
+    d0 = SparseMatrix(1, 1, {(0, 0): 1})
+    d1 = SparseMatrix(1, 1, {(0, 0): 1})
     cx = FiniteComplex(QQ, (1, 1, 1), (d0, d1))
     with pytest.raises(ComplexError, match="differential squared"):
         cx.check_complex()

@@ -1,13 +1,45 @@
 """Merge/split Laurent matrices and the diagrammatic relations."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decatkit import functors
-from decatkit.exactlin import LaurentPoly, SparseMatrix, geometric_shift_sum
+from decatkit import functors, liealg
+from decatkit.exactlin import LaurentMatrix, LaurentPoly, SparseMatrix, geometric_shift_sum
 
 RELATIONS = ("R1", "R2", "R3", "R4", "R5", "L5")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _as_poly_matrix(m: LaurentMatrix) -> SparseMatrix:
+    """The same matrix with one LaurentPoly per nonzero entry."""
+    coeffs: dict = {}
+    for (i, j, e), c in m.terms.items():
+        coeffs.setdefault((i, j), {})[e] = c
+    return SparseMatrix(m.nrows, m.ncols, {pos: LaurentPoly.from_dict(d) for pos, d in coeffs.items()})
+
+
+def _poly_identity(n, one=LaurentPoly.t_power(0)):
+    return SparseMatrix(n, n, {(i, i): one for i in range(n)})
+
+
+def merge_shift_exponent(sig, i):
+    """Nilradical dimension lost by merging blocks i, i+1 of the composition."""
+    finer = liealg.ParabolicData(sig)
+    coarser = finer.merge_adjacent(i - 1)
+    return liealg.nilradical_dim_difference(finer, coarser)
+
+
+def merge_matrix_shifted(k, sig, i):
+    """Merge normalized by t^(-2d), d the nilradical dimension difference."""
+    mat, new_sig = functors.move_matrix(k, sig, ("merge", i))
+    d = merge_shift_exponent(sig, i)
+    return mat.scaled(LaurentPoly.t_power(-2 * d)), new_sig
 
 
 class TestBlocksAndBases:
@@ -34,10 +66,7 @@ class TestLocalMatrices:
         lm = functors.local_merge(2, 1, 1)
         assert (lm.nrows, lm.ncols) == (1, 4)
         # Nonzero only on disjoint subset pairs, exponent = inversion count.
-        assert lm.entries == {
-            (0, 1): LaurentPoly.from_dict({0: 1}),
-            (0, 2): LaurentPoly.from_dict({1: 1}),
-        }
+        assert lm.terms == {(0, 1, 0): 1, (0, 2, 1): 1}
 
     def test_local_merge_rejects_overflow(self):
         with pytest.raises(ValueError, match="cannot merge"):
@@ -53,22 +82,23 @@ class TestLocalMatrices:
             sm, down_sig = functors.move_matrix(k, sig, ("split", i, parts))
             mm, up_sig = functors.move_matrix(k, down_sig, ("merge", i))
             assert up_sig == sig
-            assert sm == mm.transpose()
+            assert (sm.nrows, sm.ncols) == (mm.ncols, mm.nrows)
+            assert sm.terms == {(j, i, e): c for (i, j, e), c in mm.terms.items()}
 
     def test_merge_then_split_is_geometric_sum(self):
         # Splitting a full block into (1,1) and merging back scales by the
         # two-step geometric sum; this is the k=2 circle value.
         mat, sig = functors.evaluate(2, (2,), "split(1;1,1) merge(1)")
         assert sig == (2,)
-        assert mat.entries == {(0, 0): geometric_shift_sum(2)}
+        assert _as_poly_matrix(mat).entries == {(0, 0): geometric_shift_sum(2)}
 
     def test_merge_shift_exponent_is_weight_product(self):
-        assert functors.merge_shift_exponent((1, 1), 1) == 1
-        assert functors.merge_shift_exponent((2, 3), 1) == 6
+        assert merge_shift_exponent((1, 1), 1) == 1
+        assert merge_shift_exponent((2, 3), 1) == 6
         # Normalized merge rescales by t^(-2d).
         mm, _ = functors.move_matrix(2, (1, 1), ("merge", 1))
-        shifted, _ = functors.merge_matrix_shifted(2, (1, 1), 1)
-        assert shifted == mm.map_values(lambda p: p.shifted(-2))
+        shifted, _ = merge_matrix_shifted(2, (1, 1), 1)
+        assert shifted == LaurentMatrix(1, 4, {(i, j, e - 2): c for (i, j, e), c in mm.terms.items()})
 
     def test_insert_delete_roundtrip(self):
         mat, sig = functors.evaluate(3, (1, 2), "ins(2) del(2)")
@@ -135,6 +165,20 @@ class TestRelations:
         assert ((1, 2), 0) in sigs
         assert ((1, 1, 2), 1) in sigs and ((2, 1, 2), 1) in sigs
 
+    def test_ambient_bound_shorter_than_core_is_rejected(self):
+        # No placement fits, so an empty sweep would pass vacuously.
+        with pytest.raises(ValueError, match="shorter than the R3 core"):
+            functors.verify_relation_everywhere("R3", 2, max_len=1)
+
+    def test_survey_script_rejects_bound_shorter_than_core(self):
+        script = ROOT / "scripts" / "run_relation_survey.py"
+        argv = [sys.executable, str(script), "--kmin", "2", "--kmax", "2", "--max-len", "1"]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 2
+        assert "shorter than the R3 core" in proc.stderr
+        assert "all relations exact" not in proc.stdout
+
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValueError, match="unknown relation"):
             functors.verify_relation("R9", 2)
@@ -155,9 +199,9 @@ def test_local_merge_entries_are_monomials(data):
     if a + b > k:
         return
     lm = functors.local_merge(k, a, b)
-    for poly in lm.entries.values():
-        assert len(poly.terms) == 1
-        degree, coeff = poly.terms[0]
+    positions = [(i, j) for i, j, _ in lm.terms]
+    assert len(positions) == len(set(positions))
+    for (_, _, degree), coeff in lm.terms.items():
         assert coeff == 1
         assert 0 <= degree <= a * b
 
@@ -165,43 +209,44 @@ def test_local_merge_entries_are_monomials(data):
 def _reference_move(k, sig, move):
     """The move as the full matrix I (x) local (x) I, built with kron."""
     kind, i = move[0], move[1]
-    one = LaurentPoly.one()
     if kind == "merge":
-        pos, span, local = i - 1, 2, functors.local_merge(k, sig[i - 1], sig[i])
+        pos, span, local = i - 1, 2, _as_poly_matrix(functors.local_merge(k, sig[i - 1], sig[i]))
     elif kind == "split":
-        pos, span, local = i - 1, 1, functors.local_merge(k, *move[2]).transpose()
+        pos, span, local = i - 1, 1, _as_poly_matrix(functors.local_merge(k, *move[2])).transpose()
     elif kind == "shift":
-        pos, span, local = 0, 0, SparseMatrix.identity(1, LaurentPoly.t_power(i))
+        pos, span, local = 0, 0, _poly_identity(1, LaurentPoly.t_power(i))
     else:
-        pos, span, local = i - 1, int(kind == "del"), SparseMatrix.identity(1, one)
-    left = SparseMatrix.identity(functors.sig_dim(k, sig[:pos]), one)
-    right = SparseMatrix.identity(functors.sig_dim(k, sig[pos + span :]), one)
+        pos, span, local = i - 1, int(kind == "del"), _poly_identity(1)
+    left = _poly_identity(functors.sig_dim(k, sig[:pos]))
+    right = _poly_identity(functors.sig_dim(k, sig[pos + span :]))
     return left.kron(local).kron(right)
+
+
+def _valid_moves(draw, k, sig, max_len=4):
+    moves = [("shift", draw(st.integers(min_value=-3, max_value=3)))]
+    if len(sig) < max_len:
+        moves += [("ins", i) for i in range(1, len(sig) + 2)]
+    moves += [("del", i) for i in range(1, len(sig) + 1) if sig[i - 1] == k]
+    moves += [("merge", i) for i in range(1, len(sig)) if sig[i - 1] + sig[i] <= k]
+    moves += [
+        ("split", i, (b, sig[i - 1] - b))
+        for i in range(1, len(sig) + 1)
+        for b in range(1, sig[i - 1])
+        if len(sig) < max_len
+    ]
+    return moves
 
 
 @st.composite
 def signature_move_matrix(draw):
     k = draw(st.integers(min_value=2, max_value=4))
     sig = tuple(draw(st.lists(st.integers(min_value=1, max_value=k), max_size=3)))
-    moves = [("shift", draw(st.integers(min_value=-3, max_value=3)))]
-    moves += [("ins", i) for i in range(1, len(sig) + 2)]
-    moves += [("del", i) for i in range(1, len(sig) + 1) if sig[i - 1] == k]
-    moves += [("merge", i) for i in range(1, len(sig)) if sig[i - 1] + sig[i] <= k]
-    moves += [
-        ("split", i, (b, sig[i - 1] - b)) for i in range(1, len(sig) + 1) for b in range(1, sig[i - 1])
-    ]
-    move = draw(st.sampled_from(moves))
+    move = draw(st.sampled_from(_valid_moves(draw, k, sig)))
     nrows = functors.sig_dim(k, sig)
     ncols = draw(st.integers(min_value=1, max_value=3))
-    poly = st.dictionaries(
-        st.integers(min_value=-3, max_value=3), st.integers(min_value=-2, max_value=2), max_size=2
-    ).map(LaurentPoly.from_dict)
-    cells = draw(
-        st.dictionaries(
-            st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), poly, max_size=12
-        )
-    )
-    return k, sig, move, SparseMatrix(nrows, ncols, {pos: v for pos, v in cells.items() if v})
+    keys = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), st.integers(-3, 3))
+    terms = draw(st.dictionaries(keys, st.integers(min_value=-2, max_value=2).filter(bool), max_size=12))
+    return k, sig, move, LaurentMatrix(nrows, ncols, terms)
 
 
 @given(signature_move_matrix())
@@ -209,10 +254,69 @@ def signature_move_matrix(draw):
 def test_apply_move_matches_kron_reference(data):
     k, sig, move, mat = data
     got, new_sig = functors.apply_move(k, sig, move, mat)
-    assert got == _reference_move(k, sig, move) @ mat
+    assert _as_poly_matrix(got) == _reference_move(k, sig, move) @ _as_poly_matrix(mat)
     assert functors.sig_dim(k, new_sig) == got.nrows
+    assert all(0 <= i < got.nrows and 0 <= j < got.ncols for i, j, _ in got.terms)
+    assert all(got.terms.values())
+
+
+def _poly_apply_move(k, sig, move, mat):
+    """apply_move on a SparseMatrix of LaurentPoly entries, kept as the
+    reference for the flat terms: the same row-digit rewrite, with each local
+    power of t multiplied into a polynomial entry."""
+    kind, i = move[0], move[1]
+    if kind in ("shift", "ins", "del"):
+        pos, span = (0, 0) if kind == "shift" else (i - 1, int(kind == "del"))
+        new_blocks = (k,) if kind == "ins" else ()
+        images = [[(0, LaurentPoly.t_power(i if kind == "shift" else 0))]]
+    else:
+        merge = kind == "merge"
+        pos, span = i - 1, 2 if merge else 1
+        parts = sig[i - 1 : i + 1] if merge else move[2]
+        new_blocks = (sum(parts),) if merge else parts
+        local = _as_poly_matrix(functors.local_merge(k, *parts))
+        images = [[] for _ in range(local.ncols if merge else local.nrows)]
+        for (r, j), v in local.entries.items():
+            src, dst = (j, r) if merge else (r, j)
+            images[src].append((dst, v))
+    right = functors.sig_dim(k, sig[pos + span :])
+    new_mid = functors.sig_dim(k, new_blocks)
+    entries = {}
+    for (row, col), v in mat.entries.items():
+        head, low = divmod(row, right)
+        high, mid = divmod(head, len(images))
+        for r, w in images[mid]:
+            key = ((high * new_mid + r) * right + low, col)
+            entries[key] = entries[key] + v * w if key in entries else v * w
+    nrows = mat.nrows // len(images) * new_mid
+    new_sig = sig[:pos] + new_blocks + sig[pos + span :]
+    return SparseMatrix(nrows, mat.ncols, {key: v for key, v in entries.items() if v}), new_sig
+
+
+@st.composite
+def move_words(draw):
+    k = draw(st.integers(min_value=2, max_value=4))
+    sig = tuple(draw(st.lists(st.integers(min_value=1, max_value=k), min_size=1, max_size=3)))
+    cur, word = sig, []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        move = draw(st.sampled_from(_valid_moves(draw, k, cur)))
+        word.append(move)
+        _, cur = functors.move_matrix(k, cur, move)
+    return k, sig, word
+
+
+@given(move_words())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_matches_laurent_poly_reference(data):
+    k, sig, word = data
+    got, got_sig = functors.evaluate(k, sig, word)
+    ref, ref_sig = _poly_identity(functors.sig_dim(k, sig)), sig
+    for move in word:
+        ref, ref_sig = _poly_apply_move(k, ref_sig, move, ref)
+    assert got_sig == ref_sig
+    assert _as_poly_matrix(got) == ref
 
 
 def test_apply_move_rejects_wrong_row_count():
     with pytest.raises(ValueError, match="dimension"):
-        functors.apply_move(2, (1, 1), ("merge", 1), SparseMatrix.identity(2, LaurentPoly.one()))
+        functors.apply_move(2, (1, 1), ("merge", 1), functors.identity_matrix(2, (1,)))
