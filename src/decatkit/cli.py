@@ -188,8 +188,9 @@ def _run_khovanov(args: argparse.Namespace) -> tuple[bool, dict]:
         "euler": euler,
     }
     ok = True
+    circles = cube.resolution_circles(word) if args.k == 2 else None
     if args.k == 2:
-        table = cube.khovanov_bigraded_k2(word, field)
+        table = cube.khovanov_bigraded_k2(word, field, circles)
         dims: dict[int, int] = {}
         for (h, _), dim in table.items():
             dims[h] = dims.get(h, 0) + dim
@@ -202,7 +203,7 @@ def _run_khovanov(args: argparse.Namespace) -> tuple[bool, dict]:
     if args.oracle:
         if args.k != 2:
             raise ConfigError("--oracle is only defined for k=2")
-        oracle = cube.oracle_euler_k2(word)
+        oracle = cube.oracle_euler_k2(word, circles)
         doc["oracle_euler"] = oracle
         doc["oracle_matches"] = oracle == euler
         ok = ok and doc["oracle_matches"]

@@ -1,7 +1,7 @@
 """Nilpotent cochain complexes in a fixed weight slice, and their shadows.
 
 For a gl_n weight module M (truncated highest-weight or finite-dimensional,
-anything exposing n, field, weight_index, action and action_columns), the
+anything exposing n, field, weight_index and column(pair, basis index)), the
 cochain space in degree j is spanned by xi_I tensor v where I is a j-subset
 of the positive roots, read off the strict upper pairs in lex order as their
 adjoint weights, and v a basis vector; the cochain's weight
@@ -15,8 +15,9 @@ All of that formula but the module depends on n alone: the root subsets
 with their weight offsets, each (j+1)-subset's signed action terms, and its
 contraction terms summed per j-subset. `_skeleton(n)` builds these once per
 n, on first use. `ce_slice` then only looks up one weight space per subset,
-skips subsets whose space is empty, and reads the action matrices through
-`action_columns`, grouped by column once per module.
+skips subsets whose space is empty, and reads raising columns through
+`module.column` only at basis vectors of those spaces; a truncated module
+builds each such column on first read, never a whole action matrix.
 
 Raising operators never increase depth, so on a depth-truncated module every
 slice complex with window depth >= ht(lambda - mu) is computed exactly.
@@ -131,7 +132,7 @@ def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
         bases.append(basis_j)
         starts.append(start)
 
-    action_cols = [module.action_columns(pair) for pair in pairs]
+    column = module.column
     mats = []
     for j in range(len(pairs)):
         entries: dict[tuple[int, int], object] = {}
@@ -143,7 +144,7 @@ def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
             for small, k, sign in action[j][t]:
                 col0 = starts[j][small]
                 for u, m in enumerate(members[j][small]):
-                    for m2, val in action_cols[k].get(m, {}).items():
+                    for m2, val in column(pairs[k], m).items():
                         row = slot.get(m2)
                         if row is None:
                             raise InvariantError("action term left the slice")
@@ -235,31 +236,35 @@ def verify_blocks_vanishing(
     over F_p, with the congruence and ordering flags used by the sweep.
 
     A prebuilt module (same n, b, p; any sufficient depth) can be passed to
-    share work across a sweep.
+    share work across a sweep. When a is not below b in the root order, no
+    cochain weight of the module meets the slice: the report is all zeros,
+    read off the root order without building a module or a slice.
     """
     a_shifted, b_shifted = tuple(a_shifted), tuple(b_shifted)
-    field = PrimeField(p)
-    drop = tuple(x - y for x, y in zip(b_shifted, a_shifted))
-    ht = weights.root_height(drop)
-    if module is None:
-        module = TruncatedVerma(n, b_shifted, max(ht or 0, 0), field)
-    else:
+    ht = weights.root_height(tuple(x - y for x, y in zip(b_shifted, a_shifted)))
+    if module is not None:
         if module.lam_shifted != b_shifted or module.field.p != p:
             raise ValueError("prebuilt module does not match (b, p)")
         if ht is not None and module.depth < ht:
             raise ValueError(f"prebuilt module depth {module.depth} < required {ht}")
-    sc = ce_slice(module, a_shifted)
-    hom = sc.homology_dims()
+    if ht is None:
+        dims = (0,) * (n * (n - 1) // 2 + 1)
+        hom = dict.fromkeys(range(len(dims)), 0)
+    else:
+        if module is None:
+            module = TruncatedVerma(n, b_shifted, ht, PrimeField(p))
+        sc = ce_slice(module, a_shifted)
+        dims, hom = sc.complex.dims, sc.homology_dims()
     return BlocksReport(
         n=n,
         p=p,
         a=a_shifted,
         b=b_shifted,
-        cochain_dims=sc.complex.dims,
+        cochain_dims=dims,
         homology=hom,
         nonvanishing=any(hom.values()),
         componentwise_leq=weights.componentwise_leq(a_shifted, b_shifted),
-        root_order_leq=weights.root_order_leq(a_shifted, b_shifted),
+        root_order_leq=ht is not None,
         block_congruent=weights.block_congruent(a_shifted, b_shifted, p),
     )
 
@@ -296,12 +301,8 @@ def blocks_sweep(n: int, p: int, max_entry: int) -> SweepReport:
     grid = list(itertools.product(range(max_entry + 1), repeat=n))
     reports: list[BlocksReport] = []
     for b in grid:
-        hts = [
-            weights.root_height(tuple(x - y for x, y in zip(b, a)))
-            for a in grid
-        ]
-        needed = max((h for h in hts if h is not None), default=0)
-        module = TruncatedVerma(n, b, needed, field)
+        hts = (weights.root_height(tuple(x - y for x, y in zip(b, a))) for a in grid)
+        module = TruncatedVerma(n, b, max(h for h in hts if h is not None), field)
         for a in grid:
             reports.append(verify_blocks_vanishing(n, a, b, p, module=module))
     nonvan = [r for r in reports if r.nonvanishing]

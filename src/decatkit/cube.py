@@ -327,7 +327,14 @@ def _resolution_circles(word: SliceWord, bits: tuple[int, ...]) -> list[frozense
     return [frozenset(g) for g in groups.values()]
 
 
-def khovanov_bigraded_k2(word: SliceWord | str, field=QQ) -> dict[tuple[int, int], int]:
+def resolution_circles(word: SliceWord) -> dict[tuple[int, ...], list[frozenset]]:
+    """Circles of every resolution, vertices in lexicographic order, each
+    vertex's circles sorted by their least segment."""
+    vertices = itertools.product((0, 1), repeat=word.n_crossings)
+    return {v: sorted(_resolution_circles(word, v), key=min) for v in vertices}
+
+
+def khovanov_bigraded_k2(word: SliceWord | str, field=QQ, circles=None) -> dict[tuple[int, int], int]:
     """Bigraded homology {(h, q): dim} of the k = 2 rank-one Frobenius cube.
 
     Vertex state spaces are tensor powers of the two-dimensional algebra
@@ -345,6 +352,7 @@ def khovanov_bigraded_k2(word: SliceWord | str, field=QQ) -> dict[tuple[int, int
     descending in odd h, which keeps the elimination of every d_h sparse.
     An edge that leaves its block raises `InvariantError`. The table is in
     Bar-Natan's normalization: (h - n_minus, q + n_plus - 2 n_minus).
+    `circles`, if given, is `resolution_circles(word)`.
     """
     if isinstance(word, str):
         word = parse_slice_word(word, 2)
@@ -353,8 +361,8 @@ def khovanov_bigraded_k2(word: SliceWord | str, field=QQ) -> dict[tuple[int, int
     if not word.closed:
         raise ValueError("diagram has open boundary")
     nc = word.n_crossings
-    vertices = list(itertools.product((0, 1), repeat=nc))
-    circles = {v: sorted(_resolution_circles(word, v), key=min) for v in vertices}
+    circles = resolution_circles(word) if circles is None else circles
+    vertices = list(circles)
 
     block_dims: dict[tuple[int, int], int] = {}
     index: dict[tuple[int, ...], list[int]] = {}
@@ -438,16 +446,16 @@ def khovanov_homology_k2(word: SliceWord | str, field=QQ) -> dict[int, int]:
     return dims
 
 
-def oracle_euler_k2(word: SliceWord | str) -> int:
-    """Euler number from circle counts; valid only at k = 2."""
+def oracle_euler_k2(word: SliceWord | str, circles=None) -> int:
+    """Euler number from circle counts; valid only at k = 2. `circles`, if
+    given, is `resolution_circles(word)`; only their counts are read."""
     if isinstance(word, str):
         word = parse_slice_word(word, 2)
     if word.k != 2:
         raise ValueError("circle counting only computes the k = 2 value")
     total = 0
-    for bits in itertools.product((0, 1), repeat=word.n_crossings):
-        count = len(_resolution_circles(word, bits))
-        total += (-1 if sum(bits) % 2 else 1) * (1 << count)
+    for bits, cs in (resolution_circles(word) if circles is None else circles).items():
+        total += (-1 if sum(bits) % 2 else 1) * (1 << len(cs))
     if word.n_negative % 2:
         total = -total
     return total

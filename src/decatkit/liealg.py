@@ -15,7 +15,6 @@ Lower variants are the `opposite()` of upper ones.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import itertools
 import math
@@ -102,12 +101,6 @@ class ParabolicData:
     def n(self) -> int:
         return sum(self.blocks)
 
-    def block_of(self, i: int) -> int:
-        """0-based block index containing the 1-based row/column i."""
-        if not (1 <= i <= self.n):
-            raise ValueError(f"index {i} outside 1..{self.n}")
-        return bisect.bisect_left(list(itertools.accumulate(self.blocks)), i)
-
     def _subalgebra(self, keep) -> RelationAlgebra:
         """Span of the e_ij with keep(block of i, block of j)."""
         block = [b for b, size in enumerate(self.blocks) for _ in range(size)]
@@ -128,13 +121,6 @@ class ParabolicData:
         cuts = set(itertools.accumulate(self.blocks))
         return self.n == other.n and cuts.issuperset(itertools.accumulate(other.blocks))
 
-    def merge_adjacent(self, j: int) -> "ParabolicData":
-        """Merge blocks j and j+1 (0-based)."""
-        if not (0 <= j < len(self.blocks) - 1):
-            raise ValueError(f"no adjacent pair at {j} in {self.blocks}")
-        merged = self.blocks[:j] + (self.blocks[j] + self.blocks[j + 1],) + self.blocks[j + 2 :]
-        return ParabolicData(merged)
-
 
 def gl(n: int) -> RelationAlgebra:
     return ParabolicData((n,)).levi()
@@ -146,16 +132,6 @@ def borel(n: int) -> RelationAlgebra:
 
 def strict_triangular(n: int) -> RelationAlgebra:
     return ParabolicData((1,) * n).nilradical()
-
-def nilradical_dim_difference(finer: ParabolicData, coarser: ParabolicData) -> int:
-    """dim of the finer nilradical minus dim of the coarser one.
-
-    Requires the first composition to refine the second; the difference is the
-    number of strictly-upper cross positions that become intra-block.
-    """
-    if not finer.refines(coarser):
-        raise ValueError(f"{finer.blocks} does not refine {coarser.blocks}")
-    return finer.nilradical().dim - coarser.nilradical().dim
 
 
 def _lyndon_multilinear(n: int) -> list[tuple[int, ...]]:

@@ -13,7 +13,9 @@ vector as e_g v_rest, with g the first generator of its monomial. Then
 e_x e_g v_rest is the monomial with one more x when x is lowering and
 x <= g, the weight times the vector when x is Cartan, and otherwise
 e_g (e_x v_rest) + [e_x, e_g] v_rest, where e_x and the bracket act on the
-shorter v_rest. Columns are memoized for the length of one `action` call.
+shorter v_rest. `action` memoizes columns for the length of one call;
+`column(x, col)`, which `ce_slice` reads, builds one column on first read
+and keeps its own memo for the module's lifetime, apart from `action`'s.
 A lowering e_x sends a monomial of depth d to depth d + ht(x), so its column
 leaves the window exactly when d + ht(x) > D; each such column is recorded
 in `truncation_losses` and not computed. Raising and Cartan operators never
@@ -50,7 +52,7 @@ def generator_height(pair: Pair) -> int:
 
 
 class _WeightModule:
-    """Weight-space bookkeeping and column reads shared by both module kinds."""
+    """Weight-space bookkeeping shared by both module kinds."""
 
     @property
     def dim(self) -> int:
@@ -59,13 +61,6 @@ class _WeightModule:
     def weight_dims(self) -> CharacterTable:
         """Dimension of each weight space, keyed by shifted weight."""
         return {weights.shift(w): len(idx) for w, idx in self.weight_index.items()}
-
-    def action_columns(self, pair: Pair) -> dict[int, dict[int, object]]:
-        """`action(pair).columns()`, grouped once per pair and kept."""
-        cols = self._columns.get(pair)
-        if cols is None:
-            cols = self._columns[pair] = self.action(pair).columns()
-        return cols
 
 
 class TruncatedVerma(_WeightModule):
@@ -94,6 +89,7 @@ class TruncatedVerma(_WeightModule):
         self.truncation_losses: list[tuple[Pair, int]] = []
         self._action_cache: dict[Pair, SparseMatrix] = {}
         self._columns: dict[Pair, dict[int, dict[int, object]]] = {}
+        self._column_store: dict[Pair, dict[int, dict[int, int]]] = {}
 
     def _enumerate_basis(self) -> list[tuple[int, ...]]:
         monos: list[tuple[int, ...]] = []
@@ -139,6 +135,16 @@ class TruncatedVerma(_WeightModule):
         mat = SparseMatrix.from_triples(self.dim, self.dim, triples)
         self._action_cache[pair] = mat
         return mat
+
+    def column(self, pair: Pair, col: int) -> dict[int, object]:
+        """Column `col` of `action(pair)` as {row: nonzero value}, built on first read."""
+        done = self._columns.setdefault(pair, {})
+        if col not in done:
+            if self.monomial_depth(self.basis[col]) + generator_height(pair) > self.depth:
+                raise ValueError(f"e_{pair} moves basis vector {col} out of the depth window")
+            ints = self._column(self._column_store, pair, col)
+            done[col] = {row: v for row, c in ints.items() if (v := self.field.of(c))}
+        return done[col]
 
     def _column(self, store, x: Pair, col: int) -> dict[int, int]:
         """e_x times basis vector `col`, as {basis index: int coefficient},
@@ -322,6 +328,12 @@ class FiniteWeightModule(_WeightModule):
             raise KeyError(f"no action stored for {pair}")
         return self.actions[pair]
 
+    def column(self, pair: Pair, col: int) -> dict[int, object]:
+        """Column `col` of the stored matrix, grouped once per pair."""
+        if pair not in self._columns:
+            self._columns[pair] = self.action(pair).columns()
+        return self._columns[pair].get(col, {})
+
 
 def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeightModule:
     """The finite-dimensional simple quotient of the highest-weight module.
@@ -342,7 +354,8 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
     verma = TruncatedVerma(n, lam_shifted, depth, field)
 
     simple_raisings = [(i, i + 1) for i in range(1, n)]
-    raising_cols = [verma.action_columns(g) for g in simple_raisings]
+    raising_cols = [verma.action(g).columns() for g in simple_raisings]
+    lowering_cols = [verma.action(g).columns() for g in verma.gens_low]
 
     spans: dict[weights.Weight, Echelon] = {}
 
@@ -367,8 +380,7 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
         w, vec = queue.pop()
         if not spans.setdefault(w, Echelon(field)).insert(vec):
             continue
-        for g in verma.gens_low:
-            cols = verma.action_columns(g)
+        for cols in lowering_cols:
             acc: dict[int, object] = {}
             for idx, c in vec.items():
                 for row_idx, v in cols.get(idx, {}).items():

@@ -1,17 +1,25 @@
 """Command-line surface: exit codes, JSON document shape, determinism."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from decatkit import cli
+from decatkit import cli, cohomology, cube
 
 # sha256 of the `relations --k K --all` documents as the LaurentPoly-entry
 # functor layer wrote them; the flat graded terms must not change a byte.
 RELATIONS_ALL_SHA256 = {
     2: "73235f530c5747c7855e97279e765a45518d5cd913c518e840e984e145578f22",
     3: "15ffcbd83a91f878958e2f6d9b721ecb315256306904c566678e29cc6edb75b9",
+}
+
+# sha256 of `blocks` sweep documents as written when every pair ran a full
+# slice and every module built whole action matrices.
+BLOCKS_SHA256 = {
+    (3, 31): "bfd4f744cb993e0be4e5198b82f156264646b1222505e72e4277a2adbc09280c",
+    (4, 37): "af7a7d06fe58a249d7f8d4947b45f2e5e6c1d4e7d1535732fa24d823dfb20d21",
 }
 
 
@@ -44,6 +52,13 @@ def test_relations_all_documents_are_pinned(tmp_path, k):
     out = tmp_path / "relations.json"
     assert cli.run(["relations", "--k", str(k), "--all", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RELATIONS_ALL_SHA256[k]
+
+
+@pytest.mark.parametrize("n,p", sorted(BLOCKS_SHA256))
+def test_blocks_sweep_documents_are_pinned(tmp_path, n, p):
+    out = tmp_path / "blocks.json"
+    assert cli.run(["blocks", "--n", str(n), "--p", str(p), "--max", "2", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BLOCKS_SHA256[n, p]
 
 
 def test_relations_unknown_relation_is_config_error(capsys):
@@ -130,6 +145,33 @@ def test_khovanov_trefoil_with_oracle(capsys):
     assert doc["dims"] == [2, 0, 1, 1]
     assert doc["min_degree"] == 0
     assert doc["oracle_matches"] is True
+
+
+def test_khovanov_oracle_shares_resolution_circles(capsys, monkeypatch):
+    # Homology and oracle read one set of circles: 2^c resolutions, not 2 * 2^c.
+    calls = []
+    original = cube._resolution_circles
+
+    def counting(word, bits):
+        calls.append(bits)
+        return original(word, bits)
+
+    monkeypatch.setattr(cube, "_resolution_circles", counting)
+    code, doc = run_json(capsys, ["khovanov", "--k", "2", "--word", "trefoil", "--oracle"])
+    assert code == 0 and doc["oracle_matches"] is True
+    assert sorted(calls) == sorted(itertools.product((0, 1), repeat=3))
+
+
+def test_blocks_pair_outside_root_cone_builds_no_module(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair outside the root cone built a module")
+
+    monkeypatch.setattr(cohomology, "TruncatedVerma", refuse)
+    code, doc = run_json(capsys, ["blocks", "--n", "2", "--p", "31", "--a", "1,0", "--b", "0,1"])
+    assert code == 0
+    report = doc["report"]
+    assert report["cochain_dims"] == [0, 0] and report["dims"] == [0, 0]
+    assert report["vanishes"] is True and report["root_order_leq"] is False
 
 
 def test_khovanov_k3_has_no_homology_block(capsys):

@@ -269,8 +269,14 @@ def test_ce_slice_matches_alternating_sum_on_gl4_blocks_pairs():
 
 
 def test_ce_slice_makes_no_bracket_call_once_skeleton_and_columns_exist(monkeypatch):
+    # A slice builds only the raising columns of its own weight spaces, so
+    # warming (3, 2, 1) leaves columns of (2, 2, 2) unbuilt; once every
+    # raising column exists, no slice needs a bracket.
     module = verma.TruncatedVerma(3, (4, 2, 0), 4, PrimeField(31))
     first = cohomology.ce_slice(module, (3, 2, 1))
+    for pair in liealg.strict_triangular(3).pairs:
+        for col in range(module.dim):
+            module.column(pair, col)
     calls = []
     original = liealg.RelationAlgebra.bracket
 
@@ -282,3 +288,40 @@ def test_ce_slice_makes_no_bracket_call_once_skeleton_and_columns_exist(monkeypa
     assert cohomology.ce_slice(module, (3, 2, 1)).bases == first.bases
     cohomology.ce_slice(module, (2, 2, 2))
     assert calls == []
+
+
+def _direct_report(n, a, b, p, depth):
+    sl = cohomology.ce_slice(verma.TruncatedVerma(n, b, depth, PrimeField(p)), a)
+    return sl.complex.dims, sl.homology_dims()
+
+
+@pytest.mark.parametrize("n,max_entry", [(2, 3), (3, 2)])
+def test_blocks_sweep_reports_equal_direct_slices(n, max_entry):
+    grid = list(itertools.product(range(max_entry + 1), repeat=n))
+    sweep = cohomology.blocks_sweep(n, 31, max_entry)
+    assert len(sweep.reports) == len(grid) ** 2
+    outside = 0
+    for rep in sweep.reports:
+        ht = weights.root_height(tuple(x - y for x, y in zip(rep.b, rep.a)))
+        outside += ht is None
+        # Outside the root cone any window is exact; take a deep one.
+        depth = ht if ht is not None else max_entry * n
+        assert (rep.cochain_dims, rep.homology) == _direct_report(n, rep.a, rep.b, 31, depth)
+    assert outside > len(sweep.reports) // 2
+
+
+def test_blocks_pairs_outside_root_cone_build_no_slice(monkeypatch):
+    grid = list(itertools.product(range(3), repeat=4))
+    outside = [(a, b) for a in grid for b in grid if not weights.root_order_leq(a, b)]
+    pairs = random.Random(10).sample(outside, 20)
+    expected = {(a, b): _direct_report(4, a, b, 37, 4) for a, b in pairs}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair outside the root cone built a module or a slice")
+
+    monkeypatch.setattr(cohomology, "ce_slice", refuse)
+    monkeypatch.setattr(cohomology, "TruncatedVerma", refuse)
+    for a, b in pairs:
+        rep = cohomology.verify_blocks_vanishing(4, a, b, 37)
+        assert (rep.cochain_dims, rep.homology) == expected[a, b]
+        assert rep.cochain_dims == (0,) * 7 and not rep.nonvanishing and not rep.root_order_leq

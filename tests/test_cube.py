@@ -158,6 +158,15 @@ def test_frobenius_oracle_agrees_with_functor_euler(name):
     assert cube.oracle_euler_k2(word) == CATALOGUE[name][0]
 
 
+@pytest.mark.parametrize("name", ["trefoil", "figure_eight", "torus_2_6"])
+def test_oracle_and_homology_read_shared_circles(name):
+    word = cube.parse_slice_word(cube.DIAGRAMS[name], 2)
+    circles = cube.resolution_circles(word)
+    assert list(circles) == list(itertools.product((0, 1), repeat=word.n_crossings))
+    assert cube.oracle_euler_k2(word, circles) == cube.oracle_euler_k2(word) == CATALOGUE[name][0]
+    assert cube.khovanov_bigraded_k2(word, QQ, circles) == cube.khovanov_bigraded_k2(word, QQ)
+
+
 def test_oracle_requires_k2():
     with pytest.raises(ValueError, match="k = 2"):
         cube.oracle_euler_k2(cube.parse_slice_word(cube.DIAGRAMS["unknot"], 3))

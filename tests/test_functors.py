@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from decatkit import functors, liealg
 from decatkit.exactlin import LaurentMatrix, LaurentPoly, SparseMatrix, geometric_shift_sum
+from parabolic_helpers import merge_adjacent, nilradical_dim_difference
 
 RELATIONS = ("R1", "R2", "R3", "R4", "R5", "L5")
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -31,8 +32,8 @@ def _poly_identity(n, one=LaurentPoly.t_power(0)):
 def merge_shift_exponent(sig, i):
     """Nilradical dimension lost by merging blocks i, i+1 of the composition."""
     finer = liealg.ParabolicData(sig)
-    coarser = finer.merge_adjacent(i - 1)
-    return liealg.nilradical_dim_difference(finer, coarser)
+    coarser = merge_adjacent(finer, i - 1)
+    return nilradical_dim_difference(finer, coarser)
 
 
 def merge_matrix_shifted(k, sig, i):

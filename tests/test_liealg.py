@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from decatkit import liealg
 from decatkit.exactlin import PrimeField
+from parabolic_helpers import block_of, merge_adjacent, nilradical_dim_difference
 
 
 def _pairs(n):
@@ -96,7 +97,7 @@ def test_bracket_weight_additivity(a, b):
 def test_parabolic_data_blocks():
     par = liealg.ParabolicData((2, 1, 1))
     assert par.n == 4
-    assert [par.block_of(i) for i in range(1, 5)] == [0, 0, 1, 2]
+    assert [block_of(par, i) for i in range(1, 5)] == [0, 0, 1, 2]
     assert par.nilradical().dim == 5
     assert par.nilradical().opposite().dim == 5
     assert par.levi().dim == 6
@@ -162,7 +163,7 @@ def compositions(draw, max_n=6):
 @settings(max_examples=150)
 def test_block_filter_matches_scanning_reference(blocks):
     par = liealg.ParabolicData(blocks)
-    assert [par.block_of(i) for i in range(1, par.n + 1)] == [
+    assert [block_of(par, i) for i in range(1, par.n + 1)] == [
         _block_of_by_scan(blocks, i) for i in range(1, par.n + 1)
     ]
     for algebra, keep in (
@@ -205,21 +206,21 @@ def test_standard_subalgebras_and_their_opposites(n):
 
 def test_merge_adjacent():
     par = liealg.ParabolicData((2, 1, 1))
-    assert par.merge_adjacent(0).blocks == (3, 1)
-    assert par.merge_adjacent(1).blocks == (2, 2)
+    assert merge_adjacent(par, 0).blocks == (3, 1)
+    assert merge_adjacent(par, 1).blocks == (2, 2)
     with pytest.raises(ValueError, match="no adjacent pair"):
-        par.merge_adjacent(2)
+        merge_adjacent(par, 2)
 
 
 def test_nilradical_dim_difference_counts_cross_positions():
     # Merging adjacent blocks of sizes a and b absorbs an a*b rectangle.
     for blocks, j in (((2, 2), 0), ((1, 3), 0), ((2, 1, 2), 1)):
         par = liealg.ParabolicData(blocks)
-        merged = par.merge_adjacent(j)
+        merged = merge_adjacent(par, j)
         expected = blocks[j] * blocks[j + 1]
-        assert liealg.nilradical_dim_difference(par, merged) == expected
+        assert nilradical_dim_difference(par, merged) == expected
     with pytest.raises(ValueError, match="does not refine"):
-        liealg.nilradical_dim_difference(
+        nilradical_dim_difference(
             liealg.ParabolicData((3, 1)), liealg.ParabolicData((2, 2))
         )
 

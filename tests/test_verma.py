@@ -258,3 +258,49 @@ def test_action_matches_bubble_normal_ordering(lam, depth, field):
         assert module.action(pair) == expected, pair
         losses += lost
     assert module.truncation_losses == losses
+
+
+@pytest.mark.parametrize("lam,depth", [((4, 2, 0), 6), ((7, 1, 0), 5), ((3, 2, 1, 0), 5), ((6, 1, 3, 0), 4)])
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_column_on_demand_matches_action_columns(lam, depth, field):
+    n = len(lam)
+    module = verma.TruncatedVerma(n, lam, depth, field)
+    reference = verma.TruncatedVerma(n, lam, depth, field)
+    pairs = [(i, j) for i, j in liealg.gl(n).pairs if i <= j]
+    for pair in pairs:
+        for col in reversed(range(module.dim)):
+            module.column(pair, col)
+    # The column memo is the module's own: it builds no action matrix.
+    assert module._action_cache == {} and module.truncation_losses == []
+    for pair in pairs:
+        cols = reference.action(pair).columns()
+        assert {col: module.column(pair, col) for col in range(module.dim) if module.column(pair, col)} == cols
+
+
+def test_column_on_demand_covers_entries_that_vanish_mod_p():
+    # Over Q these raising columns carry multiples of 5, which F_5 must drop
+    # exactly as `action` does.
+    for lam, depth in (((7, 1, 0), 5), ((6, 1, 3, 0), 4)):
+        n = len(lam)
+        rational = verma.TruncatedVerma(n, lam, depth)
+        mod5 = verma.TruncatedVerma(n, lam, depth, PrimeField(5))
+        vanishing = [
+            (pair, col, row)
+            for pair in liealg.strict_triangular(n).pairs
+            for col in range(rational.dim)
+            for row, v in rational.column(pair, col).items()
+            if v % 5 == 0
+        ]
+        assert vanishing
+        for pair, col, row in vanishing:
+            assert row not in mod5.column(pair, col)
+            assert row not in mod5.action(pair).columns().get(col, {})
+
+
+def test_column_on_demand_refuses_to_leave_the_window():
+    module = verma.TruncatedVerma(3, (4, 2, 0), 2)
+    top = module.dim - 1
+    assert module.monomial_depth(module.basis[top]) == 2
+    with pytest.raises(ValueError, match="out of the depth window"):
+        module.column((3, 1), top)
+    assert module.column((2, 1), 0) == module.action((2, 1)).columns()[0]
