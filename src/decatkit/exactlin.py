@@ -15,8 +15,7 @@ row-echelon basis whose rows are indexed by their pivot column, so reducing a
 vector visits only the pivots it touches. Over Q its rows are primitive
 integer vectors, so no fraction arithmetic happens while eliminating; over
 F_p they are residue rows with pivot 1. `matrix_rank` inserts the rows of a
-matrix and `nullspace` reduces its tagged columns; the simple-quotient
-construction in `verma` keeps one `Echelon` per weight space.
+matrix and `nullspace` reduces its tagged columns.
 """
 
 from __future__ import annotations

@@ -116,11 +116,6 @@ class ParabolicData:
     def nilradical(self) -> RelationAlgebra:
         return self._subalgebra(operator.lt)
 
-    def refines(self, other: "ParabolicData") -> bool:
-        """True when every cut point (partial sum) of `other` is one of ours."""
-        cuts = set(itertools.accumulate(self.blocks))
-        return self.n == other.n and cuts.issuperset(itertools.accumulate(other.blocks))
-
 
 def gl(n: int) -> RelationAlgebra:
     return ParabolicData((n,)).levi()

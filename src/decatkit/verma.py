@@ -21,19 +21,32 @@ leaves the window exactly when d + ht(x) > D; each such column is recorded
 in `truncation_losses` and not computed. Raising and Cartan operators never
 increase depth, so their matrices are exact on the window.
 
-`simple_quotient` builds the finite-dimensional quotient by the submodule
-generated by all singular vectors (vectors killed by every simple raising
-operator); within the depth window the lowering closure of those vectors is
-exact because depth only grows along a lowering monomial.
+`simple_quotient` builds the finite-dimensional simple module L(lambda)
+directly on Gelfand-Tsetlin patterns (Molev, arXiv math/0211289, Thm. 2.3),
+with no Verma window. A pattern has rows lambda_k1 >= ... >= lambda_kk for
+k = 1..n, top row the unshifted lambda, each row between the one above it:
+lambda_k,i >= lambda_k-1,i >= lambda_k,i+1. Its weight has component k equal
+to the sum of row k minus the sum of row k - 1. With l_ki = lambda_ki - i + 1,
+E_kk is diagonal and E_k,k+1 (E_k+1,k) moves one entry of row k up (down) by
+one, with coefficient
+  E_k,k+1: -prod_{j<=k+1} (l_ki - l_k+1,j) / prod_{j!=i} (l_ki - l_kj),
+  E_k+1,k:  prod_{j<=k-1} (l_ki - l_k-1,j) / prod_{j!=i} (l_ki - l_kj);
+a term whose pattern breaks betweenness is dropped. Every other generator is
+a commutator, E_ij = [E_i,j-1, E_j-1,j] and E_ji = [E_j,j-1, E_j-1,i]. Over
+F_p each denominator is a nonzero integer of size at most lam'_1 - lam'_n
+(lam' shifted), so primes above that spread (the large-prime hypothesis, the
+lowest alcove) are required, and below it the construction refuses.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 from fractions import Fraction
 
 from decatkit import liealg, weights
-from decatkit.exactlin import QQ, Echelon, InvariantError, PrimeField, SparseMatrix, matrix_rank, nullspace
+from decatkit.exactlin import QQ, InvariantError, PrimeField, SparseMatrix, matrix_rank
 
 Pair = tuple[int, int]
 CharacterTable = dict[weights.Weight, int]
@@ -336,78 +349,61 @@ class FiniteWeightModule(_WeightModule):
 
 
 def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeightModule:
-    """The finite-dimensional simple quotient of the highest-weight module.
+    """The finite-dimensional simple module L(lambda), on Gelfand-Tsetlin patterns.
 
-    Requires a strictly decreasing shifted weight (regular dominant). Builds
-    the depth window down to the lowest weight, finds all singular vectors
-    (common kernel of the simple raising operators below the top), closes
-    them under lowering operators, and quotients.
+    Requires a strictly decreasing shifted weight (regular dominant), and
+    over F_p a prime above its spread lam'_1 - lam'_n: the large-prime
+    hypothesis, under which no pattern denominator vanishes mod p and the
+    module is simple. The basis and the action are those of the module
+    docstring; every coefficient is an exact Fraction until one `field.of`.
     """
     lam_shifted = tuple(lam_shifted)
     if list(lam_shifted) != sorted(lam_shifted, reverse=True) or len(set(lam_shifted)) != n:
         raise ValueError(f"shifted weight {lam_shifted} must be strictly decreasing")
-    lowest = tuple(sorted(lam_shifted))
-    drop = tuple(a - b for a, b in zip(lam_shifted, lowest))
-    depth = weights.root_height(drop)
-    if depth is None:
-        raise InvariantError(f"lowest weight {lowest} is not below {lam_shifted}")
-    verma = TruncatedVerma(n, lam_shifted, depth, field)
+    spread = lam_shifted[0] - lam_shifted[-1]
+    if field.p is not None and field.p <= spread:
+        raise ValueError(
+            f"large-prime hypothesis fails: p = {field.p} is not above the spread {spread} "
+            f"of {lam_shifted}, so a Gelfand-Tsetlin denominator may vanish mod p"
+        )
+    # Each pattern is its rows, shortest first; the last row is lambda.
+    patterns = [(weights.unshift(lam_shifted),)]
+    for _ in range(n - 1):
+        patterns = [
+            (below,) + pat
+            for pat in patterns
+            for below in itertools.product(*(range(b, a + 1) for a, b in itertools.pairwise(pat[0])))
+        ]
+    dim = len(patterns)
+    index = {pat: c for c, pat in enumerate(patterns)}
+    basis_weight = tuple(tuple(b - a for a, b in itertools.pairwise([0, *map(sum, pat)])) for pat in patterns)
 
-    simple_raisings = [(i, i + 1) for i in range(1, n)]
-    raising_cols = [verma.action(g).columns() for g in simple_raisings]
-    lowering_cols = [verma.action(g).columns() for g in verma.gens_low]
+    def moved(pat, k, i, step):
+        row = pat[k - 1]
+        return pat[: k - 1] + (row[:i] + (row[i] + step,) + row[i + 1 :],) + pat[k:]
 
-    spans: dict[weights.Weight, Echelon] = {}
-
-    queue: list[tuple[weights.Weight, dict[int, object]]] = []
-    for w, members in verma.weight_index.items():
-        if w == verma.lam:
-            continue
-        rows = []
-        row_offset = 0
-        for cols in raising_cols:
-            for k, col in enumerate(members):
-                for row_idx, v in cols.get(col, {}).items():
-                    rows.append((row_offset + row_idx, k, v))
-            row_offset += verma.dim
-        stacked = SparseMatrix.from_triples(row_offset, len(members), rows)
-        for kernel_vec in nullspace(stacked, field):
-            vec = {members[k]: v for k, v in enumerate(kernel_vec) if v}
-            if vec:
-                queue.append((w, vec))
-
-    while queue:
-        w, vec = queue.pop()
-        if not spans.setdefault(w, Echelon(field)).insert(vec):
-            continue
-        for cols in lowering_cols:
-            acc: dict[int, object] = {}
-            for idx, c in vec.items():
-                for row_idx, v in cols.get(idx, {}).items():
-                    acc[row_idx] = acc.get(row_idx, 0) + c * v
-            img = {row_idx: x for row_idx, v in acc.items() if (x := field.of(v))}
-            if img:
-                any_idx = next(iter(img))
-                queue.append((verma.basis_weight[any_idx], img))
-
-    pivots = {pivot for span in spans.values() for pivot in span.rows}
-    kept = [k for k in range(verma.dim) if k not in pivots]
-    new_index = {old: new for new, old in enumerate(kept)}
-    basis_weight = tuple(verma.basis_weight[k] for k in kept)
-
-    actions: dict[Pair, SparseMatrix] = {}
-    for pair in liealg.gl(n).pairs:
-        cols = verma.action(pair).columns()
-        triples = []
-        for old in kept:
-            img = cols.get(old, {})
-            span = spans.get(verma.basis_weight[next(iter(img))]) if img else None
-            if span is not None:
-                s, r = span.reduce(img)
-                img = {row_idx: field.of(Fraction(v) / s) for row_idx, v in r.items()}
-            for row_idx, v in img.items():
-                if row_idx not in new_index:
-                    raise InvariantError("reduced vector touched a pivot")
-                triples.append((new_index[row_idx], new_index[old], v))
-        actions[pair] = SparseMatrix.from_triples(len(kept), len(kept), triples)
+    mats = {
+        (k, k): SparseMatrix.from_triples(dim, dim, [(c, c, w[k - 1]) for c, w in enumerate(basis_weight)])
+        for k in range(1, n + 1)
+    }
+    for k in range(1, n):
+        up, down = [], []
+        for c, pat in enumerate(patterns):
+            # ell[k] is row k as l_k1, ..., l_kk; row 0 is empty.
+            ell = [[x - i for i, x in enumerate(row)] for row in ((),) + pat]
+            for i, x in enumerate(ell[k]):
+                den = math.prod(x - y for j, y in enumerate(ell[k]) if j != i)
+                if (r := index.get(moved(pat, k, i, 1))) is not None:
+                    up.append((r, c, Fraction(-math.prod(x - y for y in ell[k + 1]), den)))
+                if (r := index.get(moved(pat, k, i, -1))) is not None:
+                    down.append((r, c, Fraction(math.prod(x - y for y in ell[k - 1]), den)))
+        mats[k, k + 1] = SparseMatrix.from_triples(dim, dim, up)
+        mats[k + 1, k] = SparseMatrix.from_triples(dim, dim, down)
+    # Commutators, shortest first, so both factors are already built.
+    for d in range(2, n):
+        for i in range(1, n - d + 1):
+            j = i + d
+            for x, y, pair in (((i, j - 1), (j - 1, j), (i, j)), ((j, j - 1), (j - 1, i), (j, i))):
+                mats[pair] = mats[x] @ mats[y] - mats[y] @ mats[x]
+    actions = {pair: mats[pair].map_values(field.of) for pair in liealg.gl(n).pairs}
     return FiniteWeightModule(n=n, field=field, basis_weight=basis_weight, actions=actions)

@@ -98,11 +98,6 @@ def weyl_elements(n: int) -> list[tuple[int, ...]]:
     return list(itertools.permutations(range(n)))
 
 
-def dot_orbit(lam_shifted: Weight) -> set[Weight]:
-    """Orbit of a shifted weight under the dot action (plain permutations)."""
-    return {apply_perm(s, lam_shifted) for s in weyl_elements(len(lam_shifted))}
-
-
 @functools.cache
 def _partition_count(roots: tuple[Weight, ...], idx: int, target: Weight) -> int:
     if all(x == 0 for x in target):

@@ -1,10 +1,10 @@
-"""Test-side operations on parabolic block data; nothing in the package
-calls them."""
+"""Test-side operations on parabolic block data and weights; nothing in the
+package calls them."""
 
 import bisect
 import itertools
 
-from decatkit import liealg
+from decatkit import liealg, weights
 
 
 def block_of(par: liealg.ParabolicData, i: int) -> int:
@@ -12,6 +12,17 @@ def block_of(par: liealg.ParabolicData, i: int) -> int:
     if not (1 <= i <= par.n):
         raise ValueError(f"index {i} outside 1..{par.n}")
     return bisect.bisect_left(list(itertools.accumulate(par.blocks)), i)
+
+
+def refines(finer: liealg.ParabolicData, coarser: liealg.ParabolicData) -> bool:
+    """True when every cut point (partial sum) of `coarser` is one of `finer`'s."""
+    cuts = set(itertools.accumulate(finer.blocks))
+    return finer.n == coarser.n and cuts.issuperset(itertools.accumulate(coarser.blocks))
+
+
+def dot_orbit(lam_shifted: weights.Weight) -> set[weights.Weight]:
+    """Orbit of a shifted weight under the dot action (plain permutations)."""
+    return {weights.apply_perm(s, lam_shifted) for s in weights.weyl_elements(len(lam_shifted))}
 
 
 def merge_adjacent(par: liealg.ParabolicData, j: int) -> liealg.ParabolicData:
@@ -28,6 +39,6 @@ def nilradical_dim_difference(finer: liealg.ParabolicData, coarser: liealg.Parab
     Requires the first composition to refine the second; the difference is the
     number of strictly-upper cross positions that become intra-block.
     """
-    if not finer.refines(coarser):
+    if not refines(finer, coarser):
         raise ValueError(f"{finer.blocks} does not refine {coarser.blocks}")
     return finer.nilradical().dim - coarser.nilradical().dim

@@ -6,12 +6,16 @@ alone and must agree with the cochain dimensions degree by degree.
 """
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decatkit import cohomology, liealg, verma, weights
 from decatkit.exactlin import QQ, PrimeField, SparseMatrix
+from verma_reference import CRITERION_WEIGHTS, reference_simple_quotient, small_regular_dominant
 
 
 def test_slice_at_highest_weight_is_h0():
@@ -104,11 +108,38 @@ def test_kostant_pattern_on_simple_quotients(n, lam):
 
 
 def test_kostant_pattern_total_is_factorial():
-    import math
-
     for n, lam in ((2, (4, 1)), (3, (3, 1, 0))):
         report = cohomology.kostant_pattern_report(n, lam)
         assert sum(report.table.values()) == math.factorial(n)
+
+
+@pytest.mark.parametrize("lam", CRITERION_WEIGHTS)
+@pytest.mark.parametrize("field", [QQ, PrimeField(31)], ids=["Q", "F31"])
+def test_simple_module_table_matches_reference(lam, field):
+    n = len(lam)
+    table = cohomology.cohomology_table(verma.simple_quotient(n, lam, field))
+    assert table == cohomology.cohomology_table(reference_simple_quotient(n, lam, field))
+
+
+@given(small_regular_dominant(), st.sampled_from([QQ, PrimeField(31)]))
+@settings(max_examples=15, deadline=None)
+def test_simple_module_table_matches_reference_on_drawn_weights(case, field):
+    n, lam = case
+    table = cohomology.cohomology_table(verma.simple_quotient(n, lam, field))
+    assert table == cohomology.cohomology_table(reference_simple_quotient(n, lam, field))
+
+
+@pytest.mark.parametrize(
+    "n,lam,field",
+    [(4, (5, 3, 1, 0), QQ), (5, (4, 3, 2, 1, 0), PrimeField(1031))],
+    ids=["gl4-Q", "gl5-F1031"],
+)
+def test_kostant_pattern_beyond_the_verma_window(n, lam, field):
+    # Out of reach while the simple module was a Verma-window quotient.
+    report = cohomology.kostant_pattern_report(n, lam, field)
+    assert report.matches
+    assert report.module_dim == verma.weyl_dim(lam)
+    assert sum(report.table.values()) == math.factorial(n)
 
 
 def test_blocks_pair_nonvanishing_congruent():

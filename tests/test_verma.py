@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from decatkit import liealg, verma, weights
 from decatkit.exactlin import QQ, PrimeField, SparseMatrix
+from verma_reference import CRITERION_WEIGHTS, reference_simple_quotient, small_regular_dominant
+
+FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(31)], ids=["Q", "F31"])
 
 
 def test_lowering_generators_order():
@@ -151,7 +154,9 @@ def test_simple_quotient_requires_regular_dominant():
         verma.simple_quotient(2, (0, 3))
 
 
-@pytest.mark.parametrize("lam", [(2, 0), (4, 1), (2, 1, 0), (4, 2, 0)])
+@pytest.mark.parametrize(
+    "lam", [(2, 0), (4, 1), (2, 1, 0), (4, 2, 0), (7, 2, 0), (5, 3, 1, 0), (6, 4, 2, 1, 0), (9, 6, 4, 1, 0)]
+)
 def test_simple_quotient_dim_matches_product_formula(lam):
     q = verma.simple_quotient(len(lam), lam)
     assert q.dim == verma.weyl_dim(lam)
@@ -167,6 +172,77 @@ def test_simple_quotient_gl2_string():
 def test_simple_quotient_mod_p():
     q = verma.simple_quotient(3, (4, 2, 0), PrimeField(31))
     assert q.dim == 8
+
+
+def test_simple_quotient_large_prime_guard():
+    # The spread of (4, 2, 0) is 4: p must exceed it.
+    with pytest.raises(ValueError, match="large-prime hypothesis"):
+        verma.simple_quotient(3, (4, 2, 0), PrimeField(3))
+    for p in (5, 31):
+        assert verma.simple_quotient(3, (4, 2, 0), PrimeField(p)).dim == 8
+
+
+@pytest.mark.parametrize("lam", CRITERION_WEIGHTS)
+@FIELDS
+def test_simple_quotient_character_matches_reference(lam, field):
+    module = verma.simple_quotient(len(lam), lam, field)
+    assert module.weight_dims() == reference_simple_quotient(len(lam), lam, field).weight_dims()
+
+
+@given(small_regular_dominant(), st.sampled_from([QQ, PrimeField(31)]))
+@settings(max_examples=25, deadline=None)
+def test_simple_quotient_character_matches_reference_on_drawn_weights(case, field):
+    n, lam = case
+    assert verma.simple_quotient(n, lam, field).weight_dims() == reference_simple_quotient(n, lam, field).weight_dims()
+
+
+def _bracket_defects(module):
+    """Pairs (x, y) where [A_x, A_y] differs from the matrix of [e_x, e_y]."""
+    gl = liealg.gl(module.n)
+    bad = []
+    for x in gl.pairs:
+        for y in gl.pairs:
+            a, b = module.action(x), module.action(y)
+            diff = a @ b - b @ a
+            for z, c in gl.bracket(x, y).items():
+                diff = diff - module.action(z).scaled(c)
+            if not diff.map_values(module.field.of).is_zero():
+                bad.append((x, y))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "lam", [(4, 2, 0), (6, 3, 0), (2, 1, 0, -2), (4, 2, 1, 0), (5, 3, 1, 0), (5, 3, 2, 1, 0), (5, 4, 2, 1, 0)]
+)
+@FIELDS
+def test_simple_quotient_brackets_hold_exactly(lam, field):
+    module = verma.simple_quotient(len(lam), lam, field)
+    assert module.dim <= 30
+    assert _bracket_defects(module) == []
+    # Exact scalars only: ints and Fractions over Q, residues over F_p.
+    for mat in module.actions.values():
+        for v in mat.entries.values():
+            if field.p is None:
+                assert type(v) in (int, Fraction)
+            else:
+                assert type(v) is int and 0 < v < field.p
+
+
+@given(small_regular_dominant())
+@settings(max_examples=30, deadline=None)
+def test_simple_quotient_character_is_kostant_multiplicity(case):
+    """mult(mu) = sum over w of sign(w) P(w.lambda - mu); in shifted
+    coordinates w.lambda - mu is w(lambda') - mu'."""
+    n, lam = case
+    character = verma.simple_quotient(n, lam).weight_dims()
+    for mu, dim in character.items():
+        expected = sum(
+            (-1) ** weights.inversions(sigma)
+            * weights.kostant_partition(tuple(m - x for m, x in zip(mu, weights.apply_perm(sigma, lam))))
+            for sigma in weights.weyl_elements(n)
+        )
+        assert dim == expected, mu
+    assert sum(character.values()) == verma.weyl_dim(lam)
 
 
 @pytest.mark.parametrize("ell", [0, 1, 3, 10])

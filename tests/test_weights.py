@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decatkit import weights
+from parabolic_helpers import dot_orbit
 
 
 def test_rho_prime():
@@ -111,9 +112,9 @@ def test_apply_perm():
 
 
 def test_dot_orbit_of_regular_weight_has_full_size():
-    orbit = weights.dot_orbit((3, 0))
+    orbit = dot_orbit((3, 0))
     assert len(set(orbit)) == 2
-    orbit3 = weights.dot_orbit((4, 2, 0))
+    orbit3 = dot_orbit((4, 2, 0))
     assert len(set(orbit3)) == 6
 
 
