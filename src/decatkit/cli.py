@@ -188,9 +188,8 @@ def _run_khovanov(args: argparse.Namespace) -> tuple[bool, dict]:
         "euler": euler,
     }
     ok = True
-    circles = cube.resolution_circles(word) if args.k == 2 else None
     if args.k == 2:
-        table = cube.khovanov_bigraded_k2(word, field, circles)
+        table = cube.khovanov_bigraded_k2(word, field)
         dims: dict[int, int] = {}
         for (h, _), dim in table.items():
             dims[h] = dims.get(h, 0) + dim
@@ -203,7 +202,7 @@ def _run_khovanov(args: argparse.Namespace) -> tuple[bool, dict]:
     if args.oracle:
         if args.k != 2:
             raise ConfigError("--oracle is only defined for k=2")
-        oracle = cube.oracle_euler_k2(word, circles)
+        oracle = cube.oracle_euler_k2(word)
         doc["oracle_euler"] = oracle
         doc["oracle_matches"] = oracle == euler
         ok = ok and doc["oracle_matches"]

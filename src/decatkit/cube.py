@@ -33,16 +33,27 @@ That signed sum is multilinear in the per-crossing bits, so it is one product
 of transfer matrices, applied locally token by token: a crossing applies the
 difference M(0) - M(1) of its two resolutions. The cost is linear in the
 number of crossings; `build_cube` still evaluates all 2^c vertices, for tests.
+
+The k = 2 homology is local too: Bar-Natan's tangle scan (math/0606318)
+keeps one complex over the tangle below the current slice, its objects
+crossingless matchings of the top endpoints with (h, q) shifts and its
+morphisms Z-combinations of dotted cobordisms. A cap deloops the circle it
+closes, a crossing takes the cone of its saddle, and Gaussian elimination
+cancels every ±identity entry, so for T(2, n) the complex keeps O(n) objects
+where the cube has 2^n vertices. The whole q-split cube lives on as the test
+reference `tests/khovanov_reference.py`; only the circle oracle
+`oracle_euler_k2` still walks all resolutions.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import re
 
 from decatkit import functors
-from decatkit.exactlin import QQ, FiniteComplex, InvariantError, LaurentMatrix, SparseMatrix
+from decatkit.exactlin import QQ, ComplexError, FiniteComplex, InvariantError, LaurentMatrix, SparseMatrix
 
 TOKEN_RE = re.compile(r"^(cup'|cup|cap'|cap|pos|neg)\((\d+)\)$")
 
@@ -334,91 +345,278 @@ def resolution_circles(word: SliceWord) -> dict[tuple[int, ...], list[frozenset]
     return {v: sorted(_resolution_circles(word, v), key=min) for v in vertices}
 
 
-def khovanov_bigraded_k2(word: SliceWord | str, field=QQ, circles=None) -> dict[tuple[int, int], int]:
-    """Bigraded homology {(h, q): dim} of the k = 2 rank-one Frobenius cube.
+# A matching of the w endpoints at the top of the current tangle is a tuple m
+# with m[r] the partner of endpoint r. A morphism between two matchings x, y
+# is {dot mask: Z coefficient}: every reduced dotted cobordism from x to y is
+# one disk per cycle of x ∪ y, and bit c of the mask puts a dot on the disk of
+# cycle c. An object is (h, q, m); the differential is {source: {target:
+# morphism}} over object ids, raising h by one and preserving q.
 
-    Vertex state spaces are tensor powers of the two-dimensional algebra
-    A = span(1, x) with x^2 = 0, one factor per circle of the resolution;
-    edges apply multiplication or comultiplication on the circles changed by
-    flipping one crossing, with the usual alternating edge signs (ints, read
-    in either field). Valid only for k = 2, where vertex values are
-    determined by circle counts.
 
-    Every edge map preserves q = #circles - 2 #x + h at the vertex of height
-    h, so the complex splits into one subcomplex per q (Bar-Natan,
-    math/0201043). Each basis vector (vertex, assignment) is numbered inside
-    its (h, q) block: vertices in lexicographic order and assignments as
-    integers (bit t set when circle t carries x), ascending in even h and
-    descending in odd h, which keeps the elimination of every d_h sparse.
-    An edge that leaves its block raises `InvariantError`. The table is in
-    Bar-Natan's normalization: (h - n_minus, q + n_plus - 2 n_minus).
-    `circles`, if given, is `resolution_circles(word)`.
+@functools.lru_cache(maxsize=1 << 16)
+def _cycles(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Cycle index of every endpoint in the closed curves x ∪ y, numbered in
+    the order of their least endpoints, and the number of cycles."""
+    label = [-1] * len(x)
+    count = 0
+    for start in range(len(x)):
+        r = start
+        while label[r] < 0:
+            label[r] = label[x[r]] = count
+            r = y[x[r]]
+        count += label[start] == count
+    return tuple(label), count
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _neck_cut(terms: dict[int, int], bound: int, dots: int) -> dict[int, int]:
+    """Reduce one connected genus-0 piece carrying `dots` dots whose boundary
+    circles are the bits of `bound`, on every term: two dots vanish, one dot
+    lands on every boundary circle, and with no dot neck cutting leaves every
+    boundary circle but one dotted. A closed sphere is 0, a dotted one 1."""
+    if dots > 1:
+        return {}
+    if dots:
+        return {m | bound: c for m, c in terms.items()}
+    return {m | bound ^ low: c for m, c in terms.items() for low in _bits(bound)}
+
+
+def _top(m: tuple[int, ...], p: int, cup: bool) -> tuple[tuple[int, ...], bool]:
+    """The matching after a cup (or a cap) on endpoints p, p+1, and whether
+    the cap closed a circle."""
+    if cup:
+        shifted = [r + 2 * (r >= p) for r in m]
+        return tuple(shifted[:p] + [p + 1, p] + shifted[p:]), False
+    partner = {r: s for r, s in enumerate(m) if r not in (p, p + 1)}
+    if m[p] != p + 1:
+        partner[m[p]], partner[m[p + 1]] = m[p + 1], m[p]
+    return tuple(s - 2 * (s > p + 1) for _, s in sorted(partner.items())), m[p] == p + 1
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _rewire(x: tuple[int, ...], y: tuple[int, ...], p: int, cup: bool):
+    """How the cycles of x ∪ y become cycles after a cup (or a cap) on p, p+1:
+    the new bit of every cycle the move leaves alone, the mask of the old
+    cycles through p and p+1, and the mask of the new cycles that bound the
+    piece they form with the cup's or the cap's strip."""
+    old, count = _cycles(x, y)
+    new, _ = _cycles(_top(x, p, cup)[0], _top(y, p, cup)[0])
+    touched = 0 if cup else 1 << old[p] | 1 << old[p + 1]
+    remap = [0] * count
+    bound = 1 << new[p] if cup else 0
+    for r in range(len(x)):
+        if cup or r not in (p, p + 1):
+            bit = 1 << new[r + 2 * (r >= p) if cup else r - 2 * (r > p + 1)]
+            if touched >> old[r] & 1:
+                bound |= bit
+            else:
+                remap[old[r]] = bit
+    return tuple(remap), touched, bound
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _gluing(x: tuple[int, ...], a: tuple[int, ...], y: tuple[int, ...]):
+    """The pieces of the surface obtained by gluing the disks of x ∪ a to the
+    disks of a ∪ y along the arcs of a: the piece of each disk, and per piece
+    its genus and its boundary circles as a mask of x ∪ y cycles."""
+    cxa, nxa = _cycles(x, a)
+    cay, nay = _cycles(a, y)
+    cxy, _ = _cycles(x, y)
+    forest = _UnionFind((i, i) for i in range(nxa + nay))
+    for r in range(len(a)):
+        forest.union(cxa[r], nxa + cay[r])
+    roots: dict[int, int] = {}
+    piece = [roots.setdefault(forest.find(i), len(roots)) for i in range(nxa + nay)]
+    euler = [0] * len(roots)
+    for i in piece:
+        euler[i] += 1
+    bound = [0] * len(roots)
+    for r in range(len(a)):
+        euler[piece[cxa[r]]] -= r < a[r]
+        bound[piece[cxa[r]]] |= 1 << cxy[r]
+    genus = tuple((2 - e - b.bit_count()) // 2 for e, b in zip(euler, bound))
+    return piece[:nxa], piece[nxa:], genus, tuple(bound)
+
+
+def _compose(x, a, y, f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
+    """g ∘ f for f: x -> a and g: a -> y. A handle is twice a dot."""
+    piece_f, piece_g, genus, bound = _gluing(x, a, y)
+    out: dict[int, int] = {}
+    for mf, cf in f.items():
+        for mg, cg in g.items():
+            dots = list(genus)
+            for i, piece in enumerate(piece_f):
+                dots[piece] += mf >> i & 1
+            for j, piece in enumerate(piece_g):
+                dots[piece] += mg >> j & 1
+            terms = {0: cf * cg << sum(genus)}
+            for piece, n in enumerate(dots):
+                terms = _neck_cut(terms, bound[piece], n)
+            for m, c in terms.items():
+                out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _glue(objects: dict, d: dict, p: int, cup: bool):
+    """Put a cup (or a cap) on endpoints p, p+1 on top of every object. A
+    circle the cap closes is delooped: its object becomes two, at q + 1 (the
+    cup fills the circle) and q - 1 (a dotted cup). Returns the new objects
+    and differential, and every old object's [(new id, loop sign)]."""
+    new_objects: dict[int, tuple] = {}
+    images: dict[int, list[tuple[int, int]]] = {}
+    for i, (h, q, m) in objects.items():
+        top, loop = _top(m, p, cup)
+        images[i] = []
+        for s in (1, -1) if loop else (0,):
+            images[i].append((len(new_objects), s))
+            new_objects[len(new_objects)] = (h, q + s, top)
+    new_d: dict[int, dict] = {}
+    for i, row in d.items():
+        for j, f in row.items():
+            remap, touched, bound = _rewire(objects[i][2], objects[j][2], p, cup)
+            for (si, s), (tj, t) in itertools.product(images[i], images[j]):
+                g: dict[int, int] = {}
+                for mf, c in f.items():
+                    base = sum(bit for k, bit in enumerate(remap) if mf >> k & 1)
+                    # A source circle is filled by a cup, dotted on the q - 1
+                    # copy; a target circle is read off by a cap, dotted on
+                    # the q + 1 copy.
+                    dots = (mf & touched).bit_count() + (s < 0) + (t > 0)
+                    for m, v in _neck_cut({base: c}, bound, dots).items():
+                        g[m] = g.get(m, 0) + v
+                if any(g.values()):
+                    new_d.setdefault(si, {})[tj] = {m: v for m, v in g.items() if v}
+    return new_objects, new_d, images
+
+
+def _cone(objects: dict, d: dict, p: int, positive: bool):
+    """Tensor with the crossing pos (or neg) on endpoints p, p+1: the cone of
+    the saddle from the 0-resolution to the 1-resolution, which sits one step
+    up in h and q. pos resolves to the vertical smoothing at 0, neg at 1. The
+    saddle out of height h carries the sign (-1)^h; into a delooped circle it
+    is the dotted identity on the q + 1 copy, out of one on the q - 1 copy."""
+    capped, cap_d, loops = _glue(objects, d, p, False)
+    horizontal, hor_d, cupped = _glue(capped, cap_d, p, True)
+    offset = max(objects, default=-1) + 1
+    rise_vertical, rise_horizontal = (0, 1) if positive else (1, 0)
+    new_objects = {i: (h + rise_vertical, q + rise_vertical, m) for i, (h, q, m) in objects.items()}
+    for i, (h, q, m) in horizontal.items():
+        new_objects[i + offset] = (h + rise_horizontal, q + rise_horizontal, m)
+    new_d = {i: dict(row) for i, row in d.items()}
+    for i, row in hor_d.items():
+        new_d[i + offset] = {j + offset: f for j, f in row.items()}
+    for i, (h, _, m) in objects.items():
+        for j, s in loops[i]:
+            ((k, _),) = cupped[j]
+            mask = 1 << _cycles(m, m)[0][p] if s and (s > 0) == positive else 0
+            src, dst = (i, k + offset) if positive else (k + offset, i)
+            new_d.setdefault(src, {})[dst] = {mask: -1 if h % 2 else 1}
+    return new_objects, new_d
+
+
+def _cancel(objects: dict, d: dict) -> None:
+    """Gaussian elimination, in place, of every entry b1 -> b2 that is c = ±1
+    times an identity: b1 and b2 go, and every x -> y with x -> b2 and
+    b1 -> y gains -c (b1 -> y) ∘ (x -> b2). Units of Z only, so the complex
+    stays homotopy equivalent over Z."""
+    back: dict[int, set[int]] = {i: set() for i in objects}
+    for i, row in d.items():
+        for j in row:
+            back[j].add(i)
+    work = [(i, j) for i, row in d.items() for j in row]
+    while work:
+        b1, b2 = work.pop()
+        f = d.get(b1, {}).get(b2)
+        if f is None or objects[b1][1:] != objects[b2][1:] or f.keys() != {0} or f[0] not in (1, -1):
+            continue
+        for x in back[b2] - {b1}:
+            row = d[x]
+            for y, gamma in d[b1].items():
+                if y == b2:
+                    continue
+                acc = dict(row.get(y, {}))
+                for m, v in _compose(objects[x][2], objects[b1][2], objects[y][2], row[b2], gamma).items():
+                    acc[m] = acc.get(m, 0) - f[0] * v
+                acc = {m: v for m, v in acc.items() if v}
+                if acc:
+                    row[y] = acc
+                    back[y].add(x)
+                    work.append((x, y))
+                elif row.pop(y, None) is not None:
+                    back[y].discard(x)
+        for b in (b1, b2):
+            for y in d.pop(b, {}):
+                back[y].discard(b)
+        for b in (b1, b2):
+            for x in back.pop(b):
+                del d[x][b]
+            del objects[b]
+
+
+def _check_square_zero(objects: dict, d: dict) -> None:
+    """Every entry has degree (1, 0) and d∘d = 0, or raise."""
+    for i, row in d.items():
+        h, q, m = objects[i]
+        twice: dict[tuple[int, int], int] = {}
+        for j, f in row.items():
+            hj, qj, mj = objects[j]
+            dots = _cycles(m, mj)[1] - len(m) // 2 + qj - q
+            if hj != h + 1 or any(2 * mf.bit_count() != dots for mf in f):
+                raise InvariantError(f"differential entry {objects[i]} -> {objects[j]} is not of degree (1, 0)")
+            for k, g in d.get(j, {}).items():
+                for mk, v in _compose(m, mj, objects[k][2], f, g).items():
+                    twice[(k, mk)] = twice.get((k, mk), 0) + v
+        if any(twice.values()):
+            raise ComplexError(f"differential squared is nonzero on the tangle complex at {objects[i]}")
+
+
+def khovanov_bigraded_k2(word: SliceWord | str, field=QQ) -> dict[tuple[int, int], int]:
+    """Bigraded homology {(h, q): dim} of the k = 2 Khovanov complex, by
+    Bar-Natan's tangle scan (math/0606318).
+
+    The word is read bottom to top, keeping one complex over the tangle
+    below the current slice: a cup adds an arc, a cap deloops the circle it
+    closes, a crossing takes the cone of its saddle, and after every token
+    each ±identity entry is cancelled and d∘d is checked. The closed word
+    leaves objects over the empty tangle, one per generator, and one
+    `FiniteComplex` per q ranks them over `field`. h is the number of
+    1-resolved crossings and q = #circles - 2 #x + h, as on the cube
+    (math/0201043). The table is in Bar-Natan's normalization:
+    (h - n_minus, q + n_plus - 2 n_minus).
     """
     if isinstance(word, str):
         word = parse_slice_word(word, 2)
     if word.k != 2:
-        raise ValueError(f"the Frobenius cube oracle is defined for k = 2, got k = {word.k}")
+        raise ValueError(f"the tangle scan computes k = 2 homology, got k = {word.k}")
     if not word.closed:
         raise ValueError("diagram has open boundary")
-    nc = word.n_crossings
-    circles = resolution_circles(word) if circles is None else circles
-    vertices = list(circles)
+    objects: dict[int, tuple] = {0: (0, 0, ())}
+    d: dict[int, dict] = {}
+    for kind, i in word.tokens:
+        if kind in ("pos", "neg"):
+            objects, d = _cone(objects, d, i - 1, kind == "pos")
+        else:
+            objects, d, _ = _glue(objects, d, i - 1, kind.startswith("cup"))
+        _cancel(objects, d)
+        _check_square_zero(objects, d)
 
+    index: dict[int, int] = {}
     block_dims: dict[tuple[int, int], int] = {}
-    index: dict[tuple[int, ...], list[int]] = {}
-    for v in vertices:
-        h, m = sum(v), len(circles[v])
-        index[v] = numbers = []
-        for a in range(1 << m):
-            block = (h, m - 2 * a.bit_count() + h)
-            numbers.append(block_dims.get(block, 0))
-            block_dims[block] = numbers[-1] + 1
-    for v in vertices:
-        h, m = sum(v), len(circles[v])
-        if h % 2:
-            index[v] = [block_dims[(h, m - 2 * a.bit_count() + h)] - 1 - i for a, i in enumerate(index[v])]
+    for i, (h, q, _) in sorted(objects.items()):
+        index[i] = block_dims.get((h, q), 0)
+        block_dims[(h, q)] = index[i] + 1
+    entries: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for i, row in d.items():
+        for j, f in row.items():
+            entries.setdefault(objects[i][:2], {})[(index[j], index[i])] = f[0]
 
-    entries: dict[tuple[int, int], dict[tuple[int, int], int]] = {block: {} for block in block_dims}
-    for v in vertices:
-        h = sum(v)
-        cv = circles[v]
-        for c in range(nc):
-            if v[c] == 1:
-                continue
-            w = v[:c] + (1,) + v[c + 1 :]
-            sign = -1 if sum(v[:c]) % 2 else 1
-            cw = circles[w]
-            src_pos = {s: t for t, s in enumerate(cv)}
-            dst_pos = {s: t for t, s in enumerate(cw)}
-            kept = [(src_pos[s], dst_pos[s]) for s in cw if s in src_pos]
-            src_special = [src_pos[s] for s in cv if s not in dst_pos]
-            dst_special = [dst_pos[s] for s in cw if s not in src_pos]
-            if {len(src_special), len(dst_special)} != {1, 2}:
-                raise InvariantError("flipping one crossing must merge or split exactly one pair")
-            merge = len(src_special) == 2
-            src_index, dst_index = index[v], index[w]
-            src_q, dst_q = len(cv) + h, len(cw) + h + 1
-            for a in range(1 << len(cv)):
-                base = 0
-                for t, u in kept:
-                    base |= (a >> t & 1) << u
-                if merge:
-                    x, y = (a >> src_special[0] & 1), (a >> src_special[1] & 1)
-                    if x and y:
-                        continue
-                    images = [base | (x | y) << dst_special[0]]
-                elif a >> src_special[0] & 1:
-                    images = [base | 1 << dst_special[0] | 1 << dst_special[1]]
-                else:
-                    images = [base | 1 << dst_special[0], base | 1 << dst_special[1]]
-                q = src_q - 2 * a.bit_count()
-                ent = entries[(h, q)]
-                col = src_index[a]
-                for out in images:
-                    if dst_q - 2 * out.bit_count() != q:
-                        raise InvariantError(f"edge map leaves quantum grading {q}")
-                    ent[(dst_index[out], col)] = sign
-
+    nc = word.n_crossings
     n_minus = word.n_negative
     n_plus = nc - n_minus
     degrees = tuple(h - n_minus for h in range(nc + 1))
@@ -434,12 +632,8 @@ def khovanov_bigraded_k2(word: SliceWord | str, field=QQ, circles=None) -> dict[
 
 
 def khovanov_homology_k2(word: SliceWord | str, field=QQ) -> dict[int, int]:
-    """Homology dimensions {h: dim} of the k = 2 cube, shifted down by n_minus.
-
-    The sum over q of `khovanov_bigraded_k2`: one complex per quantum
-    grading, its basis numbered inside each (h, q) block, ascending in even
-    h and descending in odd h.
-    """
+    """Homology dimensions {h: dim} at k = 2, shifted down by n_minus: the
+    sum over q of `khovanov_bigraded_k2`."""
     dims: dict[int, int] = {}
     for (h, _), dim in khovanov_bigraded_k2(word, field).items():
         dims[h] = dims.get(h, 0) + dim
@@ -463,7 +657,7 @@ def oracle_euler_k2(word: SliceWord | str, circles=None) -> int:
 
 def reidemeister_check(word_a: str, word_b: str, k: int, field=QQ) -> bool:
     """True when both words give the same invariants: the Euler number for
-    any k, plus the full cube homology at k = 2."""
+    any k, plus the homology at k = 2."""
     wa, wb = parse_slice_word(word_a, k), parse_slice_word(word_b, k)
     if euler_invariant(wa) != euler_invariant(wb):
         return False

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import json
+import pathlib
+import time
 
 import pytest
 
@@ -160,6 +162,34 @@ def test_khovanov_oracle_shares_resolution_circles(capsys, monkeypatch):
     code, doc = run_json(capsys, ["khovanov", "--k", "2", "--word", "trefoil", "--oracle"])
     assert code == 0 and doc["oracle_matches"] is True
     assert sorted(calls) == sorted(itertools.product((0, 1), repeat=3))
+
+
+def test_khovanov_without_oracle_resolves_no_circles(capsys, monkeypatch):
+    # The homology scans tangles; only the circle oracle walks the 2^c resolutions.
+    calls = []
+    original = cube._resolution_circles
+
+    def counting(word, bits):
+        calls.append(bits)
+        return original(word, bits)
+
+    monkeypatch.setattr(cube, "_resolution_circles", counting)
+    code, doc = run_json(capsys, ["khovanov", "--k", "2", "--word", "trefoil"])
+    assert code == 0 and doc["dims"] == [2, 0, 1, 1]
+    assert calls == []
+
+
+def test_khovanov_torus_2_30_reach(capsys):
+    # 2^30 resolutions; the tangle complexes stay at O(n) objects.
+    word = pathlib.Path(__file__).resolve().parent.parent / "words" / "torus_2_30.sw"
+    started = time.monotonic()
+    code, doc = run_json(capsys, ["khovanov", "--k", "2", "--word", str(word), "--field", "Fp", "--p", "1031"])
+    elapsed = time.monotonic() - started
+    assert code == 0
+    assert (doc["crossings"], doc["components"], doc["euler"]) == (30, 2, 4)
+    # Closed form for even n: {0: 2, 2..n-1: 1, n: 2}.
+    assert doc["min_degree"] == 0 and doc["dims"] == [2, 0] + [1] * 28 + [2]
+    assert elapsed < 10, elapsed
 
 
 def test_blocks_pair_outside_root_cone_builds_no_module(capsys, monkeypatch):

@@ -1,11 +1,21 @@
-"""Slice-word diagrams, the resolution cube, and the k = 2 Frobenius oracle."""
+"""Slice-word diagrams, the resolution cube, the k = 2 tangle scan and the Frobenius oracle."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from khovanov_reference import (
+    braid_letters,
+    close_braid,
+    closed_braids,
+    insert_kink,
+    insert_twist_pair,
+    reference_bigraded_k2,
+)
 
 from decatkit import cube
-from decatkit.exactlin import QQ, FiniteComplex, LaurentPoly, PrimeField, SparseMatrix
+from decatkit.exactlin import QQ, ComplexError, FiniteComplex, InvariantError, LaurentPoly, PrimeField, SparseMatrix
 
 # name -> (euler at k=2, euler at k=3, components, k=2 rational homology)
 CATALOGUE = {
@@ -164,7 +174,7 @@ def test_oracle_and_homology_read_shared_circles(name):
     circles = cube.resolution_circles(word)
     assert list(circles) == list(itertools.product((0, 1), repeat=word.n_crossings))
     assert cube.oracle_euler_k2(word, circles) == cube.oracle_euler_k2(word) == CATALOGUE[name][0]
-    assert cube.khovanov_bigraded_k2(word, QQ, circles) == cube.khovanov_bigraded_k2(word, QQ)
+    assert reference_bigraded_k2(word, QQ, circles) == cube.khovanov_bigraded_k2(word, QQ)
 
 
 def test_oracle_requires_k2():
@@ -239,7 +249,7 @@ def test_k2_bigraded_tables(name, table):
         assert cube.khovanov_bigraded_k2(cube.DIAGRAMS[name], field) == table
 
 
-@pytest.mark.parametrize("text", _catalogue_and_torus(range(1, 9)))
+@pytest.mark.parametrize("text", _catalogue_and_torus(range(1, 31)))
 def test_k2_bigraded_euler_matches_transfer_matrices(text):
     # With h_raw = h + n_minus and q_raw = q - n_plus + 2 n_minus,
     # (-1)^n_minus sum (-1)^h_raw dim t^q_raw = t^s P(1/t), where P is the
@@ -264,7 +274,7 @@ def test_k2_bigraded_euler_matches_transfer_matrices(text):
 
 def _unsplit_homology(word, field):
     """Homology from one complex over all quantum gradings: the cube assembly
-    before the split, kept as the reference for the q-block path."""
+    before the q-split, a second reference for the tangle scan."""
     word = cube.parse_slice_word(word, 2)
     nc = word.n_crossings
     vertices = list(itertools.product((0, 1), repeat=nc))
@@ -325,3 +335,105 @@ def _unsplit_homology(word, field):
 @pytest.mark.parametrize("text", _catalogue_and_torus(range(2, 8)))
 def test_q_split_matches_unsplit_assembly(text, field):
     assert cube.khovanov_homology_k2(text, field) == _unsplit_homology(text, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("text", _catalogue_and_torus(range(1, 10)))
+def test_tangle_scan_matches_cube_reference(text, field):
+    assert cube.khovanov_bigraded_k2(text, field) == reference_bigraded_k2(text, field)
+
+
+def _torus_homology(n):
+    """Khovanov ranks of T(2, n), n >= 2, over Q or odd p: {0: 2, 2..n: 1},
+    and 2 in degree n for even n (the closed form of the benchmark's
+    `torus_homology`)."""
+    dims = {0: 2, **{h: 1 for h in range(2, n + 1)}}
+    if n % 2 == 0:
+        dims[n] = 2
+    return dims
+
+
+def _torus_table(n):
+    """Bigraded Khovanov table of T(2, n), n >= 1: (0, n - 2), (0, n), then
+    (j, n + 2j - 2) for even j and (j, n + 2j) for odd j in 2..n, and
+    (n, 3n) for even n."""
+    table = {(0, n - 2): 1, (0, n): 1}
+    for j in range(2, n + 1):
+        table[(j, n + 2 * j - (2 if j % 2 == 0 else 0))] = 1
+    if n % 2 == 0:
+        table[(n, 3 * n)] = 1
+    return table
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_torus_links_match_closed_forms(n):
+    # Up to T(2,9) the scan also equals the cube reference, which anchors the
+    # closed forms; beyond, the cube is out of reach.
+    table = cube.khovanov_bigraded_k2(_torus(n), PrimeField(1031))
+    assert table == _torus_table(n)
+    assert cube.khovanov_homology_k2(_torus(n), PrimeField(1031)) == _torus_homology(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(closed_braids(max_crossings=7), st.sampled_from((QQ, PrimeField(5))))
+def test_tangle_scan_matches_cube_on_closed_braids(tokens, field):
+    text = " ".join(tokens)
+    assert cube.khovanov_bigraded_k2(text, field) == reference_bigraded_k2(text, field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_k2_table_survives_kinks_and_twist_pairs(data):
+    tokens = data.draw(closed_braids(max_crossings=5))
+    table = cube.khovanov_bigraded_k2(" ".join(tokens))
+    # Every gap strictly inside a braid closure has at least two strands.
+    gap = data.draw(st.integers(min_value=1, max_value=len(tokens) - 1))
+    width = len(cube.parse_slice_word(" ".join(tokens[:gap]), 2).final_labels)
+    strand = data.draw(st.integers(min_value=1, max_value=width))
+    kind = data.draw(st.sampled_from(("pos", "neg")))
+    kinked = insert_kink(tokens, gap, strand, kind)
+    assert cube.khovanov_bigraded_k2(" ".join(kinked)) == table
+    i = data.draw(st.integers(min_value=1, max_value=width - 1))
+    twisted = insert_twist_pair(kinked, gap + data.draw(st.sampled_from((0, 3))), i)
+    assert cube.khovanov_bigraded_k2(" ".join(twisted)) == table
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_k2_table_survives_braid_relation(data):
+    strands = data.draw(st.integers(min_value=3, max_value=4))
+    j = data.draw(st.integers(min_value=1, max_value=strands - 2))
+    kind = data.draw(st.sampled_from(("pos", "neg")))
+    before = data.draw(braid_letters(strands, 2))
+    after = data.draw(braid_letters(strands, 2))
+    left = close_braid(strands, before + [(j, kind), (j + 1, kind), (j, kind)] + after)
+    right = close_braid(strands, before + [(j + 1, kind), (j, kind), (j + 1, kind)] + after)
+    assert cube.khovanov_bigraded_k2(" ".join(left)) == cube.khovanov_bigraded_k2(" ".join(right))
+
+
+def test_tangle_complex_check_raises_on_nonzero_square():
+    objects = {0: (0, 0, ()), 1: (1, 0, ()), 2: (2, 0, ())}
+    with pytest.raises(ComplexError, match="squared"):
+        cube._check_square_zero(objects, {0: {1: {0: 1}}, 1: {2: {0: 1}}})
+    cube._check_square_zero(objects, {0: {1: {0: 1}}})
+    with pytest.raises(InvariantError, match="degree"):
+        cube._check_square_zero({0: (0, 0, ()), 1: (1, 2, ())}, {0: {1: {0: 1}}})
+
+
+def test_cobordism_composition_relations():
+    # Over two endpoints joined by one arc: the identity is the undotted
+    # strip, a dot is x, and x^2 = 0.
+    arc = (1, 0)
+    identity, dot = {0: 1}, {1: 1}
+    assert cube._compose(arc, arc, arc, identity, dot) == dot
+    assert cube._compose(arc, arc, arc, dot, dot) == {}
+    # Saddle then inverse saddle on (0 1)(2 3) -> (0 3)(1 2) -> (0 1)(2 3) is a
+    # tube: neck cutting gives a dot on either arc.
+    cups, caps = (1, 0, 3, 2), (3, 2, 1, 0)
+    assert cube._compose(cups, caps, cups, {0: 1}, {0: 1}) == {0b01: 1, 0b10: 1}
+    # On six endpoints, (01)(25)(34) -> (03)(12)(45) -> (05)(14)(23) glues two
+    # disks into a one-holed torus: a handle is twice a dot, and a handle with
+    # a dot vanishes.
+    x, a, y = (1, 0, 5, 4, 3, 2), (3, 2, 1, 0, 5, 4), (5, 4, 3, 2, 1, 0)
+    assert cube._compose(x, a, y, {0: 1}, {0: 1}) == {1: 2}
+    assert cube._compose(x, a, y, {1: 1}, {0: 1}) == {}
