@@ -5,6 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from decatkit import cube
+from decatkit.exactlin import QQ, ComplexError, FiniteComplex, InvariantError, LaurentPoly, PrimeField, SparseMatrix
 from khovanov_reference import (
     braid_letters,
     close_braid,
@@ -13,9 +16,6 @@ from khovanov_reference import (
     insert_twist_pair,
     reference_bigraded_k2,
 )
-
-from decatkit import cube
-from decatkit.exactlin import QQ, ComplexError, FiniteComplex, InvariantError, LaurentPoly, PrimeField, SparseMatrix
 
 # name -> (euler at k=2, euler at k=3, components, k=2 rational homology)
 CATALOGUE = {
@@ -338,7 +338,9 @@ def test_q_split_matches_unsplit_assembly(text, field):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
-@pytest.mark.parametrize("text", _catalogue_and_torus(range(1, 10)))
+# T(2,1), T(2,2), T(2,3), T(2,6) and T(2,8) are the catalogue's kink_positive,
+# hopf, trefoil, torus_2_6 and torus_2_8, word for word.
+@pytest.mark.parametrize("text", _catalogue_and_torus([4, 5, 7, 9]))
 def test_tangle_scan_matches_cube_reference(text, field):
     assert cube.khovanov_bigraded_k2(text, field) == reference_bigraded_k2(text, field)
 
@@ -371,10 +373,13 @@ def test_torus_links_match_closed_forms(n):
     # closed forms; beyond, the cube is out of reach.
     table = cube.khovanov_bigraded_k2(_torus(n), PrimeField(1031))
     assert table == _torus_table(n)
-    assert cube.khovanov_homology_k2(_torus(n), PrimeField(1031)) == _torus_homology(n)
+    dims: dict[int, int] = {}
+    for (h, _), dim in table.items():
+        dims[h] = dims.get(h, 0) + dim
+    assert dims == _torus_homology(n)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(closed_braids(max_crossings=7), st.sampled_from((QQ, PrimeField(5))))
 def test_tangle_scan_matches_cube_on_closed_braids(tokens, field):
     text = " ".join(tokens)
