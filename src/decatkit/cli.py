@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word", required=True, help="slice-word file, or a bundled diagram name")
     sp.add_argument("--field", choices=("Q", "Fp"), default="Q")
     sp.add_argument("--p", type=int)
-    sp.add_argument("--oracle", action="store_true", help="cross-check the k=2 circle oracle")
+    sp.add_argument("--oracle", action="store_true", help="cross-check euler with the k=2 state sum over circles")
     add_out(sp)
 
     sp = sub.add_parser("operad-check", help="sampled operad axiom checks")

@@ -41,8 +41,9 @@ morphisms Z-combinations of dotted cobordisms. A cap deloops the circle it
 closes, a crossing takes the cone of its saddle, and Gaussian elimination
 cancels every ±identity entry, so for T(2, n) the complex keeps O(n) objects
 where the cube has 2^n vertices. The whole q-split cube lives on as the test
-reference `tests/khovanov_reference.py`; only the circle oracle
-`oracle_euler_k2` still walks all resolutions.
+reference `tests/khovanov_reference.py`. The circle oracle `oracle_euler_k2`
+scans the same way: Kauffman's state sum over crossingless matchings of the
+top endpoints, with integer coefficients, no resolution walked.
 """
 
 from __future__ import annotations
@@ -285,64 +286,6 @@ def link_components(word: SliceWord | str, k: int | None = None) -> int:
     if cur:
         raise InvariantError("closed word left strands open")
     return len({forest.find(x) for x in nodes})
-
-
-def _resolution_circles(word: SliceWord, bits: tuple[int, ...]) -> list[frozenset]:
-    """Circles of the planar resolution, as frozensets of strand segments.
-
-    A segment id (idx, pos) names the piece of strand pos (0-based) in the
-    gap directly above token idx. Every token refreshes all ids, so segments
-    are shared verbatim between resolutions and only their connectivity
-    depends on the bits: adjacent resolutions then differ by an exact union
-    (merge) or an exact partition (split) of circle sets.
-    """
-    bit_of = dict(zip(word.crossings, bits))
-    forest = _UnionFind()
-    cur: list = []
-    for idx, (kind, i) in enumerate(word.tokens):
-        if kind in ("cup", "cup'"):
-            width = len(cur) + 2
-            paired = (i - 1, i)
-        elif kind in ("cap", "cap'"):
-            width = len(cur) - 2
-            forest.union(cur[i - 1], cur[i])
-            del cur[i - 1 : i + 1]
-            paired = ()
-        else:
-            width = len(cur)
-            horizontal = (kind == "pos") == (bit_of[idx] == 1)
-            if horizontal:
-                forest.union(cur[i - 1], cur[i])
-                paired = (i - 1, i)
-            else:
-                paired = ()
-        fresh = [(idx, pos) for pos in range(width)]
-        for seg in fresh:
-            forest[seg] = seg
-        if kind in ("cup", "cup'"):
-            straight = list(zip(cur, fresh[: i - 1] + fresh[i + 1 :]))
-        elif paired:
-            straight = [(old, new) for pos, (old, new) in enumerate(zip(cur, fresh)) if pos not in paired]
-        else:
-            straight = list(zip(cur, fresh))
-        for old, new in straight:
-            forest.union(old, new)
-        for a, b in zip(paired, paired[1:]):
-            forest.union(fresh[a], fresh[b])
-        cur = fresh
-    if cur:
-        raise InvariantError("closed word left strands open")
-    groups: dict = {}
-    for x in forest:
-        groups.setdefault(forest.find(x), []).append(x)
-    return [frozenset(g) for g in groups.values()]
-
-
-def resolution_circles(word: SliceWord) -> dict[tuple[int, ...], list[frozenset]]:
-    """Circles of every resolution, vertices in lexicographic order, each
-    vertex's circles sorted by their least segment."""
-    vertices = itertools.product((0, 1), repeat=word.n_crossings)
-    return {v: sorted(_resolution_circles(word, v), key=min) for v in vertices}
 
 
 # A matching of the w endpoints at the top of the current tangle is a tuple m
@@ -640,19 +583,60 @@ def khovanov_homology_k2(word: SliceWord | str, field=QQ) -> dict[int, int]:
     return dims
 
 
-def oracle_euler_k2(word: SliceWord | str, circles=None) -> int:
-    """Euler number from circle counts; valid only at k = 2. `circles`, if
-    given, is `resolution_circles(word)`; only their counts are read."""
+def _state_cup(m: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The matching m with an arc inserted on endpoints p, p+1."""
+    moved = [s + 2 * (s >= p) for s in m]
+    return tuple(moved[:p] + [p + 1, p] + moved[p:])
+
+
+def _state_cap(m: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int]:
+    """The matching m with endpoints p, p+1 capped off, and the factor 2 if
+    the cap closed a circle (else 1)."""
+    partner = list(m)
+    a, b = partner[p], partner[p + 1]
+    if a != p + 1:
+        partner[a], partner[b] = b, a
+    del partner[p : p + 2]
+    return tuple(s - 2 * (s > p) for s in partner), 2 if a == p + 1 else 1
+
+
+def oracle_euler_k2(word: SliceWord | str) -> int:
+    """Euler number at k = 2 by Kauffman's state sum: (-1)^n_minus times
+    the sum over resolutions of (-1)^(number of 1-bits) 2^#circles.
+
+    The word is read bottom to top, keeping {matching of the top endpoints:
+    coefficient}, where a matching m has m[r] the partner of endpoint r: a
+    cup adds an arc, a cap joins two arcs or closes a circle (times 2), and
+    a crossing adds its vertical smoothing (the matching kept) and its
+    horizontal one (a cap, then a cup) with sign (-1)^bit. It shares no code
+    with the transfer matrices or the tangle scan it cross-checks.
+    """
     if isinstance(word, str):
         word = parse_slice_word(word, 2)
     if word.k != 2:
         raise ValueError("circle counting only computes the k = 2 value")
-    total = 0
-    for bits, cs in (resolution_circles(word) if circles is None else circles).items():
-        total += (-1 if sum(bits) % 2 else 1) * (1 << len(cs))
-    if word.n_negative % 2:
-        total = -total
-    return total
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for kind, i in word.tokens:
+        p = i - 1
+        terms: list[tuple[tuple[int, ...], int]] = []
+        for m, c in states.items():
+            if kind in ("cup", "cup'"):
+                terms.append((_state_cup(m, p), c))
+            elif kind in ("cap", "cap'"):
+                capped, loop = _state_cap(m, p)
+                terms.append((capped, loop * c))
+            else:
+                # pos resolves to the vertical smoothing at bit 0, neg at bit 1.
+                vertical = 1 if kind == "pos" else -1
+                capped, loop = _state_cap(m, p)
+                terms += [(m, vertical * c), (_state_cup(capped, p), -vertical * loop * c)]
+        states = {}
+        for m, c in terms:
+            states[m] = states.get(m, 0) + c
+        states = {m: c for m, c in states.items() if c}
+    if not word.closed or any(states):
+        raise InvariantError("the circle oracle needs a closed diagram; the word leaves strands open")
+    return states.get((), 0) * (-1 if word.n_negative % 2 else 1)
 
 
 def reidemeister_check(word_a: str, word_b: str, k: int, field=QQ) -> bool:

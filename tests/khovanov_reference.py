@@ -1,16 +1,92 @@
-"""Test-side reference for `cube.khovanov_bigraded_k2`: the whole q-split
-resolution cube, and generated closed braid diagrams to compare on.
+"""Test-side references for the k = 2 computations in `cube`: the circles of
+every resolution, the brute-force state sum over them (for
+`cube.oracle_euler_k2`), the whole q-split resolution cube (for
+`cube.khovanov_bigraded_k2`), and generated closed braid diagrams to compare
+on.
 
-The reference assembles every vertex of the 2^c cube, with one tensor factor
-of A = span(1, x), x^2 = 0, per circle of the resolution, and ranks one
-complex per quantum grading. It is exponential in the crossing count (T(2,9)
-takes about a second), which is why the package scans tangles instead.
+The cube reference assembles every vertex of the 2^c cube, with one tensor
+factor of A = span(1, x), x^2 = 0, per circle of the resolution, and ranks one
+complex per quantum grading. Both references walk all 2^c resolutions, so
+their cost is exponential in the crossing count (the cube takes about a
+second on T(2,9)), which is why the package scans tangles instead.
 """
+
+import itertools
 
 from hypothesis import strategies as st
 
 from decatkit import cube
 from decatkit.exactlin import QQ, FiniteComplex, InvariantError, SparseMatrix
+
+
+def circles_at(word, bits: tuple[int, ...]) -> list[frozenset]:
+    """Circles of the planar resolution, as frozensets of strand segments.
+
+    A segment id (idx, pos) names the piece of strand pos (0-based) in the
+    gap directly above token idx. Every token refreshes all ids, so segments
+    are shared verbatim between resolutions and only their connectivity
+    depends on the bits: adjacent resolutions then differ by an exact union
+    (merge) or an exact partition (split) of circle sets.
+    """
+    bit_of = dict(zip(word.crossings, bits))
+    forest = cube._UnionFind()
+    cur: list = []
+    for idx, (kind, i) in enumerate(word.tokens):
+        if kind in ("cup", "cup'"):
+            width = len(cur) + 2
+            paired = (i - 1, i)
+        elif kind in ("cap", "cap'"):
+            width = len(cur) - 2
+            forest.union(cur[i - 1], cur[i])
+            del cur[i - 1 : i + 1]
+            paired = ()
+        else:
+            width = len(cur)
+            horizontal = (kind == "pos") == (bit_of[idx] == 1)
+            if horizontal:
+                forest.union(cur[i - 1], cur[i])
+                paired = (i - 1, i)
+            else:
+                paired = ()
+        fresh = [(idx, pos) for pos in range(width)]
+        for seg in fresh:
+            forest[seg] = seg
+        if kind in ("cup", "cup'"):
+            straight = list(zip(cur, fresh[: i - 1] + fresh[i + 1 :]))
+        elif paired:
+            straight = [(old, new) for pos, (old, new) in enumerate(zip(cur, fresh)) if pos not in paired]
+        else:
+            straight = list(zip(cur, fresh))
+        for old, new in straight:
+            forest.union(old, new)
+        for a, b in zip(paired, paired[1:]):
+            forest.union(fresh[a], fresh[b])
+        cur = fresh
+    if cur:
+        raise InvariantError("closed word left strands open")
+    groups: dict = {}
+    for x in forest:
+        groups.setdefault(forest.find(x), []).append(x)
+    return [frozenset(g) for g in groups.values()]
+
+
+def resolution_circles(word) -> dict[tuple[int, ...], list[frozenset]]:
+    """Circles of every resolution, vertices in lexicographic order, each
+    vertex's circles sorted by their least segment."""
+    vertices = itertools.product((0, 1), repeat=word.n_crossings)
+    return {v: sorted(circles_at(word, v), key=min) for v in vertices}
+
+
+def reference_euler_k2(word, circles=None) -> int:
+    """Kauffman's state sum by brute force: (-1)^n_minus times the sum over
+    all 2^c resolutions of (-1)^(number of 1-bits) 2^#circles. `circles`, if
+    given, is `resolution_circles(word)`; only their counts are read."""
+    if isinstance(word, str):
+        word = cube.parse_slice_word(word, 2)
+    total = 0
+    for bits, cs in (resolution_circles(word) if circles is None else circles).items():
+        total += (-1 if sum(bits) % 2 else 1) * (1 << len(cs))
+    return -total if word.n_negative % 2 else total
 
 
 def reference_bigraded_k2(word, field=QQ, circles=None) -> dict[tuple[int, int], int]:
@@ -30,12 +106,12 @@ def reference_bigraded_k2(word, field=QQ, circles=None) -> dict[tuple[int, int],
     descending in odd h, which keeps the elimination of every d_h sparse.
     An edge that leaves its block raises `InvariantError`. The table is in
     Bar-Natan's normalization: (h - n_minus, q + n_plus - 2 n_minus).
-    `circles`, if given, is `cube.resolution_circles(word)`.
+    `circles`, if given, is `resolution_circles(word)`.
     """
     if isinstance(word, str):
         word = cube.parse_slice_word(word, 2)
     nc = word.n_crossings
-    circles = cube.resolution_circles(word) if circles is None else circles
+    circles = resolution_circles(word) if circles is None else circles
     vertices = list(circles)
 
     block_dims: dict[tuple[int, int], int] = {}

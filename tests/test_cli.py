@@ -1,7 +1,6 @@
 """Command-line surface: exit codes, JSON document shape, determinism."""
 
 import hashlib
-import itertools
 import json
 import pathlib
 import time
@@ -149,44 +148,17 @@ def test_khovanov_trefoil_with_oracle(capsys):
     assert doc["oracle_matches"] is True
 
 
-def test_khovanov_oracle_shares_resolution_circles(capsys, monkeypatch):
-    # Homology and oracle read one set of circles: 2^c resolutions, not 2 * 2^c.
-    calls = []
-    original = cube._resolution_circles
-
-    def counting(word, bits):
-        calls.append(bits)
-        return original(word, bits)
-
-    monkeypatch.setattr(cube, "_resolution_circles", counting)
-    code, doc = run_json(capsys, ["khovanov", "--k", "2", "--word", "trefoil", "--oracle"])
-    assert code == 0 and doc["oracle_matches"] is True
-    assert sorted(calls) == sorted(itertools.product((0, 1), repeat=3))
-
-
-def test_khovanov_without_oracle_resolves_no_circles(capsys, monkeypatch):
-    # The homology scans tangles; only the circle oracle walks the 2^c resolutions.
-    calls = []
-    original = cube._resolution_circles
-
-    def counting(word, bits):
-        calls.append(bits)
-        return original(word, bits)
-
-    monkeypatch.setattr(cube, "_resolution_circles", counting)
-    code, doc = run_json(capsys, ["khovanov", "--k", "2", "--word", "trefoil"])
-    assert code == 0 and doc["dims"] == [2, 0, 1, 1]
-    assert calls == []
-
-
 def test_khovanov_torus_2_30_reach(capsys):
-    # 2^30 resolutions; the tangle complexes stay at O(n) objects.
+    # 2^30 resolutions; the tangle complexes and the oracle's states stay at
+    # O(n) matchings.
     word = pathlib.Path(__file__).resolve().parent.parent / "words" / "torus_2_30.sw"
+    argv = ["khovanov", "--k", "2", "--word", str(word), "--oracle", "--field", "Fp", "--p", "1031"]
     started = time.monotonic()
-    code, doc = run_json(capsys, ["khovanov", "--k", "2", "--word", str(word), "--field", "Fp", "--p", "1031"])
+    code, doc = run_json(capsys, argv)
     elapsed = time.monotonic() - started
     assert code == 0
-    assert (doc["crossings"], doc["components"], doc["euler"]) == (30, 2, 4)
+    assert (doc["crossings"], doc["components"], doc["euler"], doc["oracle_euler"]) == (30, 2, 4, 4)
+    assert doc["oracle_matches"] is True
     # Closed form for even n: {0: 2, 2..n-1: 1, n: 2}.
     assert doc["min_degree"] == 0 and doc["dims"] == [2, 0] + [1] * 28 + [2]
     assert elapsed < 10, elapsed

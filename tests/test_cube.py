@@ -1,20 +1,24 @@
 """Slice-word diagrams, the resolution cube, the k = 2 tangle scan and the Frobenius oracle."""
 
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decatkit import cube
+from decatkit import cli, cube
 from decatkit.exactlin import QQ, ComplexError, FiniteComplex, InvariantError, LaurentPoly, PrimeField, SparseMatrix
 from khovanov_reference import (
     braid_letters,
+    circles_at,
     close_braid,
     closed_braids,
     insert_kink,
     insert_twist_pair,
     reference_bigraded_k2,
+    reference_euler_k2,
+    resolution_circles,
 )
 
 # name -> (euler at k=2, euler at k=3, components, k=2 rational homology)
@@ -33,6 +37,16 @@ CATALOGUE = {
     "torus_2_6": (4, 9, 2, {0: 2, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2}),
     "torus_2_8": (4, 9, 2, {0: 2, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 2}),
 }
+
+
+def _torus(n):
+    return "cup'(1) cup(3) " + "pos(2) " * n + "cap(3) cap'(1)"
+
+
+def _catalogue_and_torus(ns):
+    """pytest params: the catalogue diagrams, then T(2, n) for n in ns."""
+    named = sorted(cube.DIAGRAMS.items()) + [(f"T2_{n}", _torus(n)) for n in ns]
+    return [pytest.param(text, id=name) for name, text in named]
 
 
 def test_catalogue_is_covered():
@@ -162,24 +176,53 @@ def test_torus_links_up_to_40_crossings(k):
         assert abs(cube.euler_invariant(word, k)) == k**comps
 
 
-@pytest.mark.parametrize("name", sorted(CATALOGUE))
-def test_frobenius_oracle_agrees_with_functor_euler(name):
-    word = cube.parse_slice_word(cube.DIAGRAMS[name], 2)
-    assert cube.oracle_euler_k2(word) == CATALOGUE[name][0]
+WORD_FILES = pathlib.Path(__file__).resolve().parent.parent / "words"
+
+
+@pytest.mark.parametrize(
+    "text",
+    # T(2,1), T(2,2), T(2,3), T(2,6) and T(2,8) are the catalogue's
+    # kink_positive, hopf, trefoil, torus_2_6 and torus_2_8, word for word.
+    _catalogue_and_torus([4, 5, 7, 9, 10, 11, 12])
+    + [pytest.param(cli._load_word_text(str(WORD_FILES / f)), id=f) for f in ("trefoil.sw", "solomon_seal.sw")],
+)
+def test_frobenius_oracle_agrees_with_functor_euler(text):
+    word = cube.parse_slice_word(text, 2)
+    assert cube.oracle_euler_k2(word) == reference_euler_k2(word) == cube.euler_invariant(word)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_frobenius_oracle_agrees_on_kinked_closed_braids(data):
+    # Braid closures use cup' and cap'; a kink adds cup or cup' and cap, and
+    # pos or neg, so every token kind and both crossing signs occur.
+    tokens = data.draw(closed_braids(max_crossings=9))
+    gap = data.draw(st.integers(min_value=1, max_value=len(tokens) - 1))
+    width = len(cube.parse_slice_word(" ".join(tokens[:gap]), 2).final_labels)
+    strand = data.draw(st.integers(min_value=1, max_value=width))
+    tokens = insert_kink(tokens, gap, strand, data.draw(st.sampled_from(("pos", "neg"))))
+    word = cube.parse_slice_word(" ".join(tokens), 2)
+    assert cube.oracle_euler_k2(word) == reference_euler_k2(word) == cube.euler_invariant(word)
 
 
 @pytest.mark.parametrize("name", ["trefoil", "figure_eight", "torus_2_6"])
 def test_oracle_and_homology_read_shared_circles(name):
     word = cube.parse_slice_word(cube.DIAGRAMS[name], 2)
-    circles = cube.resolution_circles(word)
+    circles = resolution_circles(word)
     assert list(circles) == list(itertools.product((0, 1), repeat=word.n_crossings))
-    assert cube.oracle_euler_k2(word, circles) == cube.oracle_euler_k2(word) == CATALOGUE[name][0]
+    assert reference_euler_k2(word, circles) == cube.oracle_euler_k2(word) == CATALOGUE[name][0]
     assert reference_bigraded_k2(word, QQ, circles) == cube.khovanov_bigraded_k2(word, QQ)
 
 
 def test_oracle_requires_k2():
     with pytest.raises(ValueError, match="k = 2"):
         cube.oracle_euler_k2(cube.parse_slice_word(cube.DIAGRAMS["unknot"], 3))
+
+
+def test_oracle_rejects_open_words():
+    for text in ("cup(1)", "cup'(1) cup(3) pos(2) neg(2)"):
+        with pytest.raises(InvariantError, match="closed diagram"):
+            cube.oracle_euler_k2(text)
 
 
 @pytest.mark.parametrize(
@@ -222,16 +265,6 @@ def test_reidemeister_check_detects_distinct_links():
     assert not cube.reidemeister_check(trefoil, unknot, 2)
     # Separated by the Euler value alone at k=3.
     assert not cube.reidemeister_check(cube.DIAGRAMS["hopf"], unknot, 3)
-
-
-def _torus(n):
-    return "cup'(1) cup(3) " + "pos(2) " * n + "cap(3) cap'(1)"
-
-
-def _catalogue_and_torus(ns):
-    """pytest params: the catalogue diagrams, then T(2, n) for n in ns."""
-    named = sorted(cube.DIAGRAMS.items()) + [(f"T2_{n}", _torus(n)) for n in ns]
-    return [pytest.param(text, id=name) for name, text in named]
 
 
 @pytest.mark.parametrize(
@@ -278,7 +311,7 @@ def _unsplit_homology(word, field):
     word = cube.parse_slice_word(word, 2)
     nc = word.n_crossings
     vertices = list(itertools.product((0, 1), repeat=nc))
-    circles = {v: sorted(cube._resolution_circles(word, v), key=min) for v in vertices}
+    circles = {v: sorted(circles_at(word, v), key=min) for v in vertices}
     offsets = {}
     degree_dims: dict[int, int] = {}
     for v in vertices:
@@ -414,6 +447,26 @@ def test_k2_table_survives_braid_relation(data):
     left = close_braid(strands, before + [(j, kind), (j + 1, kind), (j, kind)] + after)
     right = close_braid(strands, before + [(j + 1, kind), (j, kind), (j + 1, kind)] + after)
     assert cube.khovanov_bigraded_k2(" ".join(left)) == cube.khovanov_bigraded_k2(" ".join(right))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_tangle_sum_survives_twist_pairs_and_braid_relation(data):
+    # Inside a closed braid every crossing joins two up strands of label 1,
+    # so R2 and R3 rewrites there are admissible at every k.
+    k = data.draw(st.sampled_from((2, 3, 4)))
+    strands = data.draw(st.integers(min_value=3, max_value=4))
+    j = data.draw(st.integers(min_value=1, max_value=strands - 2))
+    kind = data.draw(st.sampled_from(("pos", "neg")))
+    before = data.draw(braid_letters(strands, 2))
+    after = data.draw(braid_letters(strands, 2))
+    left = close_braid(strands, before + [(j, kind), (j + 1, kind), (j, kind)] + after)
+    right = close_braid(strands, before + [(j + 1, kind), (j, kind), (j + 1, kind)] + after)
+    value = cube.tangle_alternating_sum(" ".join(left), k)
+    assert cube.tangle_alternating_sum(" ".join(right), k) == value
+    gap = data.draw(st.integers(min_value=strands, max_value=len(left) - strands))
+    i = data.draw(st.integers(min_value=strands + 1, max_value=2 * strands - 1))
+    assert cube.tangle_alternating_sum(" ".join(insert_twist_pair(left, gap, i)), k) == value
 
 
 def test_tangle_complex_check_raises_on_nonzero_square():
