@@ -19,7 +19,7 @@ from decatkit import cube
 from decatkit.exactlin import QQ, FiniteComplex, InvariantError, SparseMatrix
 
 
-def circles_at(word, bits: tuple[int, ...]) -> list[frozenset]:
+def _circles_at(word, bits: tuple[int, ...]) -> list[frozenset]:
     """Circles of the planar resolution, as frozensets of strand segments.
 
     A segment id (idx, pos) names the piece of strand pos (0-based) in the
@@ -74,7 +74,7 @@ def resolution_circles(word) -> dict[tuple[int, ...], list[frozenset]]:
     """Circles of every resolution, vertices in lexicographic order, each
     vertex's circles sorted by their least segment."""
     vertices = itertools.product((0, 1), repeat=word.n_crossings)
-    return {v: sorted(circles_at(word, v), key=min) for v in vertices}
+    return {v: sorted(_circles_at(word, v), key=min) for v in vertices}
 
 
 def reference_euler_k2(word, circles=None) -> int:

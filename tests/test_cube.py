@@ -11,7 +11,6 @@ from decatkit import cli, cube
 from decatkit.exactlin import QQ, ComplexError, FiniteComplex, InvariantError, LaurentPoly, PrimeField, SparseMatrix
 from khovanov_reference import (
     braid_letters,
-    circles_at,
     close_braid,
     closed_braids,
     insert_kink,
@@ -311,7 +310,7 @@ def _unsplit_homology(word, field):
     word = cube.parse_slice_word(word, 2)
     nc = word.n_crossings
     vertices = list(itertools.product((0, 1), repeat=nc))
-    circles = {v: sorted(circles_at(word, v), key=min) for v in vertices}
+    circles = resolution_circles(word)
     offsets = {}
     degree_dims: dict[int, int] = {}
     for v in vertices:
