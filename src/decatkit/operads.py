@@ -1,4 +1,4 @@
-"""Two small based topological operads, checked pointwise in exact rationals.
+"""Two small based topological operads, checked pointwise on exact points.
 
 The simplex operad has n-ary part the standard (n-1)-simplex: coordinate
 tuples (s_1, ..., s_n) of nonnegative rationals summing to 1, with the
@@ -11,17 +11,13 @@ common interior (max s_i >= min t_i). Composition rescales the inner
 families into the outer intervals affinely. The simplex operad includes into
 it by (s_1, ..., s_n) -> ([0, s_1], ..., [0, s_n]).
 
-Both point types share `Point`, so one compose, equal (through the quotient:
-both basepoint-equivalent or equal coordinates), permute and unit serve both.
-`run_operad_checks` samples seeded rational points and runs one loop over the
-two operads: associativity, unit laws, symmetric-group equivariance and
-basepoint absorption, then the section property of co-composition and that
-the inclusion respects composition."""
-
-from __future__ import annotations
+Both share `Point`, integer numerators over one denominator, so one compose,
+equal, permute and unit serve both. `run_operad_checks` checks seeded points:
+associativity, unit, equivariance, basepoints, co-composition, the inclusion."""
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -30,76 +26,88 @@ from fractions import Fraction
 class Basepoint:
     """Shared basepoint sentinel for both operads."""
 
+    is_basepoint = True
+
 
 BASEPOINT = Basepoint()
 
 
 @dataclasses.dataclass(frozen=True)
 class Point:
-    """A point of an n-ary part, n >= 1, with one coordinate per input.
+    """A point of an n-ary part, n >= 1, built from Fraction()-able coordinates
+    and held as nums[i] / den in lowest terms, `STRIDE` per input. Subclasses
+    supply `STRIDE`, `_check`, `UNIT`, `is_basepoint` and the per-input rule
+    `_block(outer nums, inner nums over scale, scale)`."""
 
-    Subclasses supply `_checked` (coerce and validate), `is_basepoint`, the
-    per-block composition rule `_block(outer coordinate, inner coords)` and
-    the coordinates `UNIT` of the unit."""
-
-    coords: tuple
+    nums: tuple
+    den: int
 
     def __init__(self, coords):
-        coords = tuple(coords)
-        if not coords:
+        flat = coords if self.STRIDE == 1 else (c for s, t in coords for c in (s, t))
+        fracs = [Fraction(c) for c in flat]
+        den = math.lcm(*(f.denominator for f in fracs))
+        vars(self).update(vars(self._of(tuple(f.numerator * (den // f.denominator) for f in fracs), den)))
+
+    @classmethod
+    def _of(cls, nums: tuple, den: int):
+        """The point nums / den, reduced and validated."""
+        if not nums:
             raise ValueError("arity must be at least 1")
-        object.__setattr__(self, "coords", self._checked(coords))
+        g = math.gcd(den, *nums)
+        point = object.__new__(cls)
+        vars(point).update(nums=tuple(c // g for c in nums) if g > 1 else nums, den=den // g)
+        point._check()
+        return point
+
+    @property
+    def coords(self) -> tuple:
+        fracs = (Fraction(c, self.den) for c in self.nums)
+        return tuple(fracs) if self.STRIDE == 1 else tuple(zip(fracs, fracs))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coords={self.coords!r})"
 
     @property
     def arity(self) -> int:
-        return len(self.coords)
+        return len(self.nums) // self.STRIDE
 
 
 class SimplexPoint(Point):
+    STRIDE = 1
     UNIT = (Fraction(1),)
 
-    @staticmethod
-    def _checked(coords):
-        coords = tuple(Fraction(c) for c in coords)
-        if any(c < 0 for c in coords):
-            raise ValueError(f"negative coordinate in {coords}")
-        if sum(coords) != 1:
-            raise ValueError(f"coordinates {coords} do not sum to 1")
-        return coords
+    def _check(self):
+        if min(self.nums) < 0:
+            raise ValueError(f"negative coordinate in {self.coords}")
+        if sum(self.nums) != self.den:
+            raise ValueError(f"coordinates {self.coords} do not sum to 1")
 
     @property
     def is_basepoint(self) -> bool:
-        return any(c == 0 for c in self.coords)
+        return 0 in self.nums
 
     @staticmethod
-    def _block(s, inner):
-        return tuple(s * t for t in inner)
+    def _block(outer, inner, scale):
+        return [outer[0] * t for t in inner]
 
 
 class IntervalFamily(Point):
+    STRIDE = 2
     UNIT = ((Fraction(0), Fraction(1)),)
 
-    @staticmethod
-    def _checked(coords):
-        coords = tuple((Fraction(s), Fraction(t)) for s, t in coords)
-        for s, t in coords:
-            if not (0 <= s < t <= 1):
-                raise ValueError(f"bad interval [{s}, {t}]")
-        return coords
+    def _check(self):
+        for s, t in zip(self.nums[::2], self.nums[1::2]):
+            if not (0 <= s < t <= self.den):
+                raise ValueError(f"bad interval [{Fraction(s, self.den)}, {Fraction(t, self.den)}]")
 
     @property
     def is_basepoint(self) -> bool:
-        return max(s for s, _ in self.coords) >= min(t for _, t in self.coords)
+        return max(self.nums[::2]) >= min(self.nums[1::2])
 
     @staticmethod
-    def _block(outer, inner):
+    def _block(outer, inner, scale):
         s, t = outer
-        width = t - s
-        return tuple((s + width * a, s + width * b) for a, b in inner)
-
-
-def _based(point) -> bool:
-    return isinstance(point, Basepoint) or point.is_basepoint
+        return [s * scale + (t - s) * a for a in inner]
 
 
 def _blocks(coords: tuple, arities) -> list[tuple]:
@@ -118,62 +126,59 @@ def compose(outer, inners):
         return BASEPOINT
     if len(inners) != outer.arity:
         raise ValueError(f"need {outer.arity} inner points, got {len(inners)}")
-    point = type(outer)(
-        c for s, inner in zip(outer.coords, inners) for c in outer._block(s, inner.coords)
-    )
+    kind, k = type(outer), outer.STRIDE
+    for x in inners:
+        if not isinstance(x, kind):
+            raise ValueError(f"cannot compose a {kind.__name__} with an inner {type(x).__name__}")
+    scale = math.lcm(*(x.den for x in inners))
+    nums = [c for i, x in enumerate(inners) for c in outer._block(
+        outer.nums[k * i : k * i + k], [a * (scale // x.den) for a in x.nums], scale)]
+    point = kind._of(tuple(nums), outer.den * scale)
     return BASEPOINT if point.is_basepoint else point
 
 
 def equal(a, b) -> bool:
     """Equality in the quotient by the basepoint."""
-    if _based(a) or _based(b):
-        return _based(a) and _based(b)
-    return a.coords == b.coords
+    if a.is_basepoint or b.is_basepoint:
+        return a.is_basepoint and b.is_basepoint
+    return a.nums == b.nums and a.den == b.den
 
 
 def permute(point, sigma: tuple[int, ...]):
     if isinstance(point, Basepoint):
         return BASEPOINT
-    return type(point)(point.coords[s] for s in sigma)
+    k = point.STRIDE
+    return type(point)._of(tuple(point.nums[k * s + j] for s in sigma for j in range(k)), point.den)
 
 
 def cocompose(point, arities: tuple[int, ...]):
-    """Split a simplex point of arity sum(arities) into (outer, inners).
-
-    Blocks are summed to the outer coordinates and renormalized to give the
-    inner points; a zero block has no normalization and the whole answer is
-    the basepoint, matching the quotient.
-    """
+    """Split a simplex point of arity sum(arities) into (outer, inners), the
+    block sums and renormalized blocks; a zero block gives the basepoint."""
     if isinstance(point, Basepoint):
         return BASEPOINT
     if sum(arities) != point.arity:
         raise ValueError(f"arities {arities} do not sum to {point.arity}")
-    outer = []
-    inners = []
-    for block in _blocks(point.coords, arities):
-        total = sum(block)
-        outer.append(total)
-        if total == 0:
-            return BASEPOINT
-        inners.append(SimplexPoint(tuple(c / total for c in block)))
-    return SimplexPoint(tuple(outer)), tuple(inners)
+    blocks = _blocks(point.nums, arities)
+    totals = tuple(sum(block) for block in blocks)
+    if 0 in totals:
+        return BASEPOINT
+    return SimplexPoint._of(totals, point.den), tuple(map(SimplexPoint._of, blocks, totals))
 
 
 def from_simplex(point):
     """The inclusion (s_1, ..., s_n) -> ([0, s_1], ..., [0, s_n]); a zero
     s_i gives no interval, so the boundary goes to the basepoint."""
-    if isinstance(point, Basepoint) or 0 in point.coords:
+    if isinstance(point, Basepoint) or 0 in point.nums:
         return BASEPOINT
-    return IntervalFamily((Fraction(0), s) for s in point.coords)
+    return IntervalFamily._of(tuple(c for s in point.nums for c in (0, s)), point.den)
 
 
 def sample_simplex(rng: random.Random, n: int, boundary_rate: int = 8) -> SimplexPoint:
     """Random rational point, interior except one time in boundary_rate."""
-    weights = [Fraction(rng.randint(1, 9)) for _ in range(n)]
+    weights = [rng.randint(1, 9) for _ in range(n)]
     if n > 1 and boundary_rate and rng.randrange(boundary_rate) == 0:
-        weights[rng.randrange(n)] = Fraction(0)
-    total = sum(weights)
-    return SimplexPoint(tuple(w / total for w in weights))
+        weights[rng.randrange(n)] = 0
+    return SimplexPoint._of(tuple(weights), sum(weights))
 
 
 def sample_intervals(rng: random.Random, n: int, basepoint_rate: int = 8) -> IntervalFamily:
@@ -188,15 +193,14 @@ def sample_intervals(rng: random.Random, n: int, basepoint_rate: int = 8) -> Int
         hi = rng.randint(lo + 2, 24)
         mid = lo + hi
         pairs = [(rng.randint(2 * lo, mid - 1), rng.randint(mid + 1, 2 * hi)) for _ in range(n)]
-    return IntervalFamily((Fraction(a, 48), Fraction(b, 48)) for a, b in pairs)
+    return IntervalFamily._of(tuple(c for pair in pairs for c in pair), 48)
 
 
-_HALF = Fraction(1, 2)
-# (check prefix, point class, sampler, coordinates of a based point of arity
-# m > 1): the simplex corner (0, ..., 0, 1), intervals meeting only at 1/2.
+# (check prefix, point class, sampler, a based point of arity m > 1): the
+# simplex corner (0, ..., 0, 1), intervals meeting only at 1/2.
 _OPERADS = (
-    ("j", SimplexPoint, sample_simplex, lambda m: (0,) * (m - 1) + (1,)),
-    ("q", IntervalFamily, sample_intervals, lambda m: ((0, _HALF),) * (m - 1) + ((_HALF, 1),)),
+    ("j", SimplexPoint, sample_simplex, lambda m: SimplexPoint._of((0,) * (m - 1) + (1,), 1)),
+    ("q", IntervalFamily, sample_intervals, lambda m: IntervalFamily._of((0, 1) * (m - 1) + (1, 2), 2)),
 )
 
 
@@ -215,13 +219,9 @@ class OperadReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": dict(sorted(self.trials.items())),
-            "total_trials": self.total_trials,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
+        trials = dict(sorted(self.trials.items()))
+        return {"seed": self.seed, "trials": trials, "total_trials": self.total_trials,
+                "failures": self.failures, "passed": self.passed}
 
 
 def run_operad_checks(seed: int = 0, budget: int = 1200, max_arity: int = 5) -> OperadReport:
@@ -268,9 +268,9 @@ def run_operad_checks(seed: int = 0, budget: int = 1200, max_arity: int = 5) -> 
             ds = [sample(rng, arity()) for _ in range(m)]
             lhs = compose(permute(c, sigma), [ds[s] for s in sigma])
             rhs = base = compose(c, ds)
-            if not _based(base):
-                blocks = _blocks(base.coords, [d.arity for d in ds])
-                rhs = kind(y for s in sigma for y in blocks[s])
+            if not base.is_basepoint:
+                blocks = _blocks(base.nums, [d.arity * kind.STRIDE for d in ds])
+                rhs = kind._of(tuple(y for s in sigma for y in blocks[s]), base.den)
             record(f"{tag}_equivariance", equal(lhs, rhs), c=c, sigma=sigma)
 
             m = arity()
@@ -281,7 +281,7 @@ def run_operad_checks(seed: int = 0, budget: int = 1200, max_arity: int = 5) -> 
             ok = isinstance(compose(BASEPOINT, bs), Basepoint)
             ok = ok and isinstance(compose(a, with_base), Basepoint)
             if m > 1:
-                ok = ok and equal(compose(kind(corner(m)), bs), BASEPOINT)
+                ok = ok and equal(compose(corner(m), bs), BASEPOINT)
             record(f"{tag}_basepoint", ok, a=a)
 
             if kind is SimplexPoint:
@@ -289,7 +289,7 @@ def run_operad_checks(seed: int = 0, budget: int = 1200, max_arity: int = 5) -> 
                 p = sample_simplex(rng, sum(arities), boundary_rate=4)
                 split = cocompose(p, arities)
                 if isinstance(split, Basepoint):
-                    ok = p.is_basepoint or any(sum(b) == 0 for b in _blocks(p.coords, arities))
+                    ok = p.is_basepoint or any(sum(b) == 0 for b in _blocks(p.nums, arities))
                 else:
                     ok = equal(compose(*split), p)
                 record("j_cocompose_section", ok, p=p, arities=arities)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from decatkit import cli, cohomology, cube
+from decatkit import cli, cohomology, cube, operads
 
 # sha256 of the `relations --k K --all` documents as the LaurentPoly-entry
 # functor layer wrote them; the flat graded terms must not change a byte.
@@ -232,6 +232,29 @@ def test_operad_check_budget_guard(capsys):
 def test_operad_check_max_arity_guard(capsys):
     assert cli.run(["operad-check", "--max-arity", "0"]) == 2
     assert "--max-arity" in capsys.readouterr().err
+
+
+def test_operad_check_refuses_exploding_arity_up_front(capsys, monkeypatch):
+    def never(**_kwargs):
+        raise AssertionError("the checks started")
+
+    monkeypatch.setattr(operads, "run_operad_checks", never)
+    assert cli.run(["operad-check", "--max-arity", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert "100000000000 coordinates" in err and "--max-arity" in err
+
+
+def test_operad_check_preflight_admits_budget_1200_up_to_arity_43(capsys, monkeypatch):
+    started = []
+
+    def stub(seed, budget, max_arity):
+        started.append(max_arity)
+        return operads.OperadReport(seed=seed, trials={"j_unit": budget}, failures=[])
+
+    monkeypatch.setattr(operads, "run_operad_checks", stub)
+    assert cli.run(["operad-check", "--budget", "1200", "--max-arity", "43"]) == 0
+    assert cli.run(["operad-check", "--budget", "1200", "--max-arity", "44"]) == 2
+    assert started == [43]
 
 
 def test_cohomology_depth_guard(capsys):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import operad_reference as reference
 import pytest
 
 from decatkit import operads
@@ -78,6 +79,12 @@ class TestSimplexComposition:
         with pytest.raises(ValueError, match="do not sum"):
             operads.cocompose(operads.unit(operads.SimplexPoint), (2,))
 
+    def test_compose_refuses_interval_inners(self):
+        outer = operads.SimplexPoint((Fraction(1, 2), Fraction(1, 2)))
+        family = operads.IntervalFamily(((0, Fraction(1, 2)), (Fraction(1, 4), 1)))
+        with pytest.raises(ValueError, match="SimplexPoint with an inner IntervalFamily"):
+            operads.compose(outer, [family, family])
+
     def test_permute_reorders_coords(self):
         p = operads.SimplexPoint((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
         q = operads.permute(p, (2, 0, 1))
@@ -109,6 +116,12 @@ class TestIntervalFamilies:
         inner = operads.IntervalFamily(((Fraction(1, 2), Fraction(1)),))
         out = operads.compose(outer, [inner])
         assert out.coords == ((Fraction(1, 4), Fraction(1, 2)),)
+
+    def test_compose_refuses_simplex_inners(self):
+        outer = operads.IntervalFamily(((0, Fraction(1, 2)), (Fraction(1, 4), 1)))
+        point = operads.SimplexPoint((Fraction(1, 2), Fraction(1, 2)))
+        with pytest.raises(ValueError, match="IntervalFamily with an inner SimplexPoint"):
+            operads.compose(outer, [point, point])
 
     def test_basepoint_absorbs(self):
         one = operads.unit(operads.IntervalFamily)
@@ -195,8 +208,14 @@ def _reversed(point):
 
 
 def _reversed_blocks(kind):
-    rule = kind._block
-    return staticmethod(lambda outer, inner: rule(outer, inner[::-1]))
+    """`kind._block` with the inner inputs (STRIDE numerators each) reversed."""
+    rule, k = kind._block, kind.STRIDE
+
+    def broken(outer, inner, scale):
+        inputs = [inner[i : i + k] for i in range(0, len(inner), k)]
+        return rule(outer, [c for x in reversed(inputs) for c in x], scale)
+
+    return staticmethod(broken)
 
 
 _cocompose = operads.cocompose
@@ -237,3 +256,133 @@ def test_each_check_detects_its_broken_ingredient(monkeypatch, check):
     budget = 800 if check in WEAK_AT_200 else 200
     report = operads.run_operad_checks(seed=0, budget=budget)
     assert check in {f["check"] for f in report.failures}
+
+
+def test_failure_witnesses_read_as_coordinates():
+    simplex = operads.SimplexPoint((Fraction(1, 2), Fraction(1, 2)))
+    assert repr(simplex) == "SimplexPoint(coords=(Fraction(1, 2), Fraction(1, 2)))"
+    family = operads.IntervalFamily(((0, Fraction(1, 2)), (Fraction(1, 4), 1)))
+    assert repr(family) == (
+        "IntervalFamily(coords=((Fraction(0, 1), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 1))))"
+    )
+
+
+# run_operad_checks(seed=0, budget=200) with `permute` the identity, as the
+# Fraction-coordinate implementation reported it: this pins the draw stream
+# and the witnesses' text.
+IDENTITY_PERMUTE_FAILURES = [
+    ("SimplexPoint(coords=(Fraction(5, 17), Fraction(2, 17), Fraction(4, 17), Fraction(6, 17)))", "(2, 0, 3, 1)"),
+    ("SimplexPoint(coords=(Fraction(7, 12), Fraction(5, 12)))", "(1, 0)"),
+    ("SimplexPoint(coords=(Fraction(9, 17), Fraction(4, 17), Fraction(1, 17), Fraction(3, 17)))", "(1, 0, 3, 2)"),
+    (
+        "SimplexPoint(coords=(Fraction(9, 23), Fraction(4, 23), Fraction(3, 23), Fraction(2, 23), Fraction(5, 23)))",
+        "(1, 3, 0, 4, 2)",
+    ),
+    (
+        "SimplexPoint(coords=(Fraction(2, 19), Fraction(3, 19), Fraction(8, 19), Fraction(3, 19), Fraction(3, 19)))",
+        "(4, 2, 3, 0, 1)",
+    ),
+    ("SimplexPoint(coords=(Fraction(2, 11), Fraction(4, 11), Fraction(5, 11)))", "(1, 0, 2)"),
+    ("SimplexPoint(coords=(Fraction(3, 25), Fraction(7, 25), Fraction(9, 25), Fraction(6, 25)))", "(1, 3, 0, 2)"),
+    ("SimplexPoint(coords=(Fraction(4, 11), Fraction(2, 11), Fraction(5, 11)))", "(1, 0, 2)"),
+]
+
+
+def test_identity_permute_failures_are_pinned(monkeypatch):
+    monkeypatch.setattr(operads, "permute", lambda point, sigma: point)
+    report = operads.run_operad_checks(seed=0, budget=200)
+    expected = [{"check": "j_equivariance", "c": c, "sigma": sigma} for c, sigma in IDENTITY_PERMUTE_FAILURES]
+    assert report.failures == expected
+
+
+_SAMPLERS = {
+    "simplex": (operads.sample_simplex, reference.sample_simplex),
+    "intervals": (operads.sample_intervals, reference.sample_intervals),
+}
+
+
+def _assert_same(new, old):
+    """A package result equals its Fraction-reference twin."""
+    if isinstance(old, tuple):  # cocompose's (outer, inners)
+        outer, inners = new
+        _assert_same(outer, old[0])
+        assert len(inners) == len(old[1])
+        for x, y in zip(inners, old[1]):
+            _assert_same(x, y)
+        return
+    if isinstance(new, operads.Basepoint) or isinstance(old, operads.Basepoint):
+        assert new is old
+        return
+    assert type(new).__name__ == type(old).__name__
+    assert new.coords == old.coords
+    assert new.is_basepoint == old.is_basepoint
+    assert new.arity == old.arity
+
+
+def _draw(rng, sampler, n, rate):
+    """A package point and its reference twin, drawn from one seed; both
+    samplers must consume the same random stream."""
+    seed = rng.randrange(2**32)
+    new_rng, old_rng = random.Random(seed), random.Random(seed)
+    new = _SAMPLERS[sampler][0](new_rng, n, rate)
+    old = _SAMPLERS[sampler][1](old_rng, n, rate)
+    assert new_rng.getstate() == old_rng.getstate()
+    _assert_same(new, old)
+    return new, old
+
+
+@pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+def test_operations_agree_with_fraction_reference(sampler):
+    rng = random.Random(14)
+    for _ in range(150):
+        rate = rng.choice((0, 2, 8))  # 2: about half the draws are based
+        m = rng.randint(1, 4)
+        a, a_ref = _draw(rng, sampler, m, rate)
+        pairs = [_draw(rng, sampler, rng.randint(1, 3), rate) for _ in range(m)]
+        if rng.randrange(6) == 0:
+            pairs[rng.randrange(m)] = (operads.BASEPOINT, operads.BASEPOINT)
+        inners, inners_ref = [x for x, _ in pairs], [y for _, y in pairs]
+        _assert_same(operads.compose(a, inners), reference.compose(a_ref, inners_ref))
+
+        sigma = tuple(rng.sample(range(m), m))
+        moved, moved_ref = operads.permute(a, sigma), reference.permute(a_ref, sigma)
+        _assert_same(moved, moved_ref)
+        assert operads.equal(a, moved) == reference.equal(a_ref, moved_ref)
+        b, b_ref = pairs[0]
+        assert operads.equal(a, b) == reference.equal(a_ref, b_ref)
+
+        if sampler == "simplex":
+            _assert_same(operads.from_simplex(a), reference.from_simplex(a_ref))
+            arities = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            p, p_ref = _draw(rng, sampler, sum(arities), rate)
+            _assert_same(operads.cocompose(p, arities), reference.cocompose(p_ref, arities))
+
+
+@pytest.mark.parametrize(
+    "kind, coords",
+    [
+        ("SimplexPoint", (1,)),
+        ("SimplexPoint", (Fraction(1, 3), "2/3")),
+        ("SimplexPoint", ["1/4", 0, 0.75]),
+        ("SimplexPoint", (Fraction(2, 6), Fraction(4, 6))),
+        ("SimplexPoint", (Fraction(1, 2), Fraction(1, 3))),
+        ("SimplexPoint", (Fraction(3, 2), "-1/2")),
+        ("SimplexPoint", ()),
+        ("IntervalFamily", ((0, 1),)),
+        ("IntervalFamily", (("1/4", "3/4"), (0, Fraction(1, 2)))),
+        ("IntervalFamily", ((0, "1/3"), ("1/2", 1))),
+        ("IntervalFamily", ((Fraction(1, 2), Fraction(1, 2)),)),
+        ("IntervalFamily", ((0, 1), ("-1/4", "1/2"))),
+        ("IntervalFamily", ()),
+    ],
+)
+def test_user_built_points_agree_with_fraction_reference(kind, coords):
+    build, build_ref = getattr(operads, kind), getattr(reference, kind)
+    try:
+        expected = build_ref(coords)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            build(coords)
+        assert str(caught.value) == str(exc)
+        return
+    _assert_same(build(coords), expected)
