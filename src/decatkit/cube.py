@@ -533,8 +533,7 @@ def khovanov_bigraded_k2(word: SliceWord | str, field=QQ) -> dict[tuple[int, int
     (math/0201043). The table is in Bar-Natan's normalization:
     (h - n_minus, q + n_plus - 2 n_minus).
     """
-    if isinstance(word, str):
-        word = parse_slice_word(word, 2)
+    word = _as_word(word, 2)
     if word.k != 2:
         raise ValueError(f"the tangle scan computes k = 2 homology, got k = {word.k}")
     if not word.closed:
@@ -611,8 +610,7 @@ def oracle_euler_k2(word: SliceWord | str) -> int:
     horizontal one (a cap, then a cup) with sign (-1)^bit. It shares no code
     with the transfer matrices or the tangle scan it cross-checks.
     """
-    if isinstance(word, str):
-        word = parse_slice_word(word, 2)
+    word = _as_word(word, 2)
     if word.k != 2:
         raise ValueError("circle counting only computes the k = 2 value")
     states: dict[tuple[int, ...], int] = {(): 1}

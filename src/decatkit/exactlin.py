@@ -248,11 +248,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (self.nrows, self.ncols, self.entries) == (other.nrows, other.ncols, other.entries)
-
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} + {other.nrows}x{other.ncols}")

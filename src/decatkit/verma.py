@@ -8,18 +8,18 @@ The module basis is PBW: ordered monomials in the lowering generators e_ij
 A monomial's depth is the root height of its total weight drop, and the
 module keeps exactly the basis vectors of depth <= D.
 
-`action(x)` builds each column by one commutation step. Write the basis
-vector as e_g v_rest, with g the first generator of its monomial. Then
+`column(x, col)` builds one column by one commutation step. Write the
+basis vector as e_g v_rest, with g the first generator of its monomial. Then
 e_x e_g v_rest is the monomial with one more x when x is lowering and
 x <= g, the weight times the vector when x is Cartan, and otherwise
 e_g (e_x v_rest) + [e_x, e_g] v_rest, where e_x and the bracket act on the
-shorter v_rest. `action` memoizes columns for the length of one call;
-`column(x, col)`, which `ce_slice` reads, builds one column on first read
-and keeps its own memo for the module's lifetime, apart from `action`'s.
-A lowering e_x sends a monomial of depth d to depth d + ht(x), so its column
-leaves the window exactly when d + ht(x) > D; each such column is recorded
-in `truncation_losses` and not computed. Raising and Cartan operators never
-increase depth, so their matrices are exact on the window.
+shorter v_rest. Each column is built on first read, reduced into the field
+and kept for the module's lifetime; `action(x)` assembles its matrix from
+those same columns. A lowering e_x sends a monomial of depth d to depth
+d + ht(x), so its column leaves the window exactly when d + ht(x) > D:
+`column` refuses it, and `action` records it in `truncation_losses`.
+Raising and Cartan operators never increase depth, so their matrices are
+exact on the window.
 
 `simple_quotient` builds the finite-dimensional simple module L(lambda)
 directly on Gelfand-Tsetlin patterns (Molev, arXiv math/0211289, Thm. 2.3),
@@ -41,6 +41,7 @@ lowest alcove) are required, and below it the construction refuses.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -71,6 +72,14 @@ class _WeightModule:
     def dim(self) -> int:
         return len(self.basis_weight)
 
+    @functools.cached_property
+    def weight_index(self) -> dict[weights.Weight, list[int]]:
+        """Basis indices of each weight space, keyed by unshifted weight."""
+        index: dict[weights.Weight, list[int]] = {}
+        for k, w in enumerate(self.basis_weight):
+            index.setdefault(w, []).append(k)
+        return index
+
     def weight_dims(self) -> CharacterTable:
         """Dimension of each weight space, keyed by shifted weight."""
         return {weights.shift(w): len(idx) for w, idx in self.weight_index.items()}
@@ -96,13 +105,9 @@ class TruncatedVerma(_WeightModule):
         self.basis = self._enumerate_basis()
         self.basis_index = {m: k for k, m in enumerate(self.basis)}
         self.basis_weight = [self._monomial_weight(m) for m in self.basis]
-        self.weight_index: dict[weights.Weight, list[int]] = {}
-        for k, w in enumerate(self.basis_weight):
-            self.weight_index.setdefault(w, []).append(k)
         self.truncation_losses: list[tuple[Pair, int]] = []
         self._action_cache: dict[Pair, SparseMatrix] = {}
-        self._columns: dict[Pair, dict[int, dict[int, object]]] = {}
-        self._column_store: dict[Pair, dict[int, dict[int, int]]] = {}
+        self._columns: dict[Pair, dict[int, dict[int, int]]] = {}
 
     def _enumerate_basis(self) -> list[tuple[int, ...]]:
         monos: list[tuple[int, ...]] = []
@@ -128,65 +133,59 @@ class TruncatedVerma(_WeightModule):
             w[j - 1] -= m
         return tuple(w)
 
+    def _height(self, pair: Pair) -> int:
+        """Depth change of e_pair, which must be a generator of gl_n."""
+        i, j = pair
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ValueError(f"generator ({i}, {j}) outside gl_{self.n}")
+        return generator_height(pair)
+
     def action(self, pair: Pair) -> SparseMatrix:
         """Matrix of e_pair on the window, columns indexed by the basis."""
         if pair in self._action_cache:
             return self._action_cache[pair]
-        i, j = pair
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"generator ({i}, {j}) outside gl_{self.n}")
-        height = generator_height(pair)
-        store: dict[Pair, dict[int, dict[int, int]]] = {}
+        height = self._height(pair)
         triples = []
         for col, mono in enumerate(self.basis):
-            if height > 0 and self.monomial_depth(mono) + height > self.depth:
+            if self.monomial_depth(mono) + height > self.depth:
                 self.truncation_losses.append((pair, col))
                 continue
-            for row, coeff in self._column(store, pair, col).items():
-                if v := self.field.of(coeff):
-                    triples.append((row, col, v))
+            triples.extend((row, col, v) for row, v in self.column(pair, col).items())
         mat = SparseMatrix.from_triples(self.dim, self.dim, triples)
         self._action_cache[pair] = mat
         return mat
 
-    def column(self, pair: Pair, col: int) -> dict[int, object]:
-        """Column `col` of `action(pair)` as {row: nonzero value}, built on first read."""
+    def column(self, pair: Pair, col: int) -> dict[int, int]:
+        """e_pair times basis vector `col`, as {row: nonzero field value},
+        by the one-step rule of the module docstring; built on first read."""
         done = self._columns.setdefault(pair, {})
-        if col not in done:
-            if self.monomial_depth(self.basis[col]) + generator_height(pair) > self.depth:
-                raise ValueError(f"e_{pair} moves basis vector {col} out of the depth window")
-            ints = self._column(self._column_store, pair, col)
-            done[col] = {row: v for row, c in ints.items() if (v := self.field.of(c))}
-        return done[col]
-
-    def _column(self, store, x: Pair, col: int) -> dict[int, int]:
-        """e_x times basis vector `col`, as {basis index: int coefficient},
-        by the one-step rule of the module docstring; `store` memoizes it."""
-        done = store.setdefault(x, {})
         if col in done:
             return done[col]
-        i, j = x
         mono = self.basis[col]
+        if self.monomial_depth(mono) + self._height(pair) > self.depth:
+            raise ValueError(f"e_{pair} moves basis vector {col} out of the depth window")
+        i, j = pair
         lead = next((k for k, e in enumerate(mono) if e), None)
         if i == j:
-            w = self.basis_weight[col][i - 1]
-            out = {col: w} if w else {}
-        elif i > j and (lead is None or self._gen_pos[x] <= lead):
-            k = self._gen_pos[x]
-            out = {self.basis_index[mono[:k] + (mono[k] + 1,) + mono[k + 1 :]]: 1}
+            acc = {col: self.basis_weight[col][i - 1]}
+        elif i > j and (lead is None or self._gen_pos[pair] <= lead):
+            k = self._gen_pos[pair]
+            acc = {self.basis_index[mono[:k] + (mono[k] + 1,) + mono[k + 1 :]]: 1}
         elif lead is None:
-            out = {}
+            acc = {}
         else:
             g = self.gens_low[lead]
             rest = self.basis_index[mono[:lead] + (mono[lead] - 1,) + mono[lead + 1 :]]
-            acc: dict[int, int] = {}
-            for mid, a in self._column(store, x, rest).items():
-                for row, b in self._column(store, g, mid).items():
+            acc = {}
+            for mid, a in self.column(pair, rest).items():
+                for row, b in self.column(g, mid).items():
                     acc[row] = acc.get(row, 0) + a * b
-            for z, c in self._gl.bracket(x, g).items():
-                for row, b in self._column(store, z, rest).items():
+            for z, c in self._gl.bracket(pair, g).items():
+                for row, b in self.column(z, rest).items():
                     acc[row] = acc.get(row, 0) + c * b
-            out = {row: v for row, v in acc.items() if v}
+        # Every coefficient is an int, so over F_p a residue is `% p`.
+        p = self.field.p
+        out = {row: r for row, v in acc.items() if (r := v % p if p else v)}
         done[col] = out
         return out
 
@@ -233,34 +232,24 @@ def verma_character(n: int, lam_shifted: weights.Weight, depth: int) -> Characte
     return out
 
 
-def coverma_character(
-    par: liealg.ParabolicData,
-    levi_character: CharacterTable,
-    depth: int,
-    nilradical_side: str = "opposite",
-) -> CharacterTable:
+def coverma_character(par: liealg.ParabolicData, levi_character: CharacterTable, depth: int) -> CharacterTable:
     """Character of the coinduced module window: Levi character times the
-    symmetric-algebra character of the chosen nilradical.
+    symmetric-algebra character of the opposite nilradical.
 
-    `nilradical_side="opposite"` (default) drops weights by sums of the
-    positive cross-block roots, i.e. the underlying space is the symmetric
-    algebra on the opposite nilradical tensored with the Levi module;
-    "same" adds those roots instead. Both are exposed because the convention
-    is a genuine choice; tests pin the default through the Borel case, where
-    the co-Verma window must match `verma_character`.
+    Weights drop by sums of the positive cross-block roots, i.e. the
+    underlying space is the symmetric algebra on the opposite nilradical
+    tensored with the Levi module. In the Borel case the co-Verma window
+    matches `verma_character`.
     """
-    if nilradical_side not in ("opposite", "same"):
-        raise ValueError(f"nilradical_side must be 'opposite' or 'same', got {nilradical_side!r}")
     n = par.n
     nil = par.nilradical()
     cross = [nil.weight(p) for p in nil.pairs]
     table = weights.multiset_character(cross, n, depth)
-    sign = -1 if nilradical_side == "opposite" else 1
     out: CharacterTable = {}
     for w_shifted, mult in levi_character.items():
         lw = weights.unshift(tuple(w_shifted))
         for nu, count in table.items():
-            key = weights.shift(tuple(a + sign * b for a, b in zip(lw, nu)))
+            key = weights.shift(tuple(a - b for a, b in zip(lw, nu)))
             out[key] = out.get(key, 0) + mult * count
     return out
 
@@ -331,9 +320,6 @@ class FiniteWeightModule(_WeightModule):
     actions: dict[Pair, SparseMatrix]
 
     def __post_init__(self):
-        self.weight_index: dict[weights.Weight, list[int]] = {}
-        for k, w in enumerate(self.basis_weight):
-            self.weight_index.setdefault(w, []).append(k)
         self._columns: dict[Pair, dict[int, dict[int, object]]] = {}
 
     def action(self, pair: Pair) -> SparseMatrix:

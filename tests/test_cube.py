@@ -214,8 +214,11 @@ def test_oracle_and_homology_read_shared_circles(name):
 
 
 def test_oracle_requires_k2():
-    with pytest.raises(ValueError, match="k = 2"):
-        cube.oracle_euler_k2(cube.parse_slice_word(cube.DIAGRAMS["unknot"], 3))
+    word = cube.parse_slice_word(cube.DIAGRAMS["unknot"], 3)
+    with pytest.raises(ValueError, match="^circle counting only computes the k = 2 value$"):
+        cube.oracle_euler_k2(word)
+    with pytest.raises(ValueError, match="^the tangle scan computes k = 2 homology, got k = 3$"):
+        cube.khovanov_bigraded_k2(word)
 
 
 def test_oracle_rejects_open_words():

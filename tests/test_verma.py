@@ -101,14 +101,6 @@ def test_coverma_borel_agrees_with_verma():
     assert verma.coverma_character(par, {lam: 1}, 3) == verma.verma_character(3, lam, 3)
 
 
-def test_coverma_same_side_runs_upward():
-    par = liealg.ParabolicData((1, 1))
-    ch = verma.coverma_character(par, {(3, 0): 1}, 2, nilradical_side="same")
-    assert ch == {(3, 0): 1, (4, -1): 1, (5, -2): 1}
-    with pytest.raises(ValueError, match="nilradical_side"):
-        verma.coverma_character(par, {(3, 0): 1}, 2, nilradical_side="down")
-
-
 def test_coverma_parabolic_standard_levi_block():
     # gl_3 with blocks (2, 1); levi module = standard rep of the gl_2 block.
     par = liealg.ParabolicData((2, 1))
@@ -253,9 +245,17 @@ def test_gl2_parabolic_induction(ell):
 
 
 def test_action_rejects_foreign_generator():
-    module = verma.TruncatedVerma(2, (3, 0), 2)
-    with pytest.raises(ValueError, match="outside"):
-        module.action((3, 1))
+    # Through `column` too, which both methods build with.
+    module = verma.TruncatedVerma(2, (3, 0), 4)
+    for pair in ((0, 1), (3, 1)):
+        with pytest.raises(ValueError, match="outside gl_2"):
+            module.column(pair, 0)
+        with pytest.raises(ValueError, match="outside gl_2"):
+            module.action(pair)
+    # Every column of e_31 lies past the edge of a depth-0 window, so action
+    # builds none of them and must check the generator itself.
+    with pytest.raises(ValueError, match="outside gl_2"):
+        verma.TruncatedVerma(2, (3, 0), 0).action((3, 1))
 
 
 def test_raising_and_cartan_preserve_window_exactly():
@@ -342,15 +342,40 @@ def test_column_on_demand_matches_action_columns(lam, depth, field):
     n = len(lam)
     module = verma.TruncatedVerma(n, lam, depth, field)
     reference = verma.TruncatedVerma(n, lam, depth, field)
-    pairs = [(i, j) for i, j in liealg.gl(n).pairs if i <= j]
+    pairs = liealg.gl(n).pairs
+    # Raising and Cartan columns all stay in the window; lowering ones only
+    # below its edge, and `action` builds no other column.
+    depths = [module.monomial_depth(mono) for mono in module.basis]
+    window = {pair: [c for c, d in enumerate(depths) if d + verma.generator_height(pair) <= depth] for pair in pairs}
     for pair in pairs:
-        for col in reversed(range(module.dim)):
+        for col in reversed(window[pair]):
             module.column(pair, col)
-    # The column memo is the module's own: it builds no action matrix.
+    # Reading columns builds no action matrix.
     assert module._action_cache == {} and module.truncation_losses == []
     for pair in pairs:
         cols = reference.action(pair).columns()
-        assert {col: module.column(pair, col) for col in range(module.dim) if module.column(pair, col)} == cols
+        assert {col: module.column(pair, col) for col in window[pair] if module.column(pair, col)} == cols
+
+
+def test_action_leaves_every_in_window_column_built(monkeypatch):
+    # `action` and `column` share one memo, so after all nine actions no
+    # column read needs a bracket.
+    module = verma.TruncatedVerma(3, (4, 2, 0), 4)
+    for pair in liealg.gl(3).pairs:
+        module.action(pair)
+    calls = []
+    original = liealg.RelationAlgebra.bracket
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(liealg.RelationAlgebra, "bracket", counting)
+    for pair in liealg.gl(3).pairs:
+        for col, mono in enumerate(module.basis):
+            if module.monomial_depth(mono) + verma.generator_height(pair) <= module.depth:
+                module.column(pair, col)
+    assert calls == []
 
 
 def test_column_on_demand_covers_entries_that_vanish_mod_p():
