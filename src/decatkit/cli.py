@@ -255,10 +255,11 @@ def _run_selftest(args: argparse.Namespace) -> tuple[bool, dict]:
 
     def verma_ok():
         module = verma.TruncatedVerma(2, (3, 0), 4, QQ)
-        if module.bracket_violations():
-            return False
-        # Window-edge spill comes from lowering generators only.
-        return all(i > j for (i, j), _ in module.truncation_losses)
+        for pair in liealg.gl(2).pairs:
+            module.action(pair)
+        # Window-edge spill, which only `action` records, comes from lowering generators only.
+        losses = module.truncation_losses
+        return not module.bracket_violations() and bool(losses) and all(i > j for (i, j), _ in losses)
 
     run_check("verma_bracket", verma_ok)
     run_check(

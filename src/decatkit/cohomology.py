@@ -1,10 +1,10 @@
 """Nilpotent cochain complexes in a fixed weight slice, and their shadows.
 
 For a gl_n weight module M (truncated highest-weight or finite-dimensional,
-anything exposing n, field, weight_index and column(pair, basis index)), the
-cochain space in degree j is spanned by xi_I tensor v where I is a j-subset
-of the positive roots, read off the strict upper pairs in lex order as their
-adjoint weights, and v a basis vector; the cochain's weight
+anything exposing n, field, depth, weight_index and column(pair, basis
+index)), the cochain space in degree j is spanned by xi_I tensor v where I
+is a j-subset of the positive roots, read off the strict upper pairs in lex
+order as their adjoint weights, and v a basis vector; the cochain's weight
 is wt(v) minus the sum of the roots in I. Fixing a slice weight mu picks out
 a finite subcomplex because the differential preserves weight. The
 differential is the standard alternating-sum formula: an action term moving
@@ -98,8 +98,7 @@ def slice_required_depth(module, mu_shifted: weights.Weight) -> int | None:
     or mu lies outside the cone under the highest weight, where the full
     module has no cochains in this slice anyway.
     """
-    depth = getattr(module, "depth", None)
-    if depth is None:
+    if module.depth is None:
         return None
     lam = module.lam_shifted
     return weights.root_height(tuple(l - m for l, m in zip(lam, mu_shifted)))
@@ -107,7 +106,7 @@ def slice_required_depth(module, mu_shifted: weights.Weight) -> int | None:
 
 def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
     """Cochain complex of the module in the given shifted weight slice."""
-    field = module.field
+    field, p = module.field, module.field.p
     mu = weights.unshift(tuple(mu_shifted))
     required = slice_required_depth(module, mu_shifted)
     if required is not None and required > module.depth:
@@ -154,7 +153,8 @@ def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
                 col0 = starts[j][small]
                 for u in range(len(big_members)):
                     entries[row0 + u, col0 + u] = entries.get((row0 + u, col0 + u), 0) + c
-        entries = {pos: x for pos, v in entries.items() if (x := field.of(v))}
+        # Field elements times ints: over F_p a residue is `% p`, over Q exact.
+        entries = {pos: x for pos, v in entries.items() if (x := v % p if p else v)}
         mats.append(SparseMatrix(len(bases[j + 1]), len(bases[j]), entries))
 
     cx = FiniteComplex(field=field, dims=tuple(len(b) for b in bases), maps=tuple(mats))
@@ -174,11 +174,10 @@ def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:
     complexes are cut off mid-weight and would report classes whose killing
     coboundaries lie just past the truncation edge.
     """
-    depth = getattr(module, "depth", None)
     out: dict[tuple[int, weights.Weight], int] = {}
     for mu_shifted in sorted(slice_candidates(module)):
         required = slice_required_depth(module, mu_shifted)
-        if depth is not None and (required is None or required > depth):
+        if module.depth is not None and (required is None or required > module.depth):
             continue
         sc = ce_slice(module, mu_shifted)
         for deg, dim in sc.homology_dims().items():

@@ -261,9 +261,6 @@ class SparseMatrix:
                 del acc[pos]
         return SparseMatrix(self.nrows, self.ncols, acc)
 
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + other.scaled(-1)
-
     def scaled(self, c) -> "SparseMatrix":
         if not c:
             return SparseMatrix.zeros(self.nrows, self.ncols)

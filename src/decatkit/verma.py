@@ -8,18 +8,17 @@ The module basis is PBW: ordered monomials in the lowering generators e_ij
 A monomial's depth is the root height of its total weight drop, and the
 module keeps exactly the basis vectors of depth <= D.
 
-`column(x, col)` builds one column by one commutation step. Write the
-basis vector as e_g v_rest, with g the first generator of its monomial. Then
-e_x e_g v_rest is the monomial with one more x when x is lowering and
-x <= g, the weight times the vector when x is Cartan, and otherwise
-e_g (e_x v_rest) + [e_x, e_g] v_rest, where e_x and the bracket act on the
-shorter v_rest. Each column is built on first read, reduced into the field
-and kept for the module's lifetime; `action(x)` assembles its matrix from
-those same columns. A lowering e_x sends a monomial of depth d to depth
-d + ht(x), so its column leaves the window exactly when d + ht(x) > D:
-`column` refuses it, and `action` records it in `truncation_losses`.
-Raising and Cartan operators never increase depth, so their matrices are
-exact on the window.
+Both module kinds hand out their action only as `column(x, col)`: e_x times
+basis vector col, as {row: nonzero field value}, built on first read and
+kept. On the window one commutation step builds it. Write the basis vector
+as e_g v_rest, with g the first generator of its monomial. Then e_x e_g v_rest
+is the monomial with one more x when x is lowering and x <= g, the weight
+times the vector when x is Cartan, and otherwise e_g (e_x v_rest) +
+[e_x, e_g] v_rest, where e_x and the bracket act on the shorter v_rest.
+A lowering e_x sends a monomial of depth d to depth d + ht(x), so its column
+leaves the window exactly when d + ht(x) > D: `column` refuses it, and
+`action(x)`, which assembles a matrix from columns, records it in
+`truncation_losses`. Raising and Cartan operators never increase depth.
 
 `simple_quotient` builds the finite-dimensional simple module L(lambda)
 directly on Gelfand-Tsetlin patterns (Molev, arXiv math/0211289, Thm. 2.3),
@@ -31,10 +30,11 @@ E_kk is diagonal and E_k,k+1 (E_k+1,k) moves one entry of row k up (down) by
 one, with coefficient
   E_k,k+1: -prod_{j<=k+1} (l_ki - l_k+1,j) / prod_{j!=i} (l_ki - l_kj),
   E_k+1,k:  prod_{j<=k-1} (l_ki - l_k-1,j) / prod_{j!=i} (l_ki - l_kj);
-a term whose pattern breaks betweenness is dropped. Every other generator is
-a commutator, E_ij = [E_i,j-1, E_j-1,j] and E_ji = [E_j,j-1, E_j-1,i]. Over
-F_p each denominator is a nonzero integer of size at most lam'_1 - lam'_n
-(lam' shifted), so primes above that spread (the large-prime hypothesis, the
+a term whose pattern breaks betweenness is dropped. Only these columns are
+stored; any other is built on first read as a column commutator,
+E_ij = [E_i,j-1, E_j-1,j] and E_ji = [E_j,j-1, E_j-1,i]. Over F_p each
+denominator is a nonzero integer of size at most lam'_1 - lam'_n (lam'
+shifted), so primes above that spread (the large-prime hypothesis, the
 lowest alcove) are required, and below it the construction refuses.
 """
 
@@ -66,7 +66,16 @@ def generator_height(pair: Pair) -> int:
 
 
 class _WeightModule:
-    """Weight-space bookkeeping shared by both module kinds."""
+    """Weight spaces and the column protocol shared by both module kinds; a
+    kind supplies `_build_column`, one missing column, unreduced."""
+
+    depth: int | None = None  # window depth; a finite module has none
+
+    def __init__(self, n: int, field, basis_weight, columns: dict[Pair, dict[int, dict[int, object]]]):
+        self.n = n
+        self.field = field
+        self.basis_weight = tuple(basis_weight)
+        self._columns = columns  # {pair: {col: column}}, the memo
 
     @property
     def dim(self) -> int:
@@ -84,6 +93,67 @@ class _WeightModule:
         """Dimension of each weight space, keyed by shifted weight."""
         return {weights.shift(w): len(idx) for w, idx in self.weight_index.items()}
 
+    def _height(self, pair: Pair) -> int:
+        """Depth change of e_pair, which must be a generator of gl_n."""
+        i, j = pair
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ValueError(f"generator ({i}, {j}) outside gl_{self.n}")
+        return generator_height(pair)
+
+    def _fits(self, col: int, height: int) -> bool:
+        """Whether an operator of this height keeps basis vector `col` inside."""
+        return True
+
+    def column(self, pair: Pair, col: int) -> dict[int, object]:
+        """e_pair times basis vector `col`, as {row: nonzero field value};
+        built on first read and kept for the module's lifetime."""
+        done = self._columns.get(pair)
+        if done is not None:
+            hit = done.get(col)
+            if hit is not None:
+                return hit
+        if not 0 <= col < self.dim:
+            raise IndexError(f"basis vector {col} outside 0..{self.dim - 1}")
+        if not self._fits(col, self._height(pair)):
+            raise ValueError(f"e_{pair} moves basis vector {col} out of the depth window")
+        # Built from field elements and ints, so over F_p a residue is `% p`.
+        p = self.field.p
+        out = {row: r for row, v in self._build_column(pair, col).items() if (r := v % p if p else v)}
+        self._columns.setdefault(pair, {})[col] = out
+        return out
+
+    def _apply(self, acc: dict, pair: Pair, vec: dict) -> dict:
+        """acc += e_pair vec, for vec a {col: value} vector; unreduced."""
+        for mid, u in vec.items():
+            for row, v in self.column(pair, mid).items():
+                acc[row] = acc.get(row, 0) + u * v
+        return acc
+
+    def _commutator(self, x: Pair, y: Pair, col: int) -> dict:
+        """x(y v) - y(x v) for v basis vector `col`; unreduced."""
+        acc = self._apply({}, x, self.column(y, col))
+        return self._apply(acc, y, {mid: -u for mid, u in self.column(x, col).items()})
+
+    def bracket_violations(self) -> list[tuple[Pair, Pair, int]]:
+        """(x, y, col) for each basis vector v where x(y v) - y(x v) differs
+        from [e_x, e_y] v, read through `column` alone. On a window only
+        columns where e_x, e_y and e_x e_y all stay inside are compared."""
+        gl = liealg.gl(self.n)
+        p = self.field.p
+        bad = []
+        for x, y in itertools.product(gl.pairs, repeat=2):
+            hx, hy = generator_height(x), generator_height(y)
+            bracket = gl.bracket(x, y).items()
+            for col in range(self.dim):
+                if not self._fits(col, max(hx, hy, hx + hy)):
+                    continue
+                acc = self._commutator(x, y, col)
+                for z, c in bracket:
+                    self._apply(acc, z, {col: -c})
+                if any(v % p if p else v for v in acc.values()):
+                    bad.append((x, y, col))
+        return bad
+
 
 class TruncatedVerma(_WeightModule):
     """Depth-truncated universal highest-weight module for gl_n."""
@@ -93,8 +163,6 @@ class TruncatedVerma(_WeightModule):
             raise ValueError(f"weight {lam_shifted} is not length {n}")
         if depth < 0:
             raise ValueError(f"depth must be nonnegative, got {depth}")
-        self.n = n
-        self.field = field
         self.depth = depth
         self.lam_shifted = tuple(lam_shifted)
         self.lam = weights.unshift(self.lam_shifted)
@@ -104,10 +172,9 @@ class TruncatedVerma(_WeightModule):
         self._heights = [generator_height(g) for g in self.gens_low]
         self.basis = self._enumerate_basis()
         self.basis_index = {m: k for k, m in enumerate(self.basis)}
-        self.basis_weight = [self._monomial_weight(m) for m in self.basis]
         self.truncation_losses: list[tuple[Pair, int]] = []
         self._action_cache: dict[Pair, SparseMatrix] = {}
-        self._columns: dict[Pair, dict[int, dict[int, int]]] = {}
+        super().__init__(n, field, [self._monomial_weight(m) for m in self.basis], {})
 
     def _enumerate_basis(self) -> list[tuple[int, ...]]:
         monos: list[tuple[int, ...]] = []
@@ -133,12 +200,8 @@ class TruncatedVerma(_WeightModule):
             w[j - 1] -= m
         return tuple(w)
 
-    def _height(self, pair: Pair) -> int:
-        """Depth change of e_pair, which must be a generator of gl_n."""
-        i, j = pair
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"generator ({i}, {j}) outside gl_{self.n}")
-        return generator_height(pair)
+    def _fits(self, col: int, height: int) -> bool:
+        return self.monomial_depth(self.basis[col]) + height <= self.depth
 
     def action(self, pair: Pair) -> SparseMatrix:
         """Matrix of e_pair on the window, columns indexed by the basis."""
@@ -146,8 +209,8 @@ class TruncatedVerma(_WeightModule):
             return self._action_cache[pair]
         height = self._height(pair)
         triples = []
-        for col, mono in enumerate(self.basis):
-            if self.monomial_depth(mono) + height > self.depth:
+        for col in range(self.dim):
+            if not self._fits(col, height):
                 self.truncation_losses.append((pair, col))
                 continue
             triples.extend((row, col, v) for row, v in self.column(pair, col).items())
@@ -155,70 +218,25 @@ class TruncatedVerma(_WeightModule):
         self._action_cache[pair] = mat
         return mat
 
-    def column(self, pair: Pair, col: int) -> dict[int, int]:
-        """e_pair times basis vector `col`, as {row: nonzero field value},
-        by the one-step rule of the module docstring; built on first read."""
-        done = self._columns.setdefault(pair, {})
-        if col in done:
-            return done[col]
+    def _build_column(self, pair: Pair, col: int) -> dict[int, int]:
+        """e_pair times basis vector `col` by the one-step rule; int entries."""
         mono = self.basis[col]
-        if self.monomial_depth(mono) + self._height(pair) > self.depth:
-            raise ValueError(f"e_{pair} moves basis vector {col} out of the depth window")
         i, j = pair
         lead = next((k for k, e in enumerate(mono) if e), None)
         if i == j:
-            acc = {col: self.basis_weight[col][i - 1]}
-        elif i > j and (lead is None or self._gen_pos[pair] <= lead):
+            return {col: self.basis_weight[col][i - 1]}
+        if i > j and (lead is None or self._gen_pos[pair] <= lead):
             k = self._gen_pos[pair]
-            acc = {self.basis_index[mono[:k] + (mono[k] + 1,) + mono[k + 1 :]]: 1}
-        elif lead is None:
-            acc = {}
-        else:
-            g = self.gens_low[lead]
-            rest = self.basis_index[mono[:lead] + (mono[lead] - 1,) + mono[lead + 1 :]]
-            acc = {}
-            for mid, a in self.column(pair, rest).items():
-                for row, b in self.column(g, mid).items():
-                    acc[row] = acc.get(row, 0) + a * b
-            for z, c in self._gl.bracket(pair, g).items():
-                for row, b in self.column(z, rest).items():
-                    acc[row] = acc.get(row, 0) + c * b
-        # Every coefficient is an int, so over F_p a residue is `% p`.
-        p = self.field.p
-        out = {row: r for row, v in acc.items() if (r := v % p if p else v)}
-        done[col] = out
-        return out
-
-    def bracket_violations(self) -> list[tuple[Pair, Pair, int]]:
-        """Columns where [A_x, A_y] disagrees with the bracket's matrix.
-
-        Only columns whose full commutator path stays inside the window are
-        compared; everything else is unavoidably truncated and flagged at
-        action-build time instead. An empty list means the truncated action
-        is a Lie algebra representation on the safe region.
-        """
-        all_pairs = self._gl.pairs
-        bad = []
-        mats = {g: self.action(g) for g in all_pairs}
-        for x in all_pairs:
-            for y in all_pairs:
-                hx, hy = generator_height(x), generator_height(y)
-                comm = mats[x] @ mats[y] - mats[y] @ mats[x]
-                expect = SparseMatrix.zeros(self.dim, self.dim)
-                for z, c in self._gl.bracket(x, y).items():
-                    expect = expect + mats[z].scaled(c)
-                diff = (comm - expect).map_values(self.field.of)
-                if diff.is_zero():
-                    continue
-                for (_, col), _v in diff.entries.items():
-                    d = self.monomial_depth(self.basis[col])
-                    if (
-                        d + hx <= self.depth
-                        and d + hy <= self.depth
-                        and d + hx + hy <= self.depth
-                    ):
-                        bad.append((x, y, col))
-        return bad
+            return {self.basis_index[mono[:k] + (mono[k] + 1,) + mono[k + 1 :]]: 1}
+        if lead is None:
+            return {}
+        g = self.gens_low[lead]
+        rest = self.basis_index[mono[:lead] + (mono[lead] - 1,) + mono[lead + 1 :]]
+        acc = self._apply({}, g, self.column(pair, rest))
+        for z, c in self._gl.bracket(pair, g).items():
+            for row, b in self.column(z, rest).items():
+                acc[row] = acc.get(row, 0) + c * b
+        return acc
 
 
 def verma_character(n: int, lam_shifted: weights.Weight, depth: int) -> CharacterTable:
@@ -310,28 +328,18 @@ def gl2_parabolic_induction_dim(ell: int, p: int) -> InductionReport:
     return InductionReport(ell=ell, p=p, dim=rank, expected=ell + 1, x_powers=hit)
 
 
-@dataclasses.dataclass
 class FiniteWeightModule(_WeightModule):
-    """A finite-dimensional gl_n weight module, all action matrices stored."""
+    """A finite-dimensional gl_n weight module given by `columns`, {pair:
+    {col: {row: nonzero field value}}} with every basis index under each
+    Chevalley generator e_kk, e_k,k+1, e_k+1,k. A pair it leaves out is
+    built on first read as a column commutator (module docstring)."""
 
-    n: int
-    field: object
-    basis_weight: tuple[weights.Weight, ...]
-    actions: dict[Pair, SparseMatrix]
-
-    def __post_init__(self):
-        self._columns: dict[Pair, dict[int, dict[int, object]]] = {}
-
-    def action(self, pair: Pair) -> SparseMatrix:
-        if pair not in self.actions:
-            raise KeyError(f"no action stored for {pair}")
-        return self.actions[pair]
-
-    def column(self, pair: Pair, col: int) -> dict[int, object]:
-        """Column `col` of the stored matrix, grouped once per pair."""
-        if pair not in self._columns:
-            self._columns[pair] = self.action(pair).columns()
-        return self._columns[pair].get(col, {})
+    def _build_column(self, pair: Pair, col: int) -> dict[int, object]:
+        i, j = pair
+        if abs(i - j) < 2:
+            raise ValueError(f"no column {col} of the Chevalley generator e_{pair} was given")
+        x, y = ((i, j - 1), (j - 1, j)) if i < j else ((i, i - 1), (i - 1, j))
+        return self._commutator(x, y, col)
 
 
 def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeightModule:
@@ -368,28 +376,20 @@ def simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeig
         row = pat[k - 1]
         return pat[: k - 1] + (row[:i] + (row[i] + step,) + row[i + 1 :],) + pat[k:]
 
-    mats = {
-        (k, k): SparseMatrix.from_triples(dim, dim, [(c, c, w[k - 1]) for c, w in enumerate(basis_weight)])
-        for k in range(1, n + 1)
-    }
-    for k in range(1, n):
-        up, down = [], []
-        for c, pat in enumerate(patterns):
-            # ell[k] is row k as l_k1, ..., l_kk; row 0 is empty.
-            ell = [[x - i for i, x in enumerate(row)] for row in ((),) + pat]
+    chevalley = [(k, l) for k in range(1, n + 1) for l in (k - 1, k, k + 1) if 1 <= l <= n]
+    columns = {pair: {c: {} for c in range(dim)} for pair in chevalley}
+    for c, pat in enumerate(patterns):
+        for k, w in enumerate(basis_weight[c], 1):
+            if v := field.of(w):
+                columns[k, k][c][c] = v
+        # ell[k] is row k as l_k1, ..., l_kk; row 0 is empty.
+        ell = [[x - i for i, x in enumerate(row)] for row in ((),) + pat]
+        for k in range(1, n):
             for i, x in enumerate(ell[k]):
                 den = math.prod(x - y for j, y in enumerate(ell[k]) if j != i)
-                if (r := index.get(moved(pat, k, i, 1))) is not None:
-                    up.append((r, c, Fraction(-math.prod(x - y for y in ell[k + 1]), den)))
-                if (r := index.get(moved(pat, k, i, -1))) is not None:
-                    down.append((r, c, Fraction(math.prod(x - y for y in ell[k - 1]), den)))
-        mats[k, k + 1] = SparseMatrix.from_triples(dim, dim, up)
-        mats[k + 1, k] = SparseMatrix.from_triples(dim, dim, down)
-    # Commutators, shortest first, so both factors are already built.
-    for d in range(2, n):
-        for i in range(1, n - d + 1):
-            j = i + d
-            for x, y, pair in (((i, j - 1), (j - 1, j), (i, j)), ((j, j - 1), (j - 1, i), (j, i))):
-                mats[pair] = mats[x] @ mats[y] - mats[y] @ mats[x]
-    actions = {pair: mats[pair].map_values(field.of) for pair in liealg.gl(n).pairs}
-    return FiniteWeightModule(n=n, field=field, basis_weight=basis_weight, actions=actions)
+                up = Fraction(-math.prod(x - y for y in ell[k + 1]), den)
+                down = Fraction(math.prod(x - y for y in ell[k - 1]), den)
+                for pair, step, coeff in (((k, k + 1), 1, up), ((k + 1, k), -1, down)):
+                    if (r := index.get(moved(pat, k, i, step))) is not None and (v := field.of(coeff)):
+                        columns[pair][c][r] = v
+    return FiniteWeightModule(n, field, basis_weight, columns)

@@ -23,6 +23,15 @@ BLOCKS_SHA256 = {
     (4, 37): "af7a7d06fe58a249d7f8d4947b45f2e5e6c1d4e7d1535732fa24d823dfb20d21",
 }
 
+# sha256 of `cohomology` documents as written when finite modules stored
+# whole action matrices and slices reduced each entry through `field.of`;
+# reading every module through its columns must not change a byte.
+COHOMOLOGY_SHA256 = {
+    "--n 3 --lam 4,2,0": "aeebc7a0f39c7ee4f4d3502dbf6b8212c51f435681b7f8f8cbbad3e3386930da",
+    "--n 3 --lam 3,1,0 --field Fp --p 31": "ca131e51c766e32c5301517225899ba9801105e10a68a48962e42fdca5558545",
+    "--n 4 --lam 3,2,1,0": "74493e8e4269ea74725345771a5e69a2918d487746bb19fcda0cc70da24c5268",
+}
+
 
 def run_json(capsys, argv):
     code = cli.run(argv)
@@ -60,6 +69,13 @@ def test_blocks_sweep_documents_are_pinned(tmp_path, n, p):
     out = tmp_path / "blocks.json"
     assert cli.run(["blocks", "--n", str(n), "--p", str(p), "--max", "2", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BLOCKS_SHA256[n, p]
+
+
+@pytest.mark.parametrize("args", sorted(COHOMOLOGY_SHA256))
+def test_cohomology_documents_are_pinned(tmp_path, args):
+    out = tmp_path / "cohomology.json"
+    assert cli.run(["cohomology", *args.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COHOMOLOGY_SHA256[args]
 
 
 def test_relations_unknown_relation_is_config_error(capsys):

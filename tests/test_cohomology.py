@@ -226,7 +226,7 @@ def _alternating_sum_slice(module, mu_shifted):
         bases.append(basis_j)
         index.append({key: k for k, key in enumerate(basis_j)})
         by_subset.append(groups)
-    action_cols = [module.action(pair).columns() for pair in pairs]
+    action_cols = [{m: module.column(pair, m) for m in range(module.dim)} for pair in pairs]
     maps = []
     for j in range(r):
         entries = {}

@@ -49,8 +49,12 @@ def test_gl3_window_dim_and_brackets():
     m = verma.TruncatedVerma(3, (4, 2, 0), 4)
     assert m.dim == 22
     assert m.bracket_violations() == []
-    # bracket_violations materializes every generator action, so the losses
-    # list is now complete; only lowering generators may spill past the edge.
+    # bracket_violations reads columns and builds no action matrix; once
+    # every generator's action is built the losses list is complete, and
+    # only lowering generators may spill past the edge.
+    assert m._action_cache == {} and m.truncation_losses == []
+    for pair in liealg.gl(3).pairs:
+        m.action(pair)
     assert m.truncation_losses
     assert all(i > j for (i, j), _ in m.truncation_losses)
 
@@ -189,15 +193,23 @@ def test_simple_quotient_character_matches_reference_on_drawn_weights(case, fiel
 
 
 def _bracket_defects(module):
-    """Pairs (x, y) where [A_x, A_y] differs from the matrix of [e_x, e_y]."""
+    """Pairs (x, y) where [A_x, A_y] differs from the matrix of [e_x, e_y],
+    with each A assembled from the module's columns."""
     gl = liealg.gl(module.n)
+    mats = {
+        pair: SparseMatrix.from_triples(
+            module.dim,
+            module.dim,
+            [(row, col, v) for col in range(module.dim) for row, v in module.column(pair, col).items()],
+        )
+        for pair in gl.pairs
+    }
     bad = []
     for x in gl.pairs:
         for y in gl.pairs:
-            a, b = module.action(x), module.action(y)
-            diff = a @ b - b @ a
+            diff = mats[x] @ mats[y] + (mats[y] @ mats[x]).scaled(-1)
             for z, c in gl.bracket(x, y).items():
-                diff = diff - module.action(z).scaled(c)
+                diff = diff + mats[z].scaled(-c)
             if not diff.map_values(module.field.of).is_zero():
                 bad.append((x, y))
     return bad
@@ -210,14 +222,35 @@ def _bracket_defects(module):
 def test_simple_quotient_brackets_hold_exactly(lam, field):
     module = verma.simple_quotient(len(lam), lam, field)
     assert module.dim <= 30
+    assert module.bracket_violations() == []
     assert _bracket_defects(module) == []
     # Exact scalars only: ints and Fractions over Q, residues over F_p.
-    for mat in module.actions.values():
-        for v in mat.entries.values():
-            if field.p is None:
-                assert type(v) in (int, Fraction)
-            else:
-                assert type(v) is int and 0 < v < field.p
+    for pair in liealg.gl(module.n).pairs:
+        for col in range(module.dim):
+            for v in module.column(pair, col).values():
+                if field.p is None:
+                    assert type(v) in (int, Fraction) and v
+                else:
+                    assert type(v) is int and 0 < v < field.p
+
+
+def test_bracket_violations_report_a_flipped_pattern_coefficient():
+    module = verma.simple_quotient(3, (4, 2, 0))
+    column = next(column for column in module._columns[2, 3].values() if column)
+    row = next(iter(column))
+    column[row] = -column[row]
+    bad = module.bracket_violations()
+    assert bad and len(bad) == len(set(bad))
+
+
+def test_bracket_violations_report_a_corrupted_window_column():
+    module = verma.TruncatedVerma(3, (4, 2, 0), 4)
+    column = module.column((2, 1), 0)
+    ((row, v),) = column.items()
+    column[row] = 2 * v
+    bad = module.bracket_violations()
+    assert bad and len(bad) == len(set(bad))
+    assert module._action_cache == {}
 
 
 @given(small_regular_dominant())
@@ -245,11 +278,18 @@ def test_gl2_parabolic_induction(ell):
 
 
 def test_action_rejects_foreign_generator():
-    # Through `column` too, which both methods build with.
+    # Through `column` too, which both module kinds hand their action out by.
     module = verma.TruncatedVerma(2, (3, 0), 4)
+    for kind in (module, verma.simple_quotient(2, (3, 0))):
+        for pair in ((0, 1), (3, 1)):
+            with pytest.raises(ValueError, match="outside gl_2"):
+                kind.column(pair, 0)
+        # A basis index outside 0..dim-1 is refused, never read as {} or
+        # counted from the end.
+        for col in (-1, kind.dim, 99):
+            with pytest.raises(IndexError, match=r"outside 0\.\."):
+                kind.column((1, 2), col)
     for pair in ((0, 1), (3, 1)):
-        with pytest.raises(ValueError, match="outside gl_2"):
-            module.column(pair, 0)
         with pytest.raises(ValueError, match="outside gl_2"):
             module.action(pair)
     # Every column of e_31 lies past the edge of a depth-0 window, so action
@@ -262,7 +302,9 @@ def test_raising_and_cartan_preserve_window_exactly():
     # Raising operators decrease depth and the Cartan fixes it, so neither
     # can lose terms; every recorded loss must come from a lowering pair.
     module = verma.TruncatedVerma(3, (3, 1, 0), 2)
-    module.bracket_violations()
+    for pair in liealg.gl(3).pairs:
+        module.action(pair)
+    assert module.truncation_losses
     for (i, j), _ in module.truncation_losses:
         assert i > j
 

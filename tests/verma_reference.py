@@ -97,19 +97,18 @@ def reference_simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> 
     new_index = {old: new for new, old in enumerate(kept)}
     basis_weight = tuple(verma.basis_weight[k] for k in kept)
 
-    actions: dict[Pair, SparseMatrix] = {}
+    # Every pair's columns, so the module never builds one by commutators.
+    columns: dict[Pair, dict[int, dict[int, object]]] = {}
     for pair in liealg.gl(n).pairs:
         cols = verma.action(pair).columns()
-        triples = []
+        columns[pair] = {}
         for old in kept:
             img = cols.get(old, {})
             span = spans.get(verma.basis_weight[next(iter(img))]) if img else None
             if span is not None:
                 s, r = span.reduce(img)
                 img = {row_idx: field.of(Fraction(v) / s) for row_idx, v in r.items()}
-            for row_idx, v in img.items():
-                if row_idx not in new_index:
-                    raise InvariantError("reduced vector touched a pivot")
-                triples.append((new_index[row_idx], new_index[old], v))
-        actions[pair] = SparseMatrix.from_triples(len(kept), len(kept), triples)
-    return FiniteWeightModule(n=n, field=field, basis_weight=basis_weight, actions=actions)
+            if any(row_idx not in new_index for row_idx in img):
+                raise InvariantError("reduced vector touched a pivot")
+            columns[pair][new_index[old]] = {new_index[row_idx]: v for row_idx, v in img.items() if v}
+    return FiniteWeightModule(n, field, basis_weight, columns)
