@@ -154,7 +154,8 @@ class LaurentMatrix:
     """Matrix over the integer Laurent polynomials as graded terms: `terms`
     maps (row, col, exp) to the nonzero int coefficient of t^exp in entry
     (row, col). The constructor checks every position and coefficient; the
-    operations build through `from_sums`, which only drops zero sums.
+    operations build through `from_sums`, which only drops zero sums, and
+    `from_terms` takes terms already known to be nonzero and in range as is.
     """
 
     nrows: int
@@ -169,12 +170,16 @@ class LaurentMatrix:
                 raise ValueError(f"zero coefficient of t^{e} at ({i}, {j})")
 
     @classmethod
+    def from_terms(cls, nrows: int, ncols: int, terms: dict[tuple[int, int, int], int]) -> "LaurentMatrix":
+        """`terms` itself, not copied; positions and coefficients unchecked."""
+        mat = object.__new__(cls)
+        mat.nrows, mat.ncols, mat.terms = nrows, ncols, terms
+        return mat
+
+    @classmethod
     def from_sums(cls, nrows: int, ncols: int, sums: Mapping[tuple[int, int, int], int]) -> "LaurentMatrix":
         """The terms of `sums` whose coefficient is nonzero; positions unchecked."""
-        mat = object.__new__(cls)
-        mat.nrows, mat.ncols = nrows, ncols
-        mat.terms = {key: c for key, c in sums.items() if c}
-        return mat
+        return cls.from_terms(nrows, ncols, {key: c for key, c in sums.items() if c})
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

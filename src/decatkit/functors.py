@@ -16,6 +16,14 @@ acts locally through `apply_move` as a key rewrite: the mixed-radix digit of
 the moved blocks changes in each row and the local exponent is added, with
 local images cached per (k, kind, parts); I (x) local (x) I is never formed.
 
+Only a merge sums terms. Merge is a function on basis vectors, so two local
+indices can share its image and signed coefficients (as in the cube's
+alternating sums) can cancel there. Split is its transpose: each index of
+Lambda^(a+b) goes to its own decompositions, and different indices never
+share one. ins, del and shift have one image per index. So every other move
+sends distinct terms to distinct keys and writes them into the result as
+they are; `_local_images` checks this once per cached split table.
+
 Words of moves are evaluated left to right (the first move acts first), so
 `evaluate` returns the product of the move matrices in reverse word order.
 Word syntax: merge(i), split(i;b,c), shift(m), ins(i), del(i), with 1-based
@@ -45,16 +53,18 @@ def sig_dims(k: int, sig: Sig) -> list[int]:
     for a in sig:
         if not (1 <= a <= k):
             raise ValueError(f"block weight {a} outside 1..{k}")
-    return [len(wedge_subsets(k, a)) for a in sig]
+    return [math.comb(k, a) for a in sig]
 
 
 def sig_dim(k: int, sig: Sig) -> int:
     return math.prod(sig_dims(k, sig))
 
 
-def identity_matrix(k: int, sig: Sig) -> LaurentMatrix:
+def identity_matrix(k: int, sig: Sig, scalar: int | LaurentPoly = 1) -> LaurentMatrix:
+    """scalar (an int or a Laurent polynomial) times the identity on sig."""
+    poly = scalar if isinstance(scalar, LaurentPoly) else LaurentPoly.from_dict({0: scalar})
     n = sig_dim(k, sig)
-    return LaurentMatrix.from_sums(n, n, {(i, i, 0): 1 for i in range(n)})
+    return LaurentMatrix.from_terms(n, n, {(i, i, e): c for i in range(n) for e, c in poly.terms})
 
 
 def _inv(s: tuple[int, ...], t: tuple[int, ...]) -> int:
@@ -108,12 +118,20 @@ def parse_word(text: str) -> tuple[Move, ...]:
 
 @functools.cache
 def _local_images(k: int, kind: str, parts: tuple[int, int]) -> tuple:
-    """images[j]: the (local index, exponent of t) pairs that j is sent to."""
+    """images[j]: the (local index, exponent of t) pairs that j is sent to.
+
+    A split table must send no two local indices to one target: `apply_move`
+    writes split terms without summing them.
+    """
     local = local_merge(k, *parts)
     images = [[] for _ in range(local.ncols if kind == "merge" else local.nrows)]
     for r, j, e in local.terms:
         src, dst = (j, r) if kind == "merge" else (r, j)
         images[src].append((dst, e))
+    if kind != "merge":
+        targets = [dst for image in images for dst, _ in image]
+        if len(set(targets)) != len(targets):
+            raise InvariantError(f"{kind} table of k = {k}, parts {parts} sends two indices to one target")
     return tuple(map(tuple, images))
 
 
@@ -154,22 +172,31 @@ def apply_move(k: int, sig: Sig, move: Move, mat: LaurentMatrix) -> tuple[Lauren
 
     Each local entry is a power of t, so a term of the product is a term of
     mat with the moved blocks' digit of its row rewritten and t^e multiplied.
+    Only a merge sends two terms to one key; every other move's terms go
+    into the result as they are.
     """
     pos, span, new_blocks, images = _local_action(k, sig, move)
     dims = sig_dims(k, sig)
     if mat.nrows != math.prod(dims):
         raise ValueError(f"matrix has {mat.nrows} rows, but signature {sig} has dimension {math.prod(dims)}")
     right = math.prod(dims[pos + span :])
-    new_mid = sig_dim(k, new_blocks)
+    width, new_mid = len(images), sig_dim(k, new_blocks)
+    nrows, new_sig = mat.nrows // width * new_mid, sig[:pos] + new_blocks + sig[pos + span :]
+    if move[0] != "merge":
+        terms = {
+            ((head // width * new_mid + r) * right + low, col, exp + e): c
+            for (row, col, exp), c in mat.terms.items()
+            for head, low in (divmod(row, right),)
+            for r, e in images[head % width]
+        }
+        return LaurentMatrix.from_terms(nrows, mat.ncols, terms), new_sig
     sums: dict[tuple[int, int, int], int] = {}
     for (row, col, exp), c in mat.terms.items():
         head, low = divmod(row, right)
-        high, mid = divmod(head, len(images))
-        for r, e in images[mid]:
-            key = ((high * new_mid + r) * right + low, col, exp + e)
+        for r, e in images[head % width]:
+            key = ((head // width * new_mid + r) * right + low, col, exp + e)
             sums[key] = sums.get(key, 0) + c
-    nrows = mat.nrows // len(images) * new_mid
-    return LaurentMatrix.from_sums(nrows, mat.ncols, sums), sig[:pos] + new_blocks + sig[pos + span :]
+    return LaurentMatrix.from_sums(nrows, mat.ncols, sums), new_sig
 
 
 def move_matrix(k: int, sig: Sig, move: Move) -> tuple[LaurentMatrix, Sig]:
@@ -246,7 +273,6 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
     if ambient[offset : offset + len(core)] != core:
         raise ValueError(f"ambient {ambient} does not contain core {core} at offset {offset}")
     o = offset
-    ident = identity_matrix(k, ambient)
     detail: dict = {}
 
     def loop(moves) -> LaurentMatrix:
@@ -257,7 +283,7 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
         return got
 
     if relation == "R1":
-        expected = ident.scaled(geometric_shift_sum(k))
+        expected = identity_matrix(k, ambient, geometric_shift_sum(k))
         ok = True
         for parts in ((1, k - 1), (k - 1, 1)):
             got = loop([("split", o + 1, parts), ("merge", o + 1)])
@@ -268,7 +294,7 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
 
     if relation == "R2":
         got = loop([("split", o + 1, (1, 1)), ("merge", o + 1)])
-        expected = ident.scaled(geometric_shift_sum(2))
+        expected = identity_matrix(k, ambient, geometric_shift_sum(2))
         return RelationReport(relation, k, ambient, offset, got == expected, detail)
 
     if relation == "R3":
@@ -280,7 +306,7 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
         ]
         got = loop(word)
         scalar = LaurentPoly.from_dict({2 * i: 1 for i in range(1, k)})
-        expected = ident.scaled(scalar)
+        expected = identity_matrix(k, ambient, scalar)
         return RelationReport(relation, k, ambient, offset, got == expected, detail)
 
     if relation == "R4":
@@ -299,7 +325,7 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
         coeff = LaurentPoly.from_dict({2 * i: 1 for i in range(2, k)})
         matches = []
         for s in (2 * k - 2, 2 * k):
-            expected = ident.scaled(LaurentPoly.t_power(s)) + bubble.scaled(coeff)
+            expected = identity_matrix(k, ambient, LaurentPoly.t_power(s)) + bubble.scaled(coeff)
             if got == expected:
                 matches.append(s)
         detail["normalizations_tested"] = [2 * k - 2, 2 * k]
@@ -321,7 +347,7 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
             ("merge", o + 1),
         ]
         got = loop(word)
-        expected = ident.scaled(LaurentPoly.t_power(2))
+        expected = identity_matrix(k, ambient, LaurentPoly.t_power(2))
         if k >= 3:
             bubble = loop([("merge", o + 1), ("split", o + 1, (2, 1))])
             expected = expected + bubble

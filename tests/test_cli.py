@@ -14,6 +14,7 @@ from decatkit import cli, cohomology, cube, operads
 RELATIONS_ALL_SHA256 = {
     2: "73235f530c5747c7855e97279e765a45518d5cd913c518e840e984e145578f22",
     3: "15ffcbd83a91f878958e2f6d9b721ecb315256306904c566678e29cc6edb75b9",
+    4: "ff0bf1b0a0a451157dcbe3a0043a484fb4c36a9934331a270dfd56071378fcd8",
 }
 
 # sha256 of `blocks` sweep documents as written when every pair ran a full

@@ -102,6 +102,8 @@ def test_laurent_matrix_construction_guards():
     with pytest.raises(ValueError, match="cannot compose"):
         LaurentMatrix(2, 2, {}) @ LaurentMatrix(3, 1, {})
     assert LaurentMatrix.from_sums(1, 1, {(0, 0, 1): 0, (0, 0, 2): 5}).terms == {(0, 0, 2): 5}
+    terms = {(0, 0, 2): 5}
+    assert LaurentMatrix.from_terms(1, 1, terms).terms is terms
 
 
 def _as_poly_matrix(m: LaurentMatrix) -> SparseMatrix:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decatkit import functors, liealg
-from decatkit.exactlin import LaurentMatrix, LaurentPoly, SparseMatrix, geometric_shift_sum
+from decatkit.exactlin import InvariantError, LaurentMatrix, LaurentPoly, SparseMatrix, geometric_shift_sum
 from parabolic_helpers import merge_adjacent, nilradical_dim_difference
 
 RELATIONS = ("R1", "R2", "R3", "R4", "R5", "L5")
@@ -259,6 +259,59 @@ def test_apply_move_matches_kron_reference(data):
     assert functors.sig_dim(k, new_sig) == got.nrows
     assert all(0 <= i < got.nrows and 0 <= j < got.ncols for i, j, _ in got.terms)
     assert all(got.terms.values())
+
+
+def test_signed_terms_cancel_under_merge_and_pass_through_split():
+    # e1 (x) e2 and e2 (x) e1 merge to t^0 and t^1 times e12: +t and -1 cancel.
+    got, new_sig = functors.apply_move(2, (1, 1), ("merge", 1), LaurentMatrix(4, 1, {(1, 0, 1): 1, (2, 0, 0): -1}))
+    assert (new_sig, got.nrows, got.terms) == ((2,), 1, {})
+    assert all(got.terms.values())
+    move = ("split", 1, (1, 1))
+    mat = LaurentMatrix(3, 2, {(0, 0, 1): 1, (1, 0, 1): -1, (2, 1, 0): -3, (0, 1, -2): 2})
+    got, new_sig = functors.apply_move(3, (2,), move, mat)
+    assert _as_poly_matrix(got) == _reference_move(3, (2,), move) @ _as_poly_matrix(mat)
+    assert new_sig == (1, 1) and all(got.terms.values())
+
+
+def test_split_refuses_a_table_with_two_indices_on_one_target(monkeypatch):
+    real = functors.local_merge
+
+    def planted(k, a, b):
+        """local_merge with a second row in the column of its first term."""
+        local = real(k, a, b)
+        r, j, e = next(iter(local.terms))
+        return LaurentMatrix(local.nrows, local.ncols, {**local.terms, ((r + 1) % local.nrows, j, e): 1})
+
+    monkeypatch.setattr(functors, "local_merge", planted)
+    functors._local_images.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="one target"):
+            functors.apply_move(3, (2,), ("split", 1, (1, 1)), functors.identity_matrix(3, (2,)))
+    finally:
+        monkeypatch.undo()
+        functors._local_images.cache_clear()
+
+
+def test_relation_sweep_sees_a_split_bug_off_the_core(monkeypatch):
+    real = functors._local_action
+
+    def bent(k, sig, move):
+        """Every split not at the first block gets its exponents raised by 1."""
+        pos, span, new_blocks, images = real(k, sig, move)
+        if move[0] == "split" and pos >= 1:
+            images = tuple(tuple((r, e + 1) for r, e in image) for image in images)
+        return pos, span, new_blocks, images
+
+    monkeypatch.setattr(functors, "_local_action", bent)
+    assert functors.verify_relation("R2", 3).holds
+    assert not all(report.holds for report in functors.verify_relation_everywhere("R2", 3))
+
+
+def test_identity_matrix_times_a_scalar():
+    poly = LaurentPoly.from_dict({-1: 2, 3: -1})
+    assert functors.identity_matrix(3, (1, 2), poly) == functors.identity_matrix(3, (1, 2)).scaled(poly)
+    assert functors.identity_matrix(2, (1,), -3) == functors.identity_matrix(2, (1,)).scaled(-3)
+    assert functors.identity_matrix(2, (1,), 0).terms == {}
 
 
 def _poly_apply_move(k, sig, move, mat):
