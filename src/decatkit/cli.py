@@ -15,6 +15,7 @@ for example `--b 3,1,0`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -44,22 +45,18 @@ def _require_prime(p: int) -> None:
 
 def _large_prime_guard(args: argparse.Namespace) -> None:
     """The modular results are only claimed for p well above the weight data;
-    4*k*n is the enforced floor (k defaults to 1 where no k is in play)."""
-    k = args.k or 1
-    n = args.n or 1
+    4*n is the enforced floor."""
     _require_prime(args.p)
-    if args.p > 4 * k * n:
+    if args.p > 4 * args.n:
         return
     if args.allow_small_p:
         print(
-            f"warning: p={args.p} is not above the large-prime floor 4*k*n={4 * k * n}; "
+            f"warning: p={args.p} is not above the large-prime floor 4*n={4 * args.n}; "
             "results outside the claimed regime",
             file=sys.stderr,
         )
         return
-    raise ConfigError(
-        f"p={args.p} must exceed 4*k*n={4 * k * n} (pass --allow-small-p to override)"
-    )
+    raise ConfigError(f"p={args.p} must exceed 4*n={4 * args.n} (pass --allow-small-p to override)")
 
 
 def _field_for(args: argparse.Namespace):
@@ -302,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification suite: weight blocks, nilpotent cohomology, "
         "diagram relations, cube invariants, operad axioms.",
     )
-    # run and _large_prime_guard read k and n on every subcommand.
-    parser.set_defaults(k=None, n=None)
+    # run reads n on every subcommand.
+    parser.set_defaults(n=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_out(sp):
@@ -366,11 +363,9 @@ def run(argv=None) -> int:
         return 2
     document = {"schema": 1, "subcommand": args.subcommand, "passed": ok}
     document.update(payload)
-    text = json.dumps(document, sort_keys=True, indent=2)
-    if args.out:
-        pathlib.Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(document, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     return 0 if ok else 1
 
 

@@ -145,10 +145,13 @@ def parse_slice_word(text: str, k: int) -> SliceWord:
 
 
 def _as_word(word: SliceWord | str, k: int | None) -> SliceWord:
+    """A raw string parsed at k; a parsed word must have been parsed at k, if given."""
     if isinstance(word, str):
         if k is None:
             raise ValueError("k is required when passing a raw word string")
-        word = parse_slice_word(word, k)
+        return parse_slice_word(word, k)
+    if k is not None and k != word.k:
+        raise ValueError(f"word was parsed at k = {word.k}, not at k = {k}")
     return word
 
 
@@ -533,7 +536,8 @@ def khovanov_bigraded_k2(word: SliceWord | str, field=QQ) -> dict[tuple[int, int
     (math/0201043). The table is in Bar-Natan's normalization:
     (h - n_minus, q + n_plus - 2 n_minus).
     """
-    word = _as_word(word, 2)
+    if isinstance(word, str):
+        word = parse_slice_word(word, 2)
     if word.k != 2:
         raise ValueError(f"the tangle scan computes k = 2 homology, got k = {word.k}")
     if not word.closed:
@@ -610,7 +614,8 @@ def oracle_euler_k2(word: SliceWord | str) -> int:
     horizontal one (a cap, then a cup) with sign (-1)^bit. It shares no code
     with the transfer matrices or the tangle scan it cross-checks.
     """
-    word = _as_word(word, 2)
+    if isinstance(word, str):
+        word = parse_slice_word(word, 2)
     if word.k != 2:
         raise ValueError("circle counting only computes the k = 2 value")
     states: dict[tuple[int, ...], int] = {(): 1}

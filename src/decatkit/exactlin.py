@@ -199,19 +199,6 @@ class LaurentMatrix:
                 sums[key] = sums.get(key, 0) + u * v
         return LaurentMatrix.from_sums(self.nrows, self.ncols, sums)
 
-    def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}")
-        by_row: dict[int, list[tuple[int, int, int]]] = {}
-        for (j, k, f), v in other.terms.items():
-            by_row.setdefault(j, []).append((k, f, v))
-        sums: dict[tuple[int, int, int], int] = {}
-        for (i, j, e), u in self.terms.items():
-            for k, f, v in by_row.get(j, ()):
-                key = (i, k, e + f)
-                sums[key] = sums.get(key, 0) + u * v
-        return LaurentMatrix.from_sums(self.nrows, other.ncols, sums)
-
 
 @dataclasses.dataclass
 class SparseMatrix:

@@ -240,14 +240,9 @@ class TruncatedVerma(_WeightModule):
 
 
 def verma_character(n: int, lam_shifted: weights.Weight, depth: int) -> CharacterTable:
-    """Weight-space dimensions of the depth window, via partition counts."""
-    lam = weights.unshift(tuple(lam_shifted))
-    table = weights.multiset_character(weights.positive_roots(n), n, depth)
-    out: CharacterTable = {}
-    for nu, count in table.items():
-        w = tuple(a - b for a, b in zip(lam, nu))
-        out[weights.shift(w)] = count
-    return out
+    """Weight-space dimensions of the depth window, via partition counts: the
+    Borel case of `coverma_character`."""
+    return coverma_character(liealg.ParabolicData((1,) * n), {tuple(lam_shifted): 1}, depth)
 
 
 def coverma_character(par: liealg.ParabolicData, levi_character: CharacterTable, depth: int) -> CharacterTable:
@@ -256,8 +251,7 @@ def coverma_character(par: liealg.ParabolicData, levi_character: CharacterTable,
 
     Weights drop by sums of the positive cross-block roots, i.e. the
     underlying space is the symmetric algebra on the opposite nilradical
-    tensored with the Levi module. In the Borel case the co-Verma window
-    matches `verma_character`.
+    tensored with the Levi module. `verma_character` is the Borel case.
     """
     n = par.n
     nil = par.nilradical()

@@ -33,6 +33,17 @@ COHOMOLOGY_SHA256 = {
     "--n 4 --lam 3,2,1,0": "74493e8e4269ea74725345771a5e69a2918d487746bb19fcda0cc70da24c5268",
 }
 
+# sha256 of further documents as written when relation sides were built
+# from matrix products and every document went through `json.dumps`.
+DOCUMENT_SHA256 = {
+    "khovanov --k 2 --word torus_2_8 --oracle --field Fp --p 1031": (
+        "4d5edc9c7e0474cd7a9395645276526561dbdd345f2f282f48b7fba15b79e225"
+    ),
+    "selftest": "6bb389cfb0e826f7c9f7c6e6ef1808c122d8e0ca266593820f3539fb3536988d",
+    "operad-check --budget 200": "b66bf3a31ba31c478e3c640a127e88c84f803c6d4489a60cf4f29800ae17be65",
+    "relations --k 5 --relation R5 --all": "abd8382f3ffbde2d8dc8ab337bd76ef1557d7459210ddaee0c209e0e9a355700",
+}
+
 
 def run_json(capsys, argv):
     code = cli.run(argv)
@@ -77,6 +88,22 @@ def test_cohomology_documents_are_pinned(tmp_path, args):
     out = tmp_path / "cohomology.json"
     assert cli.run(["cohomology", *args.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COHOMOLOGY_SHA256[args]
+
+
+@pytest.mark.parametrize("args", sorted(DOCUMENT_SHA256))
+def test_further_documents_are_pinned(tmp_path, args):
+    out = tmp_path / "document.json"
+    assert cli.run([*args.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DOCUMENT_SHA256[args]
+
+
+def test_stdout_and_out_file_bytes_agree(tmp_path, capsys):
+    argv = ["blocks", "--n", "3", "--p", "31", "--max", "2"]
+    assert cli.run(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    out = tmp_path / "blocks.json"
+    assert cli.run([*argv, "--out", str(out)]) == 0
+    assert printed == out.read_bytes()
 
 
 def test_relations_unknown_relation_is_config_error(capsys):

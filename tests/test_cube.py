@@ -104,6 +104,14 @@ def test_euler_requires_k_for_raw_strings():
     assert cube.euler_invariant("cup(1) cap(1)", 4) == 4
 
 
+def test_a_parsed_word_refuses_another_k():
+    hopf = cube.parse_slice_word(cube.DIAGRAMS["hopf"], 3)
+    assert cube.euler_invariant(hopf, 3) == cube.euler_invariant(cube.DIAGRAMS["hopf"], 3) == 9
+    for check in (cube.euler_invariant, cube.tangle_alternating_sum, cube.link_components):
+        with pytest.raises(ValueError, match="parsed at k = 3, not at k = 2"):
+            check(hopf, 2)
+
+
 def test_open_tangle_value_is_a_matrix():
     mat, sig = cube.tangle_alternating_sum(cube.parse_slice_word("cup(1)", 2), 2)
     assert sig == (1, 1)

@@ -99,8 +99,6 @@ def test_laurent_matrix_construction_guards():
         LaurentMatrix(2, 2, {(0, 2, 0): 1})
     with pytest.raises(ValueError, match="shape mismatch"):
         LaurentMatrix(2, 2, {}) + LaurentMatrix(3, 3, {})
-    with pytest.raises(ValueError, match="cannot compose"):
-        LaurentMatrix(2, 2, {}) @ LaurentMatrix(3, 1, {})
     assert LaurentMatrix.from_sums(1, 1, {(0, 0, 1): 0, (0, 0, 2): 5}).terms == {(0, 0, 2): 5}
     terms = {(0, 0, 2): 5}
     assert LaurentMatrix.from_terms(1, 1, terms).terms is terms
@@ -123,17 +121,14 @@ def _laurent_matrices(nrows, ncols):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_laurent_matrix_algebra_matches_laurent_poly_entries(data):
-    n, m, l = (data.draw(st.integers(1, 3)) for _ in range(3))
+    n, m = (data.draw(st.integers(1, 3)) for _ in range(2))
     a, b = data.draw(_laurent_matrices(n, m)), data.draw(_laurent_matrices(n, m))
-    c = data.draw(_laurent_matrices(m, l))
     coeffs = data.draw(st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=2))
     poly = LaurentPoly.from_dict(coeffs)
     assert _as_poly_matrix(a + b) == _as_poly_matrix(a) + _as_poly_matrix(b)
     assert _as_poly_matrix(a.scaled(poly)) == _as_poly_matrix(a).scaled(poly)
     assert _as_poly_matrix(a.scaled(-3)) == _as_poly_matrix(a).scaled(LaurentPoly.from_dict({0: -3}))
-    assert _as_poly_matrix(a @ c) == _as_poly_matrix(a) @ _as_poly_matrix(c)
     assert (a + a.scaled(-1)).terms == {}
-    assert LaurentMatrix(n, n, {(i, i, 0): 1 for i in range(n)}) @ a == a
 
 
 def test_matrix_rank_known_values():

@@ -307,6 +307,38 @@ def test_relation_sweep_sees_a_split_bug_off_the_core(monkeypatch):
     assert not all(report.holds for report in functors.verify_relation_everywhere("R2", 3))
 
 
+def _e(i):
+    """E_i = merge(i) split(i;1,1) as a move word: its value is e_i."""
+    return (("merge", i), ("split", i, (1, 1)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_r5_words_equal_matrix_products_on_the_core(k):
+    core = functors.core_signature("R5", k)
+    e1, e2 = (_as_poly_matrix(functors.evaluate(k, core, _e(i))[0]) for i in (1, 2))
+    e121, sig = functors.evaluate(k, core, _e(1) + _e(2) + _e(1))
+    assert sig == core
+    assert _as_poly_matrix(e121) == e1 @ e2 @ e1
+    e212, _ = functors.evaluate(k, core, _e(2) + _e(1) + _e(2))
+    assert _as_poly_matrix(e212) == e2 @ e1 @ e2
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_r5_fails_when_the_second_merge_is_bent(monkeypatch, k):
+    real = functors._local_action
+
+    def bent(k, sig, move):
+        """The merge at core position 2 gets every exponent raised by 1."""
+        pos, span, new_blocks, images = real(k, sig, move)
+        if move[0] == "merge" and pos == 1:
+            images = tuple(tuple((r, e + 1) for r, e in image) for image in images)
+        return pos, span, new_blocks, images
+
+    assert functors.verify_relation("R5", k).holds
+    monkeypatch.setattr(functors, "_local_action", bent)
+    assert not functors.verify_relation("R5", k).holds
+
+
 def test_identity_matrix_times_a_scalar():
     poly = LaurentPoly.from_dict({-1: 2, 3: -1})
     assert functors.identity_matrix(3, (1, 2), poly) == functors.identity_matrix(3, (1, 2)).scaled(poly)
