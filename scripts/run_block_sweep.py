@@ -4,11 +4,12 @@ how the vanishing pattern lines up with the congruence and order conditions.
 
 Example:
     python3 scripts/run_block_sweep.py --n 2 --p 31 --max 3
-    python3 scripts/run_block_sweep.py --n 3 --p 37 --max 2 --out sweep.json
+
+This script writes no JSON. The sweep's document, every pair included,
+is the output of `decatkit blocks --n 2 --p 31 --max 3`.
 """
 
 import argparse
-import json
 import sys
 import time
 
@@ -21,7 +22,6 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=2)
     ap.add_argument("--p", type=int, default=31)
     ap.add_argument("--max", type=int, default=3, help="largest weight entry")
-    ap.add_argument("--out", help="write the full JSON report here")
     args = ap.parse_args()
 
     if not is_prime(args.p):
@@ -42,11 +42,6 @@ def main() -> int:
 
     for rep in sweep.counterexamples:
         print(f"  counterexample: a={rep.a} b={rep.b} dims={rep.homology}")
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(sweep.to_json(), fh, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
 
     return 0 if not sweep.counterexamples else 1
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Walk the bundled diagram catalogue: Euler values, component counts, the
-k = 2 cube homology, and the Frobenius-counting cross-check.
+k = 2 homology by the tangle scan, and Kauffman's state-sum oracle as a
+cross-check of the k = 2 Euler value.
 
 Example:
     python3 scripts/run_khovanov_demo.py

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import pathlib
 import sys
@@ -61,6 +62,9 @@ def _large_prime_guard(args: argparse.Namespace) -> None:
 
 def _field_for(args: argparse.Namespace):
     if args.field == "Q":
+        # A rational computation records no modulus.
+        if args.p is not None:
+            raise ConfigError(f"--p {args.p} requires --field Fp")
         return QQ
     if args.field == "Fp":
         if args.p is None:
@@ -68,6 +72,24 @@ def _field_for(args: argparse.Namespace):
         _require_prime(args.p)
         return PrimeField(args.p)
     raise ConfigError(f"unknown field tag {args.field!r}")
+
+
+def _pair_doc(r: cohomology.BlocksReport) -> dict:
+    # componentwise_geq reads "b dominates a in every coordinate"; the
+    # root-order key reads "a lies below b". Both orient a below b.
+    return {
+        "n": r.n,
+        "p": r.p,
+        "a": list(r.a),
+        "b": list(r.b),
+        "cochain_dims": list(r.cochain_dims),
+        "dims": [r.homology.get(j, 0) for j in range(len(r.cochain_dims))],
+        "vanishes": not r.nonvanishing,
+        "componentwise_geq": r.componentwise_leq,
+        "root_order_leq": r.root_order_leq,
+        "eblock2": r.block_congruent,
+        "counterexample": r.counterexample,
+    }
 
 
 def _run_blocks(args: argparse.Namespace) -> tuple[bool, dict]:
@@ -78,21 +100,25 @@ def _run_blocks(args: argparse.Namespace) -> tuple[bool, dict]:
         a = _parse_weight(args.a, args.n)
         b = _parse_weight(args.b, args.n)
         report = cohomology.verify_blocks_vanishing(args.n, a, b, args.p)
-        return not report.counterexample, {"report": report.to_json()}
+        return not report.counterexample, {"report": _pair_doc(report)}
     if args.max < 0:
         raise ConfigError("--max must be nonnegative")
     sweep = cohomology.blocks_sweep(args.n, args.p, args.max)
-    doc = sweep.to_json()
-    doc["nonvanishing"] = [r.to_json() for r in sweep.nonvanishing]
-    doc["matrix"] = [
-        {
-            "a": list(r.a),
-            "b": list(r.b),
-            "vanishes": not r.nonvanishing,
-            "eblock2": r.block_congruent,
-        }
-        for r in sweep.reports
-    ]
+    doc = {
+        "n": sweep.n,
+        "p": sweep.p,
+        "max_entry": sweep.max_entry,
+        "pairs": sweep.pairs,
+        "nonvanishing_pairs": sweep.nonvanishing_pairs,
+        "counterexamples": [_pair_doc(r) for r in sweep.counterexamples],
+        "componentwise_always": sweep.componentwise_always,
+        "root_order_always": sweep.root_order_always,
+        "nonvanishing": [_pair_doc(r) for r in sweep.nonvanishing],
+        "matrix": [
+            {"a": list(r.a), "b": list(r.b), "vanishes": not r.nonvanishing, "eblock2": r.block_congruent}
+            for r in sweep.reports
+        ],
+    }
     return not sweep.counterexamples, doc
 
 
@@ -145,7 +171,7 @@ def _run_relations(args: argparse.Namespace) -> tuple[bool, dict]:
         holds = all(r.holds for r in reports)
         ok = ok and holds
         doc[rel] = holds
-        doc["detail"][rel] = [r.to_json() for r in reports]
+        doc["detail"][rel] = [dataclasses.asdict(r) for r in reports]
     return ok, doc
 
 
@@ -225,10 +251,14 @@ def _run_operad_check(args: argparse.Namespace) -> tuple[bool, dict]:
         )
     report = operads.run_operad_checks(seed=args.seed, budget=args.budget, max_arity=args.max_arity)
     failed = {f["check"] for f in report.failures}
-    doc = report.to_json()
-    doc["checks"] = {
-        name: {"trials": count, "passed": name not in failed}
-        for name, count in sorted(report.trials.items())
+    doc = {
+        "seed": report.seed,
+        "trials": report.trials,
+        "total_trials": report.total_trials,
+        "failures": report.failures,
+        "checks": {
+            name: {"trials": count, "passed": name not in failed} for name, count in report.trials.items()
+        },
     }
     return report.passed, doc
 

@@ -206,23 +206,6 @@ class BlocksReport:
     def counterexample(self) -> bool:
         return self.nonvanishing and not self.block_congruent
 
-    def to_json(self) -> dict:
-        # componentwise_geq reads "b dominates a in every coordinate"; the
-        # root-order key reads "a lies below b". Both orient a below b.
-        return {
-            "n": self.n,
-            "p": self.p,
-            "a": list(self.a),
-            "b": list(self.b),
-            "cochain_dims": list(self.cochain_dims),
-            "dims": [self.homology.get(j, 0) for j in range(len(self.cochain_dims))],
-            "vanishes": not self.nonvanishing,
-            "componentwise_geq": self.componentwise_leq,
-            "root_order_leq": self.root_order_leq,
-            "eblock2": self.block_congruent,
-            "counterexample": self.counterexample,
-        }
-
 
 def verify_blocks_vanishing(
     n: int,
@@ -281,18 +264,6 @@ class SweepReport:
     nonvanishing: list[BlocksReport]
     reports: list[BlocksReport]
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "max_entry": self.max_entry,
-            "pairs": self.pairs,
-            "nonvanishing_pairs": self.nonvanishing_pairs,
-            "counterexamples": [r.to_json() for r in self.counterexamples],
-            "componentwise_always": self.componentwise_always,
-            "root_order_always": self.root_order_always,
-        }
-
 
 def blocks_sweep(n: int, p: int, max_entry: int) -> SweepReport:
     """All ordered pairs of shifted weights with entries in 0..max_entry."""
@@ -331,21 +302,6 @@ class PatternReport:
     table: dict[tuple[int, weights.Weight], int]
     expected: dict[tuple[int, weights.Weight], int]
     matches: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "lam_shifted": list(self.lam_shifted),
-            "module_dim": self.module_dim,
-            "expected_dim": self.expected_dim,
-            "total_classes": sum(self.table.values()),
-            "expected_classes": sum(self.expected.values()),
-            "table": [
-                {"degree": d, "weight": list(w), "dim": v}
-                for (d, w), v in sorted(self.table.items())
-            ],
-            "matches": self.matches,
-        }
 
 
 def kostant_pattern_report(n: int, lam_shifted: weights.Weight, field=QQ) -> PatternReport:

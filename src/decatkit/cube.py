@@ -90,8 +90,8 @@ def parse_slice_word(text: str, k: int) -> SliceWord:
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     tokens: list[Token] = []
-    labels: list[int] = []
     orients: list[str] = []
+    label = {"u": 1, "d": k - 1}
     crossings: list[int] = []
     signs: list[int] = []
     for raw in text.split():
@@ -102,37 +102,28 @@ def parse_slice_word(text: str, k: int) -> SliceWord:
         idx = len(tokens)
         tokens.append((kind, i))
         if kind in ("cup", "cup'"):
-            if not (1 <= i <= len(labels) + 1):
-                raise ValueError(f"token {idx}: cup position {i} outside 1..{len(labels) + 1}")
-            if kind == "cup":
-                labels[i - 1 : i - 1] = [1, k - 1]
-                orients[i - 1 : i - 1] = ["u", "d"]
-            else:
-                labels[i - 1 : i - 1] = [k - 1, 1]
-                orients[i - 1 : i - 1] = ["d", "u"]
+            if not (1 <= i <= len(orients) + 1):
+                raise ValueError(f"token {idx}: cup position {i} outside 1..{len(orients) + 1}")
+            orients[i - 1 : i - 1] = ["u", "d"] if kind == "cup" else ["d", "u"]
         elif kind in ("cap", "cap'"):
-            if not (1 <= i < len(labels)):
-                raise ValueError(f"token {idx}: cap position {i} outside 1..{len(labels) - 1}")
+            if not (1 <= i < len(orients)):
+                raise ValueError(f"token {idx}: cap position {i} outside 1..{len(orients) - 1}")
             want = (1, k - 1) if kind == "cap" else (k - 1, 1)
-            got = (labels[i - 1], labels[i])
+            got = (label[orients[i - 1]], label[orients[i]])
             if got != want:
                 raise ValueError(f"token {idx}: {kind}({i}) needs labels {want}, found {got}")
             if orients[i - 1] == orients[i]:
                 raise ValueError(f"token {idx}: cap cannot join two strands oriented the same way")
-            del labels[i - 1 : i + 1]
             del orients[i - 1 : i + 1]
         else:
-            if not (1 <= i < len(labels)):
-                raise ValueError(f"token {idx}: crossing position {i} outside 1..{len(labels) - 1}")
-            if labels[i - 1] != 1 or labels[i] != 1:
-                raise ValueError(
-                    f"token {idx}: crossings need labels (1, 1), found ({labels[i - 1]}, {labels[i]})"
-                )
+            if not (1 <= i < len(orients)):
+                raise ValueError(f"token {idx}: crossing position {i} outside 1..{len(orients) - 1}")
+            got = (label[orients[i - 1]], label[orients[i]])
+            if got != (1, 1):
+                raise ValueError(f"token {idx}: crossings need labels (1, 1), found {got}")
             parallel = orients[i - 1] == orients[i]
-            sign = 1 if (kind == "pos") == parallel else -1
             crossings.append(idx)
-            signs.append(sign)
-            labels[i - 1], labels[i] = labels[i], labels[i - 1]
+            signs.append(1 if (kind == "pos") == parallel else -1)
             orients[i - 1], orients[i] = orients[i], orients[i - 1]
     return SliceWord(
         k=k,
@@ -140,7 +131,7 @@ def parse_slice_word(text: str, k: int) -> SliceWord:
         tokens=tuple(tokens),
         crossings=tuple(crossings),
         crossing_signs=tuple(signs),
-        final_labels=tuple(labels),
+        final_labels=tuple(label[o] for o in orients),
     )
 
 

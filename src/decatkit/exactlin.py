@@ -54,7 +54,6 @@ def is_prime(n: int) -> bool:
 class RationalField:
     """The rationals; a stateless singleton, see QQ below."""
 
-    name = "Q"
     p = None
 
     def of(self, x):
@@ -77,10 +76,6 @@ class PrimeField:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
-
-    @property
-    def name(self) -> str:
-        return f"F{self.p}"
 
     def of(self, x) -> int:
         if isinstance(x, Fraction):
@@ -131,22 +126,10 @@ class LaurentPoly:
                 acc[e] = acc.get(e, 0) + c1 * c2
         return LaurentPoly.from_dict(acc)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else str(c) + "*")
-                parts.append(f"{head}t^{e}" if e != 1 else f"{head}t")
-        return " + ".join(parts).replace("+ -", "- ")
 
-
-def geometric_shift_sum(count: int, step: int = 2) -> LaurentPoly:
-    """1 + t^step + t^(2*step) + ... with `count` terms."""
-    return LaurentPoly.from_dict({i * step: 1 for i in range(count)})
+def geometric_shift_sum(count: int) -> LaurentPoly:
+    """1 + t^2 + t^4 + ... with `count` terms."""
+    return LaurentPoly.from_dict({2 * i: 1 for i in range(count)})
 
 
 @dataclasses.dataclass

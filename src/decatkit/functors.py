@@ -226,9 +226,6 @@ class RelationReport:
     holds: bool
     detail: dict
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 RELATION_IDS = ("R1", "R2", "R3", "R4", "R5", "L5")
 

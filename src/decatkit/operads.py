@@ -218,11 +218,6 @@ class OperadReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> dict:
-        trials = dict(sorted(self.trials.items()))
-        return {"seed": self.seed, "trials": trials, "total_trials": self.total_trials,
-                "failures": self.failures, "passed": self.passed}
-
 
 def run_operad_checks(seed: int = 0, budget: int = 1200, max_arity: int = 5) -> OperadReport:
     """Sample seeded rational points and verify the operad axioms.

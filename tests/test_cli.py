@@ -139,7 +139,7 @@ def test_blocks_sweep(capsys):
 
 
 def test_small_prime_guard(capsys):
-    # Floor is p > 4kn with k defaulting to 1.
+    # Floor is p > 4n: 7 does not exceed 8.
     assert cli.run(["blocks", "--n", "2", "--p", "7", "--max", "1"]) == 2
     assert "4" in capsys.readouterr().err
 
@@ -179,6 +179,23 @@ def test_cohomology_rational_default(capsys):
 
 def test_cohomology_fp_requires_p(capsys):
     assert cli.run(["cohomology", "--n", "2", "--lam", "2,0", "--field", "Fp"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--n", "2", "--lam", "3,0", "--field", "Q", "--p", "4"],
+        ["cohomology", "--n", "2", "--lam", "3,0", "--p", "31"],
+        ["khovanov", "--k", "2", "--word", "trefoil", "--field", "Q", "--p", "4"],
+        ["khovanov", "--k", "2", "--word", "trefoil", "--p", "31"],
+    ],
+)
+def test_rational_run_refuses_a_modulus(capsys, argv):
+    # A computation over Q must not be recorded under a modulus.
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "requires --field Fp" in captured.err
 
 
 def test_khovanov_trefoil_with_oracle(capsys):

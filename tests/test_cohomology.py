@@ -6,6 +6,7 @@ alone and must agree with the cochain dimensions degree by degree.
 """
 
 import itertools
+import json
 import math
 import random
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decatkit import cohomology, liealg, verma, weights
+from decatkit import cli, cohomology, liealg, verma, weights
 from decatkit.exactlin import QQ, PrimeField, SparseMatrix
 from verma_reference import CRITERION_WEIGHTS, reference_simple_quotient, small_regular_dominant
 
@@ -166,8 +167,11 @@ def test_blocks_pair_diagonal():
     assert rep.block_congruent and rep.componentwise_leq and rep.root_order_leq
 
 
-def test_blocks_report_serialization_keys():
-    doc = cohomology.verify_blocks_vanishing(2, (0, 1), (1, 0), 7).to_json()
+def test_blocks_report_serialization_keys(tmp_path):
+    out = tmp_path / "blocks.json"
+    argv = ["blocks", "--n", "2", "--p", "7", "--a", "0,1", "--b", "1,0", "--allow-small-p", "--out", str(out)]
+    assert cli.run(argv) == 0
+    doc = json.loads(out.read_text())["report"]
     assert doc["a"] == [0, 1] and doc["b"] == [1, 0] and doc["p"] == 7
     assert doc["vanishes"] is False
     assert doc["eblock2"] is True

@@ -1,12 +1,13 @@
 """Rational sample checks for the simplex and interval operad structures."""
 
+import json
 import random
 from fractions import Fraction
 
 import operad_reference as reference
 import pytest
 
-from decatkit import operads
+from decatkit import cli, operads
 
 
 @pytest.fixture
@@ -182,17 +183,21 @@ class TestCheckRunner:
         assert report.total_trials >= 400
 
     def test_run_is_deterministic(self):
-        one = operads.run_operad_checks(seed=11, budget=200).to_json()
-        two = operads.run_operad_checks(seed=11, budget=200).to_json()
+        one = operads.run_operad_checks(seed=11, budget=200)
+        two = operads.run_operad_checks(seed=11, budget=200)
         assert one == two
 
     def test_other_seeds_pass_too(self):
         for seed in (1, 2, 3):
             assert operads.run_operad_checks(seed=seed, budget=150).passed
 
-    def test_report_serialization(self):
-        doc = operads.run_operad_checks(seed=0, budget=100).to_json()
-        assert set(doc) == {"failures", "passed", "seed", "total_trials", "trials"}
+    def test_report_serialization(self, tmp_path):
+        out = tmp_path / "operad.json"
+        assert cli.run(["operad-check", "--budget", "100", "--seed", "0", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert set(doc) == {
+            "checks", "failures", "passed", "schema", "seed", "subcommand", "total_trials", "trials"
+        }
         assert doc["seed"] == 0
         assert doc["passed"] is True
 

@@ -24,3 +24,17 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []
+
+
+def test_only_the_cli_writes_documents():
+    # `cli.py` alone knows the keys of a JSON document; a report type
+    # carries fields, not a serialization.
+    src = pathlib.Path(decatkit.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "to_json"
+    ]
+    assert found == []
