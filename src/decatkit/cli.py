@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import pathlib
 import sys
@@ -66,12 +67,11 @@ def _field_for(args: argparse.Namespace):
         if args.p is not None:
             raise ConfigError(f"--p {args.p} requires --field Fp")
         return QQ
-    if args.field == "Fp":
-        if args.p is None:
-            raise ConfigError("--field Fp requires --p")
-        _require_prime(args.p)
-        return PrimeField(args.p)
-    raise ConfigError(f"unknown field tag {args.field!r}")
+    # argparse admits only Q and Fp.
+    if args.p is None:
+        raise ConfigError("--field Fp requires --p")
+    _require_prime(args.p)
+    return PrimeField(args.p)
 
 
 def _pair_doc(r: cohomology.BlocksReport) -> dict:
@@ -323,7 +323,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: argparse builds a fresh namespace per
+    parse and no default is mutable, so runs share it."""
     parser = argparse.ArgumentParser(
         prog="decatkit",
         description="Exact verification suite: weight blocks, nilpotent cohomology, "

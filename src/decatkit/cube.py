@@ -381,22 +381,30 @@ def _gluing(x: tuple[int, ...], a: tuple[int, ...], y: tuple[int, ...]):
     return piece[:nxa], piece[nxa:], genus, tuple(bound)
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _compose_masks(x, a, y, mf: int, mg: int) -> tuple[tuple[int, int], ...]:
+    """The terms of g ∘ f for the single dotted cobordisms mf: x -> a and
+    mg: a -> y, each with coefficient 1."""
+    piece_f, piece_g, genus, bound = _gluing(x, a, y)
+    dots = list(genus)
+    for i, piece in enumerate(piece_f):
+        dots[piece] += mf >> i & 1
+    for j, piece in enumerate(piece_g):
+        dots[piece] += mg >> j & 1
+    terms = {0: 1 << sum(genus)}
+    for piece, n in enumerate(dots):
+        terms = _neck_cut(terms, bound[piece], n)
+    return tuple(terms.items())
+
+
 def _compose(x, a, y, f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
     """g ∘ f for f: x -> a and g: a -> y. A handle is twice a dot."""
-    piece_f, piece_g, genus, bound = _gluing(x, a, y)
     out: dict[int, int] = {}
     for mf, cf in f.items():
         for mg, cg in g.items():
-            dots = list(genus)
-            for i, piece in enumerate(piece_f):
-                dots[piece] += mf >> i & 1
-            for j, piece in enumerate(piece_g):
-                dots[piece] += mg >> j & 1
-            terms = {0: cf * cg << sum(genus)}
-            for piece, n in enumerate(dots):
-                terms = _neck_cut(terms, bound[piece], n)
-            for m, c in terms.items():
-                out[m] = out.get(m, 0) + c
+            scale = cf * cg
+            for m, c in _compose_masks(x, a, y, mf, mg):
+                out[m] = out.get(m, 0) + scale * c
     return {m: c for m, c in out.items() if c}
 
 

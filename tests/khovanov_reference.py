@@ -1,8 +1,9 @@
 """Test-side references for the k = 2 computations in `cube`: the circles of
 every resolution, the brute-force state sum over them (for
 `cube.oracle_euler_k2`), the whole q-split resolution cube (for
-`cube.khovanov_bigraded_k2`), and generated closed braid diagrams to compare
-on.
+`cube.khovanov_bigraded_k2`), the unmemoized composition of dotted
+cobordisms (for `cube._compose`), and generated closed braid diagrams to
+compare on.
 
 The cube reference assembles every vertex of the 2^c cube, with one tensor
 factor of A = span(1, x), x^2 = 0, per circle of the resolution, and ranks one
@@ -181,6 +182,43 @@ def reference_bigraded_k2(word, field=QQ, circles=None) -> dict[tuple[int, int],
             if dim:
                 table[(deg, q + n_plus - 2 * n_minus)] = dim
     return dict(sorted(table.items()))
+
+
+# ---------------------------------------------------------------- cobordisms
+
+
+def reference_compose(x, a, y, f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
+    """g ∘ f for f: x -> a and g: a -> y, every mask pair glued and reduced
+    afresh: the composition `cube._compose` memoizes per mask pair."""
+    piece_f, piece_g, genus, bound = cube._gluing(x, a, y)
+    out: dict[int, int] = {}
+    for mf, cf in f.items():
+        for mg, cg in g.items():
+            dots = list(genus)
+            for i, piece in enumerate(piece_f):
+                dots[piece] += mf >> i & 1
+            for j, piece in enumerate(piece_g):
+                dots[piece] += mg >> j & 1
+            terms = {0: cf * cg << sum(genus)}
+            for piece, n in enumerate(dots):
+                terms = cube._neck_cut(terms, bound[piece], n)
+            for m, c in terms.items():
+                out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def crossingless_matchings(width: int) -> list[tuple[int, ...]]:
+    """Every crossingless matching of `width` endpoints, as tuples m with
+    m[r] the partner of endpoint r."""
+    if width == 0:
+        return [()]
+    found = []
+    for partner in range(1, width, 2):
+        for inner in crossingless_matchings(partner - 1):
+            for outer in crossingless_matchings(width - partner - 1):
+                m = (partner,) + tuple(s + 1 for s in inner) + (0,) + tuple(s + partner + 1 for s in outer)
+                found.append(m)
+    return found
 
 
 # ---------------------------------------------------------------- generated diagrams

@@ -359,3 +359,63 @@ def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.run(["no-such-subcommand"])
     assert exc.value.code == 2
+    # `--field` admits Q and Fp only.
+    for argv in (
+        ["cohomology", "--n", "2", "--lam", "3,0", "--field", "Z"],
+        ["khovanov", "--k", "2", "--word", "trefoil", "--field", "Z"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2
+
+
+# Documents one process writes in turn through one parser, after an argparse
+# refusal and a ConfigError, each with its pinned sha256 from above.
+SHARED_PARSER_RUNS = [
+    (["blocks", "--n", "3", "--p", "31", "--max", "2"], BLOCKS_SHA256[3, 31]),
+    (["cohomology", "--n", "3", "--lam", "4,2,0"], COHOMOLOGY_SHA256["--n 3 --lam 4,2,0"]),
+    (
+        ["khovanov", "--k", "2", "--word", "torus_2_8", "--oracle", "--field", "Fp", "--p", "1031"],
+        DOCUMENT_SHA256["khovanov --k 2 --word torus_2_8 --oracle --field Fp --p 1031"],
+    ),
+]
+
+
+def test_one_parser_serves_every_run_of_a_process(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["khovanov", "--k", "2", "--word", "torus_2_8", "--field", "Z"])
+    assert exc.value.code == 2
+    assert cli.run(["khovanov", "--k", "2", "--word", "torus_2_8", "--field", "Fp"]) == 2
+    assert "--field Fp requires --p" in capsys.readouterr().err
+    shared = []
+    for i, (argv, _) in enumerate(SHARED_PARSER_RUNS):
+        out = tmp_path / f"shared-{i}.json"
+        assert cli.run([*argv, "--out", str(out)]) == 0
+        shared.append(out.read_bytes())
+    for (argv, sha256), document in zip(SHARED_PARSER_RUNS, shared):
+        # The first run of a process builds its parser afresh.
+        cli.build_parser.cache_clear()
+        out = tmp_path / "fresh.json"
+        assert cli.run([*argv, "--out", str(out)]) == 0
+        assert document == out.read_bytes()
+        assert hashlib.sha256(document).hexdigest() == sha256
+
+
+def test_no_default_leaks_between_subcommands():
+    # The shared parser, parsing every subcommand in turn, reads each
+    # command line as a parser built for it alone does.
+    argvs = [
+        ["blocks", "--n", "3", "--p", "7", "--max", "1", "--allow-small-p", "--out", "x.json"],
+        ["khovanov", "--k", "2", "--word", "trefoil", "--field", "Fp", "--p", "1031", "--oracle"],
+        ["cohomology", "--n", "2", "--lam", "3,0"],
+        ["relations", "--k", "2"],
+        ["operad-check", "--seed", "3"],
+        ["selftest"],
+        ["blocks", "--n", "2", "--p", "31"],
+    ]
+    for argv in argvs:
+        assert vars(cli.build_parser().parse_args(argv)) == vars(cli.build_parser.__wrapped__().parse_args(argv))
+    cohomology_args = cli.build_parser().parse_args(["cohomology", "--n", "2", "--lam", "3,0"])
+    assert (cohomology_args.field, cohomology_args.p, cohomology_args.out) == ("Q", None, None)
+    assert cli.build_parser().parse_args(["selftest"]).n is None

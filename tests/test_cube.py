@@ -13,9 +13,11 @@ from khovanov_reference import (
     braid_letters,
     close_braid,
     closed_braids,
+    crossingless_matchings,
     insert_kink,
     insert_twist_pair,
     reference_bigraded_k2,
+    reference_compose,
     reference_euler_k2,
     resolution_circles,
 )
@@ -184,6 +186,9 @@ def test_torus_links_up_to_40_crossings(k):
 
 
 WORD_FILES = pathlib.Path(__file__).resolve().parent.parent / "words"
+# A closed 6-strand braid with 22 crossings of both signs: wide enough that
+# one cancellation composes the same mask pairs many times over.
+BRAID_S6 = cli._load_word_text(str(WORD_FILES / "braid_s6_seed7.sw"))
 
 
 @pytest.mark.parametrize(
@@ -292,7 +297,9 @@ def test_k2_bigraded_tables(name, table):
         assert cube.khovanov_bigraded_k2(cube.DIAGRAMS[name], field) == table
 
 
-@pytest.mark.parametrize("text", _catalogue_and_torus(range(1, 31)))
+@pytest.mark.parametrize(
+    "text", _catalogue_and_torus(range(1, 31)) + [pytest.param(BRAID_S6, id="braid_s6_seed7.sw")]
+)
 def test_k2_bigraded_euler_matches_transfer_matrices(text):
     # With h_raw = h + n_minus and q_raw = q - n_plus + 2 n_minus,
     # (-1)^n_minus sum (-1)^h_raw dim t^q_raw = t^s P(1/t), where P is the
@@ -505,3 +512,101 @@ def test_cobordism_composition_relations():
     x, a, y = (1, 0, 5, 4, 3, 2), (3, 2, 1, 0, 5, 4), (5, 4, 3, 2, 1, 0)
     assert cube._compose(x, a, y, {0: 1}, {0: 1}) == {1: 2}
     assert cube._compose(x, a, y, {1: 1}, {0: 1}) == {}
+    # Coefficients multiply through, signs included.
+    assert cube._compose(arc, arc, arc, {0: -2}, {1: 3}) == {1: -6} == reference_compose(arc, arc, arc, {0: -2}, {1: 3})
+    assert cube._compose(arc, arc, arc, {1: -2}, {1: 3}) == {} == reference_compose(arc, arc, arc, {1: -2}, {1: 3})
+    assert cube._compose(x, a, y, {0: -3}, {0: 5}) == {1: -30} == reference_compose(x, a, y, {0: -3}, {0: 5})
+    assert cube._compose(x, a, y, {1: -3}, {0: 5}) == {} == reference_compose(x, a, y, {1: -3}, {0: 5})
+
+
+@pytest.fixture
+def fresh_composition():
+    """A cold composition memo before and after the test: a memo warmed by
+    other tests would hide a planted bug in the gluing or the neck cut, and
+    one warmed under a planted bug would leak it into later tests."""
+    cube._compose_masks.cache_clear()
+    yield
+    cube._compose_masks.cache_clear()
+
+
+@pytest.mark.parametrize("width", [2, 4, 6])
+def test_memoized_composition_matches_reference(width, fresh_composition):
+    # Every (x, a, y) and every mask pair, first on a cold memo, then every
+    # whole morphism again through the warm one.
+    for x, a, y in itertools.product(crossingless_matchings(width), repeat=3):
+        masks_f = range(1 << cube._cycles(x, a)[1])
+        masks_g = range(1 << cube._cycles(a, y)[1])
+        for mf, mg in itertools.product(masks_f, masks_g):
+            f, g = {mf: -3}, {mg: 5}
+            assert cube._compose(x, a, y, f, g) == reference_compose(x, a, y, f, g)
+        f = {m: (-1) ** m * (m + 2) for m in masks_f}
+        g = {m: (-1) ** (m + 1) * (2 * m + 1) for m in masks_g}
+        assert cube._compose(x, a, y, f, g) == reference_compose(x, a, y, f, g)
+
+
+def test_square_zero_check_catches_a_wrong_gluing(monkeypatch, fresh_composition):
+    # With the memo cold, a gluing that hands the disks of g to the wrong
+    # pieces reaches every composition, and d∘d no longer vanishes.
+    gluing = cube._gluing
+
+    def misglued(x, a, y):
+        piece_f, piece_g, genus, bound = gluing(x, a, y)
+        return piece_f, piece_g[::-1], genus, bound
+
+    monkeypatch.setattr(cube, "_gluing", misglued)
+    with pytest.raises(ComplexError, match="squared"):
+        cube.khovanov_bigraded_k2(cube.DIAGRAMS["figure_eight"])
+
+
+# The 6-strand word's table as the scan computed it before compositions were
+# memoized, the same over Q and over F_1031: total rank 12.
+BRAID_S6_TABLE = {
+    (0, 4): 1, (0, 6): 1, (2, 8): 2, (2, 10): 1, (3, 12): 1, (4, 12): 2, (5, 16): 2, (6, 16): 1, (7, 20): 1,
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1031)], ids=["Q", "F1031"])
+def test_wide_closed_braid_table_is_pinned(field):
+    assert cube.khovanov_bigraded_k2(BRAID_S6, field) == BRAID_S6_TABLE
+
+
+def _letters(text: str, strands: int) -> list[tuple[int, str]]:
+    """The braid letters (j, kind) of a word that `close_braid` writes."""
+    tokens = text.split()
+    letters = [(int(token[4:-1]) - strands, token[:3]) for token in tokens[strands:-strands]]
+    assert close_braid(strands, letters) == tokens
+    return letters
+
+
+def _far_commute(letters, i):
+    """Swap letters i and i+1, which must be at least two strands apart."""
+    assert abs(letters[i][0] - letters[i + 1][0]) >= 2
+    return letters[:i] + [letters[i + 1], letters[i]] + letters[i + 2 :]
+
+
+def _braid_move(letters, i):
+    """R3: s_j s_j' s_j -> s_j' s_j s_j' on letters i..i+2, |j - j'| = 1, one kind."""
+    (j, kind), (other, kind2), (j2, kind3) = letters[i : i + 3]
+    assert j == j2 and abs(j - other) == 1 and kind == kind2 == kind3
+    return letters[:i] + [(other, kind), (j, kind), (other, kind)] + letters[i + 3 :]
+
+
+def _s6_far_commutation():
+    # s5 s3 -> s3 s5 at letters 2, 3.
+    return _far_commute(_letters(BRAID_S6, 6), 2)
+
+
+def _s6_braid_relation():
+    # s5 at letter 11 moves down past s2 s1^-1 s1 s1^-1, and s1 at letter 5
+    # up past it, which leaves s5 s4 s5 at letters 5-7; R3 rewrites that.
+    letters = _letters(BRAID_S6, 6)
+    for i in (10, 9, 8, 7, 4):
+        letters = _far_commute(letters, i)
+    return _braid_move(letters, 5)
+
+
+@pytest.mark.parametrize("rewrite", [_s6_far_commutation, _s6_braid_relation], ids=["far_commutation", "R3"])
+def test_wide_closed_braid_table_survives_braid_rewrites(rewrite):
+    text = " ".join(close_braid(6, rewrite()))
+    assert text != BRAID_S6
+    assert cube.khovanov_bigraded_k2(text) == BRAID_S6_TABLE
