@@ -12,12 +12,16 @@ one root onto the module and a contraction term pairing two roots through
 their bracket.
 
 All of that formula but the module depends on n alone: the root subsets
-with their weight offsets, each (j+1)-subset's signed action terms, and its
+grouped by weight offset, each (j+1)-subset's signed action terms, and its
 contraction terms summed per j-subset. `_skeleton(n)` builds these once per
-n, on first use. `ce_slice` then only looks up one weight space per subset,
-skips subsets whose space is empty, and reads raising columns through
-`module.column` only at basis vectors of those spaces; a truncated module
-builds each such column on first read, never a whole action matrix.
+n. A slice's cochains come in cells, one per subset with a nonzero weight
+space, found by one lookup per offset group; `cohomology_table` finds every
+slice's cells in one pass over module weights and offset groups. Raising
+columns are read through `module.column` only at basis vectors of cells.
+
+Consecutive slices are ranked as one block-diagonal complex, a batch of at
+most the largest slice's cochains: one d-squared check and one elimination
+per degree serve the batch. `ce_slice` is the one-slice case.
 
 Raising operators never increase depth, so on a depth-truncated module every
 slice complex with window depth >= ht(lambda - mu) is computed exactly.
@@ -25,13 +29,14 @@ slice complex with window depth >= ht(lambda - mu) is computed exactly.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import itertools
 import operator
 
 from decatkit import liealg, weights
-from decatkit.exactlin import QQ, FiniteComplex, InvariantError, PrimeField, SparseMatrix
+from decatkit.exactlin import QQ, FiniteComplex, InvariantError, PrimeField, SparseMatrix, pivot_columns
 from decatkit.verma import TruncatedVerma, simple_quotient, weyl_dim
 
 Pair = tuple[int, int]
@@ -39,12 +44,14 @@ Pair = tuple[int, int]
 
 @functools.cache
 def _skeleton(n: int):
-    """The slice skeleton of gl_n: (pairs, subsets, offsets, action, contraction).
+    """The slice skeleton of gl_n: (pairs, subsets, groups, action, contraction).
 
-    subsets[j] lists the j-subsets of root indices in combinations order and
-    offsets[j][t] the root sum of subsets[j][t]. For big = subsets[j+1][t],
-    action[j][t] lists (small, root, sign) and contraction[j][t] lists
-    (small, coefficient), with small an index into subsets[j].
+    subsets[j] lists the j-subsets of root indices in combinations order.
+    groups lists (offset, places), one per distinct root sum of a subset,
+    with places the (j, t) of every subsets[j][t] of that sum. For
+    big = subsets[j+1][t], action[j][t] lists (small, root, sign) and
+    contraction[j][t] lists (small, coefficient), with small an index into
+    subsets[j].
     """
     nilpotent = liealg.strict_triangular(n)
     roots = [nilpotent.weight(pair) for pair in nilpotent.pairs]
@@ -55,6 +62,10 @@ def _skeleton(n: int):
         [tuple(sum(roots[k][c] for k in subset) for c in range(n)) for subset in level]
         for level in subsets
     ]
+    groups: dict[weights.Weight, list[tuple[int, int]]] = {}
+    for j, level in enumerate(offsets):
+        for t, off in enumerate(level):
+            groups.setdefault(off, []).append((j, t))
     action, contraction = [], []
     for j, level in enumerate(subsets[1:]):
         action.append([
@@ -76,7 +87,7 @@ def _skeleton(n: int):
                         raise InvariantError("contraction term left the slice")
                     terms[key] = terms.get(key, 0) + (-1) ** (a + b + small.index(s)) * c
             contraction[j].append([(small, c) for small, c in terms.items() if c])
-    return nilpotent.pairs, subsets, offsets, action, contraction
+    return nilpotent.pairs, subsets, list(groups.items()), action, contraction
 
 
 @dataclasses.dataclass
@@ -104,67 +115,120 @@ def slice_required_depth(module, mu_shifted: weights.Weight) -> int | None:
     return weights.root_height(tuple(l - m for l, m in zip(lam, mu_shifted)))
 
 
+def _slice_cells(module, mu: weights.Weight) -> list[list[tuple[int, list[int]]]]:
+    """The cells of the slice at unshifted mu: cells[j] holds (t, members) for
+    each j-subset subsets[j][t] whose weight mu + offset has basis vectors
+    `members`, in subset order. Degree j's cochains are (subset, member)."""
+    pairs, _, groups, _, _ = _skeleton(module.n)
+    cells: list[list[tuple[int, list[int]]]] = [[] for _ in range(len(pairs) + 1)]
+    for off, places in groups:
+        members = module.weight_index.get(tuple(map(operator.add, mu, off)))
+        if members:
+            for j, t in places:
+                cells[j].append((t, members))
+    for level in cells:
+        level.sort()
+    return cells
+
+
+def _batch_complex(module, batch) -> tuple[FiniteComplex, list[list[int]]]:
+    """The block-diagonal complex of a batch of slices, given as their cells,
+    and per degree the first basis index of each slice's block, then the dim."""
+    pairs, _, _, action, contraction = _skeleton(module.n)
+    column, p = module.column, module.field.p
+    starts, index = [], []  # index[j][s]: {t: (first basis index, members)}
+    for j in range(len(pairs) + 1):
+        at, start, index_j = 0, [], []
+        for cells in batch:
+            start.append(at)
+            index_j.append({})
+            for t, members in cells[j]:
+                index_j[-1][t] = (at, members)
+                at += len(members)
+        starts.append(start + [at])
+        index.append(index_j)
+
+    mats = []
+    for j in range(len(pairs)):
+        entries: dict[tuple[int, int], object] = {}
+        row0 = 0
+        for cells, small_index in zip(batch, index[j]):
+            for t, big_members in cells[j + 1]:
+                slot = {m: row0 + u for u, m in enumerate(big_members)}
+                for small, k, sign in action[j][t]:
+                    col0, small_members = small_index.get(small, (0, ()))
+                    for u, m in enumerate(small_members):
+                        for m2, val in column(pairs[k], m).items():
+                            row = slot.get(m2)
+                            if row is None:
+                                raise InvariantError("action term left the slice")
+                            entries[row, col0 + u] = entries.get((row, col0 + u), 0) + sign * val
+                # A contraction term keeps the weight, so small and big share members.
+                for small, c in contraction[j][t]:
+                    col0 = small_index[small][0]
+                    for u in range(len(big_members)):
+                        entries[row0 + u, col0 + u] = entries.get((row0 + u, col0 + u), 0) + c
+                row0 += len(big_members)
+        # Field elements times ints: over F_p a residue is `% p`, over Q exact.
+        entries = {pos: x for pos, v in entries.items() if (x := v % p if p else v)}
+        mats.append(SparseMatrix(starts[j + 1][-1], starts[j][-1], entries))
+    return FiniteComplex(field=module.field, dims=tuple(start[-1] for start in starts), maps=tuple(mats)), starts
+
+
+def _batch_homology(module, batch) -> list[tuple[tuple[int, ...], dict[int, int]]]:
+    """(cochain dims, homology dims) of each slice of a batch. The complex is
+    block diagonal, so each pivot column counts toward the slice owning it."""
+    cx, starts = _batch_complex(module, batch)
+    cx.check_complex()
+    ranks = [[0] * (len(cx.dims) + 1) for _ in batch]  # [s][j + 1]: rank leaving degree j
+    for j, m in enumerate(cx.maps):
+        for col in pivot_columns(m, cx.field) if m.entries else ():
+            ranks[bisect.bisect_right(starts[j], col) - 1][j + 1] += 1
+    out = []
+    for s, rank in enumerate(ranks):
+        dims = tuple(start[s + 1] - start[s] for start in starts)
+        out.append((dims, {j: d - rank[j] - rank[j + 1] for j, d in enumerate(dims)}))
+    return out
+
+
+def _slice_homology(module, slices):
+    """(key, cochain dims, homology dims) of each (key, cells) slice, in order.
+    A batch closes when the next slice would take it past the largest slice's
+    cochain count."""
+    sizes = [sum(len(members) for level in cells for _, members in level) for _, cells in slices]
+    cap, batches, held = max(sizes, default=0), [[]], 0
+    for item, size in zip(slices, sizes):
+        if held + size > cap:
+            batches.append([])
+            held = 0
+        batches[-1].append(item)
+        held += size
+    for batch in batches:
+        for (key, _), (dims, hom) in zip(batch, _batch_homology(module, [cells for _, cells in batch])):
+            yield key, dims, hom
+
+
 def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
     """Cochain complex of the module in the given shifted weight slice."""
-    field, p = module.field, module.field.p
-    mu = weights.unshift(tuple(mu_shifted))
     required = slice_required_depth(module, mu_shifted)
     if required is not None and required > module.depth:
         raise ValueError(
             f"slice at {tuple(mu_shifted)} sits at depth {required}, beyond the "
             f"window depth {module.depth}; rebuild the module with depth >= {required}"
         )
-    pairs, subsets, offsets, action, contraction = _skeleton(module.n)
-    members = [
-        [module.weight_index.get(tuple(map(operator.add, mu, off)), ()) for off in level]
-        for level in offsets
-    ]
-    bases: list[list[tuple[tuple[int, ...], int]]] = []
-    starts: list[list[int]] = []
-    for level, level_members in zip(subsets, members):
-        basis_j: list[tuple[tuple[int, ...], int]] = []
-        start = []
-        for subset, ms in zip(level, level_members):
-            start.append(len(basis_j))
-            if ms:
-                basis_j.extend((subset, m) for m in ms)
-        bases.append(basis_j)
-        starts.append(start)
-
-    column = module.column
-    mats = []
-    for j in range(len(pairs)):
-        entries: dict[tuple[int, int], object] = {}
-        for t, big_members in enumerate(members[j + 1]):
-            if not big_members:
-                continue
-            row0 = starts[j + 1][t]
-            slot = {m: row0 + u for u, m in enumerate(big_members)}
-            for small, k, sign in action[j][t]:
-                col0 = starts[j][small]
-                for u, m in enumerate(members[j][small]):
-                    for m2, val in column(pairs[k], m).items():
-                        row = slot.get(m2)
-                        if row is None:
-                            raise InvariantError("action term left the slice")
-                        entries[row, col0 + u] = entries.get((row, col0 + u), 0) + sign * val
-            # A contraction term keeps the weight, so small and big share members.
-            for small, c in contraction[j][t]:
-                col0 = starts[j][small]
-                for u in range(len(big_members)):
-                    entries[row0 + u, col0 + u] = entries.get((row0 + u, col0 + u), 0) + c
-        # Field elements times ints: over F_p a residue is `% p`, over Q exact.
-        entries = {pos: x for pos, v in entries.items() if (x := v % p if p else v)}
-        mats.append(SparseMatrix(len(bases[j + 1]), len(bases[j]), entries))
-
-    cx = FiniteComplex(field=field, dims=tuple(len(b) for b in bases), maps=tuple(mats))
+    subsets = _skeleton(module.n)[1]
+    cells = _slice_cells(module, weights.unshift(tuple(mu_shifted)))
+    cx, _ = _batch_complex(module, [cells])
+    bases = [[(subsets[j][t], m) for t, members in level for m in members] for j, level in enumerate(cells)]
     return SliceComplex(mu_shifted=tuple(mu_shifted), complex=cx, bases=bases)
 
 
-def slice_candidates(module) -> set[weights.Weight]:
-    """Shifted weights where some cochain space of the module is nonzero."""
-    offsets = {off for level in _skeleton(module.n)[2] for off in level}
-    return {weights.shift(tuple(map(operator.sub, w, off))) for w in module.weight_index for off in offsets}
+def _exact_slice(module, mu: weights.Weight) -> bool:
+    """False at unshifted mu outside the cone or deeper than the window."""
+    if module.depth is None:
+        return True
+    required = slice_required_depth(module, weights.shift(mu))
+    return required is not None and required <= module.depth
 
 
 def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:
@@ -174,15 +238,27 @@ def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:
     complexes are cut off mid-weight and would report classes whose killing
     coboundaries lie just past the truncation edge.
     """
+    pairs, _, groups, _, _ = _skeleton(module.n)
+    slices: dict[weights.Weight, list | bool] = {}
+    for w, members in module.weight_index.items():
+        for off, places in groups:
+            mu = tuple(map(operator.sub, w, off))
+            cells = slices.get(mu)
+            if cells is None:
+                cells = slices[mu] = _exact_slice(module, mu) and [[] for _ in range(len(pairs) + 1)]
+            if cells:
+                for j, t in places:
+                    cells[j].append((t, members))
+    # Shifting adds one vector to every weight, so this is shifted order too.
+    kept = sorted((mu, cells) for mu, cells in slices.items() if cells)
+    for _, cells in kept:
+        for level in cells:
+            level.sort()
     out: dict[tuple[int, weights.Weight], int] = {}
-    for mu_shifted in sorted(slice_candidates(module)):
-        required = slice_required_depth(module, mu_shifted)
-        if module.depth is not None and (required is None or required > module.depth):
-            continue
-        sc = ce_slice(module, mu_shifted)
-        for deg, dim in sc.homology_dims().items():
+    for mu, _, hom in _slice_homology(module, kept):
+        for deg, dim in hom.items():
             if dim:
-                out[(deg, mu_shifted)] = dim
+                out[(deg, weights.shift(mu))] = dim
     return out
 
 
@@ -207,47 +283,41 @@ class BlocksReport:
         return self.nonvanishing and not self.block_congruent
 
 
-def verify_blocks_vanishing(
-    n: int,
-    a_shifted: weights.Weight,
-    b_shifted: weights.Weight,
-    p: int,
-    module: TruncatedVerma | None = None,
-) -> BlocksReport:
+def verify_blocks_vanishing(n: int, a_shifted: weights.Weight, b_shifted: weights.Weight, p: int) -> BlocksReport:
     """Slice cohomology of the weight-b highest-weight module at weight a,
     over F_p, with the congruence and ordering flags used by the sweep.
 
-    A prebuilt module (same n, b, p; any sufficient depth) can be passed to
-    share work across a sweep. When a is not below b in the root order, no
-    cochain weight of the module meets the slice: the report is all zeros,
-    read off the root order without building a module or a slice.
+    When a is not below b in the root order, no cochain weight of the module
+    meets the slice: the report is all zeros, read off the root order without
+    building a module or a slice.
     """
     a_shifted, b_shifted = tuple(a_shifted), tuple(b_shifted)
     ht = weights.root_height(tuple(x - y for x, y in zip(b_shifted, a_shifted)))
-    if module is not None:
-        if module.lam_shifted != b_shifted or module.field.p != p:
-            raise ValueError("prebuilt module does not match (b, p)")
-        if ht is not None and module.depth < ht:
-            raise ValueError(f"prebuilt module depth {module.depth} < required {ht}")
     if ht is None:
+        return _blocks_report(n, p, a_shifted, b_shifted, None)
+    sc = ce_slice(TruncatedVerma(n, b_shifted, ht, PrimeField(p)), a_shifted)
+    return _blocks_report(n, p, a_shifted, b_shifted, (sc.complex.dims, sc.homology_dims()))
+
+
+def _blocks_report(n: int, p: int, a: weights.Weight, b: weights.Weight, found) -> BlocksReport:
+    """One pair's report from its slice's (cochain dims, homology dims), or
+    all zeros for found None: a is not below b."""
+    if found is None:
         dims = (0,) * (n * (n - 1) // 2 + 1)
         hom = dict.fromkeys(range(len(dims)), 0)
     else:
-        if module is None:
-            module = TruncatedVerma(n, b_shifted, ht, PrimeField(p))
-        sc = ce_slice(module, a_shifted)
-        dims, hom = sc.complex.dims, sc.homology_dims()
+        dims, hom = found
     return BlocksReport(
         n=n,
         p=p,
-        a=a_shifted,
-        b=b_shifted,
+        a=a,
+        b=b,
         cochain_dims=dims,
         homology=hom,
         nonvanishing=any(hom.values()),
-        componentwise_leq=weights.componentwise_leq(a_shifted, b_shifted),
-        root_order_leq=ht is not None,
-        block_congruent=weights.block_congruent(a_shifted, b_shifted, p),
+        componentwise_leq=weights.componentwise_leq(a, b),
+        root_order_leq=found is not None,
+        block_congruent=weights.block_congruent(a, b, p),
     )
 
 
@@ -271,10 +341,12 @@ def blocks_sweep(n: int, p: int, max_entry: int) -> SweepReport:
     grid = list(itertools.product(range(max_entry + 1), repeat=n))
     reports: list[BlocksReport] = []
     for b in grid:
-        hts = (weights.root_height(tuple(x - y for x, y in zip(b, a))) for a in grid)
+        hts = [weights.root_height(tuple(x - y for x, y in zip(b, a))) for a in grid]
         module = TruncatedVerma(n, b, max(h for h in hts if h is not None), field)
-        for a in grid:
-            reports.append(verify_blocks_vanishing(n, a, b, p, module=module))
+        # Slice-major: the weights below b are fewer than the module's weights.
+        below = [(a, _slice_cells(module, weights.unshift(a))) for a, ht in zip(grid, hts) if ht is not None]
+        found = {a: (dims, hom) for a, dims, hom in _slice_homology(module, below)}
+        reports.extend(_blocks_report(n, p, a, b, found.get(a)) for a in grid)
     nonvan = [r for r in reports if r.nonvanishing]
     return SweepReport(
         n=n,

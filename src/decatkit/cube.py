@@ -101,6 +101,8 @@ def parse_slice_word(text: str, k: int) -> SliceWord:
         kind, i = m.group(1), int(m.group(2))
         idx = len(tokens)
         tokens.append((kind, i))
+        if kind not in ("cup", "cup'") and len(orients) < 2:
+            raise ValueError(f"token {idx}: {kind}({i}) needs two strands, but fewer than two are open")
         if kind in ("cup", "cup'"):
             if not (1 <= i <= len(orients) + 1):
                 raise ValueError(f"token {idx}: cup position {i} outside 1..{len(orients) + 1}")

@@ -14,8 +14,9 @@ All elimination goes through one kernel, `Echelon`: an incremental sparse
 row-echelon basis whose rows are indexed by their pivot column, so reducing a
 vector visits only the pivots it touches. Over Q its rows are primitive
 integer vectors, so no fraction arithmetic happens while eliminating; over
-F_p they are residue rows with pivot 1. `matrix_rank` inserts the rows of a
-matrix and `nullspace` reduces its tagged columns.
+F_p they are residue rows with pivot 1. `pivot_columns` inserts the rows of
+a matrix, `matrix_rank` counts its pivots, and `nullspace` reduces tagged
+columns.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ class PrimeField:
             raise ValueError(f"modulus {self.p} is not prime")
 
     def of(self, x) -> int:
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:
@@ -220,9 +223,6 @@ class SparseMatrix:
     def zeros(nrows: int, ncols: int) -> "SparseMatrix":
         return SparseMatrix(nrows, ncols, {})
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} + {other.nrows}x{other.ncols}")
@@ -273,14 +273,6 @@ class SparseMatrix:
             for (k, l), v in other.entries.items():
                 out[(i * other.nrows + k, j * other.ncols + l)] = u * v
         return SparseMatrix(self.nrows * other.nrows, self.ncols * other.ncols, out)
-
-    def map_values(self, fn) -> "SparseMatrix":
-        out = {}
-        for pos, v in self.entries.items():
-            w = fn(v)
-            if w:
-                out[pos] = w
-        return SparseMatrix(self.nrows, self.ncols, out)
 
     def columns(self) -> dict[int, dict[int, object]]:
         """The nonzero columns, {col: {row: value}}, grouped in one pass."""
@@ -396,12 +388,17 @@ class Echelon:
         self.rows[pivot] = r
 
 
-def matrix_rank(m: SparseMatrix, field) -> int:
-    """Exact rank over the given field."""
+def pivot_columns(m: SparseMatrix, field) -> list[int]:
+    """The pivot columns of an echelon basis of m's rows over the given field."""
     echelon = Echelon(field)
     for _, row in m.rows():
         echelon.insert(row)
-    return len(echelon.rows)
+    return list(echelon.rows)
+
+
+def matrix_rank(m: SparseMatrix, field) -> int:
+    """Exact rank over the given field: the number of pivot columns."""
+    return len(pivot_columns(m, field))
 
 
 def nullspace(m: SparseMatrix, field) -> list[list]:
@@ -467,8 +464,11 @@ class FiniteComplex:
 
     def check_complex(self) -> None:
         for j in range(len(self.maps) - 1):
-            comp = (self.maps[j + 1] @ self.maps[j]).map_values(self.field.of)
-            if not comp.is_zero():
+            if not (self.maps[j].entries and self.maps[j + 1].entries):
+                continue
+            # The product stores no zero sum, but over F_p a sum may vanish mod p.
+            values = (self.maps[j + 1] @ self.maps[j]).entries.values()
+            if any(map(self.field.of, values) if self.field.p else values):
                 raise ComplexError(f"differential squared is nonzero leaving degree {self.degrees[j]}")
 
     def homology_dims(self) -> dict[int, int]:

@@ -277,12 +277,20 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
     values: dict[tuple[Move, ...], LaurentMatrix] = {}
 
     def loop(word: tuple[Move, ...]) -> LaurentMatrix:
-        """Value of a word that must return to the ambient signature, evaluated once."""
-        if word not in values:
-            values[word], back = evaluate(k, ambient, word)
-            if back != ambient:
-                raise InvariantError(f"word {word} leaves {ambient} at {back}")
-        return values[word]
+        """Value of a word that must return to the ambient signature, from its
+        longest prefix evaluated so far. A prefix that returns to the ambient
+        is kept, since another word may start with it."""
+        done = len(word)
+        while done and word[:done] not in values:
+            done -= 1
+        mat, sig = values[word[:done]] if done else identity_matrix(k, ambient), ambient
+        for end in range(done + 1, len(word) + 1):
+            mat, sig = apply_move(k, sig, word[end - 1], mat)
+            if sig == ambient:
+                values[word[:end]] = mat
+        if sig != ambient:
+            raise InvariantError(f"word {word} leaves {ambient} at {sig}")
+        return mat
 
     def side(*terms: tuple[int | LaurentPoly, tuple[Move, ...]]) -> LaurentMatrix:
         """Sum of c * value(word) over the (c, word) terms; the empty word is the identity."""

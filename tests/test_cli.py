@@ -26,11 +26,13 @@ BLOCKS_SHA256 = {
 
 # sha256 of `cohomology` documents as written when finite modules stored
 # whole action matrices and slices reduced each entry through `field.of`;
-# reading every module through its columns must not change a byte.
+# reading every module through its columns must not change a byte. The
+# F_37 document was hashed when every slice was its own complex.
 COHOMOLOGY_SHA256 = {
     "--n 3 --lam 4,2,0": "aeebc7a0f39c7ee4f4d3502dbf6b8212c51f435681b7f8f8cbbad3e3386930da",
     "--n 3 --lam 3,1,0 --field Fp --p 31": "ca131e51c766e32c5301517225899ba9801105e10a68a48962e42fdca5558545",
     "--n 4 --lam 3,2,1,0": "74493e8e4269ea74725345771a5e69a2918d487746bb19fcda0cc70da24c5268",
+    "--n 4 --lam 3,2,1,0 --field Fp --p 37": "3243835e460082e820a844f4ead2b5e8ba99eaf3ef717df2c7f223fd85346156",
 }
 
 # sha256 of further documents as written when relation sides were built
@@ -270,6 +272,14 @@ def test_khovanov_undecodable_word_file_is_config_error(tmp_path, capsys):
     path.write_bytes(b"x\xff\xfe")
     assert cli.run(["khovanov", "--k", "2", "--word", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_khovanov_cap_with_no_open_strand_rejected(tmp_path, capsys):
+    path = tmp_path / "cap_first.sw"
+    path.write_text("cap(1) cup(1)\n")
+    assert cli.run(["khovanov", "--k", "2", "--word", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "fewer than two are open" in err and "outside" not in err
 
 
 def test_khovanov_open_word_rejected(tmp_path, capsys):

@@ -68,6 +68,13 @@ def test_parse_rejects_bad_tokens():
         cube.parse_slice_word("cup(1) cap(2)", 2)
 
 
+@pytest.mark.parametrize("word", ["cap(1)", "cap'(2)", "pos(1)", "cup(1) cap(1) neg(1)"])
+def test_parse_names_too_few_open_strands(word):
+    # Not a position range: with no strands open it would read `outside 1..-1`.
+    with pytest.raises(ValueError, match="needs two strands, but fewer than two are open"):
+        cube.parse_slice_word(word, 2)
+
+
 def test_parse_rejects_label_mismatches():
     # cap wants (1, k-1), cap' wants (k-1, 1).
     with pytest.raises(ValueError, match="needs labels"):

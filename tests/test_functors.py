@@ -339,6 +339,39 @@ def test_r5_fails_when_the_second_merge_is_bent(monkeypatch, k):
     assert not functors.verify_relation("R5", k).holds
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_r5_applies_each_prefix_once_per_placement(monkeypatch, k):
+    # E1 E2 E1 is evaluated first (6 moves), keeping its loop prefix E1;
+    # E2 (2 moves) then starts E2 E1 E2, which needs 4 more.
+    calls = []
+    real = functors.apply_move
+
+    def counting(k, sig, move, mat):
+        calls.append(move)
+        return real(k, sig, move, mat)
+
+    monkeypatch.setattr(functors, "apply_move", counting)
+    assert functors.verify_relation("R5", k).holds
+    assert len(calls) == 12
+    calls.clear()
+    assert functors.verify_relation("R5", k, (k, 1, 1, 1), 1).holds
+    assert len(calls) == 12
+
+
+def test_relation_word_leaving_the_ambient_raises(monkeypatch):
+    # Prefixes of R5's words leave the ambient; only a whole word must return.
+    assert functors.verify_relation("R5", 2).holds
+    real = functors.apply_move
+
+    def drifting(k, sig, move, mat):
+        mat, sig = real(k, sig, move, mat)
+        return mat, (sig + (1,) if move[0] == "merge" else sig)
+
+    monkeypatch.setattr(functors, "apply_move", drifting)
+    with pytest.raises(InvariantError, match="leaves"):
+        functors.verify_relation("R2", 2)
+
+
 def test_identity_matrix_times_a_scalar():
     poly = LaurentPoly.from_dict({-1: 2, 3: -1})
     assert functors.identity_matrix(3, (1, 2), poly) == functors.identity_matrix(3, (1, 2)).scaled(poly)

@@ -210,7 +210,7 @@ def _bracket_defects(module):
             diff = mats[x] @ mats[y] + (mats[y] @ mats[x]).scaled(-1)
             for z, c in gl.bracket(x, y).items():
                 diff = diff + mats[z].scaled(-c)
-            if not diff.map_values(module.field.of).is_zero():
+            if any(map(module.field.of, diff.entries.values())):
                 bad.append((x, y))
     return bad
 
