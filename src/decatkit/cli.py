@@ -193,6 +193,10 @@ def _load_word_text(spec: str) -> str:
 def _run_khovanov(args: argparse.Namespace) -> tuple[bool, dict]:
     if args.k < 2:
         raise ConfigError("--k must be at least 2")
+    if args.k != 2 and args.oracle:
+        raise ConfigError("--oracle is only defined for k=2")
+    if args.k != 2 and args.field == "Fp":
+        raise ConfigError("--field Fp is only defined for k=2; at k >= 3 nothing is ranked")
     text = _load_word_text(args.word)
     try:
         word = cube.parse_slice_word(text, args.k)
@@ -223,8 +227,6 @@ def _run_khovanov(args: argparse.Namespace) -> tuple[bool, dict]:
         doc["total_rank"] = sum(dims.values())
         doc["bigraded"] = [[h, q, dim] for (h, q), dim in table.items()]
     if args.oracle:
-        if args.k != 2:
-            raise ConfigError("--oracle is only defined for k=2")
         oracle = cube.oracle_euler_k2(word)
         doc["oracle_euler"] = oracle
         doc["oracle_matches"] = oracle == euler

@@ -13,7 +13,8 @@ slice, with 1-based strand positions:
 
 An upward strand carries label 1, a downward strand label k-1; at k = 2 the
 two labels coincide, which is the only case where cap and cap' both apply to
-either orientation pattern. Crossings swap the two strands.
+either orientation pattern. Crossings swap the two strands. The parser
+follows each strand's orientation and arc, and so counts link components.
 
 Each crossing resolves two ways. The 0-resolution is the planar smoothing
 obtained by turning the over-strand counterclockwise onto the under-strand:
@@ -32,7 +33,8 @@ Euler normalization uses the oriented count n_minus, so the invariant is
 That signed sum is multilinear in the per-crossing bits, so it is one product
 of transfer matrices, applied locally token by token: a crossing applies the
 difference M(0) - M(1) of its two resolutions. The cost is linear in the
-number of crossings; `build_cube` still evaluates all 2^c vertices, for tests.
+number of crossings; the test reference `build_cube` folds the same token
+step over each of the 2^c vertices.
 
 The k = 2 homology is local too: Bar-Natan's tangle scan (math/0606318)
 keeps one complex over the tangle below the current slice, its objects
@@ -42,8 +44,8 @@ closes, a crossing takes the cone of its saddle, and Gaussian elimination
 cancels every ±identity entry, so for T(2, n) the complex keeps O(n) objects
 where the cube has 2^n vertices. The whole q-split cube lives on as the test
 reference `tests/khovanov_reference.py`. The circle oracle `oracle_euler_k2`
-scans the same way: Kauffman's state sum over crossingless matchings of the
-top endpoints, with integer coefficients, no resolution walked.
+scans the same way, with the same cup/cap move `_top` on matchings:
+Kauffman's state sum with integer coefficients, no resolution walked.
 """
 
 from __future__ import annotations
@@ -61,9 +63,22 @@ TOKEN_RE = re.compile(r"^(cup'|cup|cap'|cap|pos|neg)\((\d+)\)$")
 Token = tuple[str, int]
 
 
+class _UnionFind(dict):
+    """Union-find forest: maps each item to its parent, and a root to itself."""
+
+    def find(self, x):
+        while self[x] != x:
+            self[x] = self[self[x]]
+            x = self[x]
+        return x
+
+    def union(self, x, y) -> None:
+        self[self.find(x)] = self.find(y)
+
+
 @dataclasses.dataclass
 class SliceWord:
-    """A parsed, validated slice word."""
+    """A parsed, validated slice word; `components` is None while strands are open."""
 
     k: int
     text: str
@@ -71,6 +86,7 @@ class SliceWord:
     crossings: tuple[int, ...]
     crossing_signs: tuple[int, ...]
     final_labels: tuple[int, ...]
+    components: int | None
 
     @property
     def n_crossings(self) -> int:
@@ -86,11 +102,14 @@ class SliceWord:
 
 
 def parse_slice_word(text: str, k: int) -> SliceWord:
-    """Parse and validate a slice word for the given k >= 2."""
+    """Parse and validate a slice word for the given k >= 2, following each
+    strand's orientation and arc (named by its cup's token); a cap joins arcs."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     tokens: list[Token] = []
     orients: list[str] = []
+    arcs: list[int] = []
+    forest = _UnionFind()
     label = {"u": 1, "d": k - 1}
     crossings: list[int] = []
     signs: list[int] = []
@@ -107,6 +126,8 @@ def parse_slice_word(text: str, k: int) -> SliceWord:
             if not (1 <= i <= len(orients) + 1):
                 raise ValueError(f"token {idx}: cup position {i} outside 1..{len(orients) + 1}")
             orients[i - 1 : i - 1] = ["u", "d"] if kind == "cup" else ["d", "u"]
+            arcs[i - 1 : i - 1] = [idx, idx]
+            forest[idx] = idx
         elif kind in ("cap", "cap'"):
             if not (1 <= i < len(orients)):
                 raise ValueError(f"token {idx}: cap position {i} outside 1..{len(orients) - 1}")
@@ -116,7 +137,8 @@ def parse_slice_word(text: str, k: int) -> SliceWord:
                 raise ValueError(f"token {idx}: {kind}({i}) needs labels {want}, found {got}")
             if orients[i - 1] == orients[i]:
                 raise ValueError(f"token {idx}: cap cannot join two strands oriented the same way")
-            del orients[i - 1 : i + 1]
+            forest.union(arcs[i - 1], arcs[i])
+            del orients[i - 1 : i + 1], arcs[i - 1 : i + 1]
         else:
             if not (1 <= i < len(orients)):
                 raise ValueError(f"token {idx}: crossing position {i} outside 1..{len(orients) - 1}")
@@ -127,6 +149,7 @@ def parse_slice_word(text: str, k: int) -> SliceWord:
             crossings.append(idx)
             signs.append(1 if (kind == "pos") == parallel else -1)
             orients[i - 1], orients[i] = orients[i], orients[i - 1]
+            arcs[i - 1], arcs[i] = arcs[i], arcs[i - 1]
     return SliceWord(
         k=k,
         text=text,
@@ -134,6 +157,7 @@ def parse_slice_word(text: str, k: int) -> SliceWord:
         crossings=tuple(crossings),
         crossing_signs=tuple(signs),
         final_labels=tuple(label[o] for o in orients),
+        components=None if orients else len({forest.find(a) for a in forest}),
     )
 
 
@@ -178,7 +202,8 @@ class Cube:
 
 
 def build_cube(word: SliceWord | str, k: int | None = None) -> Cube:
-    """Evaluate every resolution of the word, sharing common prefixes.
+    """Evaluate every resolution of the word, each vertex by folding
+    `_apply_token` over the tokens with its bits at the crossings.
 
     Exponential in the crossing count; `tangle_alternating_sum` gets the
     signed sum of these values from one product and is checked against it.
@@ -187,20 +212,13 @@ def build_cube(word: SliceWord | str, k: int | None = None) -> Cube:
     k = word.k
     values: dict[tuple[int, ...], LaurentMatrix] = {}
     final_sigs: set[tuple[int, ...]] = set()
-
-    def rec(idx: int, mat: LaurentMatrix, sig: tuple[int, ...], bits: tuple[int, ...]):
-        if idx == len(word.tokens):
-            values[bits] = mat
-            final_sigs.add(sig)
-            return
-        token = word.tokens[idx]
-        if token[0] in ("pos", "neg"):
-            for bit in (0, 1):
-                rec(idx + 1, *_apply_token(k, token, bit, sig, mat), bits + (bit,))
-        else:
-            rec(idx + 1, *_apply_token(k, token, None, sig, mat), bits)
-
-    rec(0, functors.identity_matrix(k, ()), (), ())
+    for bits in itertools.product((0, 1), repeat=word.n_crossings):
+        bit_at = dict(zip(word.crossings, bits))
+        mat, sig = functors.identity_matrix(k, ()), ()
+        for idx, token in enumerate(word.tokens):
+            mat, sig = _apply_token(k, token, bit_at.get(idx), sig, mat)
+        values[bits] = mat
+        final_sigs.add(sig)
     if final_sigs != {word.final_labels}:
         raise InvariantError(f"resolutions end in signatures {final_sigs}, not {word.final_labels}")
     return Cube(word=word, values=values, final_sig=word.final_labels)
@@ -245,43 +263,12 @@ def euler_invariant(word: SliceWord | str, k: int | None = None) -> int:
     return sum(c for (i, j, _), c in mat.terms.items() if i == j == 0)
 
 
-class _UnionFind(dict):
-    """Union-find forest: maps each item to its parent, and a root to itself."""
-
-    def find(self, x):
-        while self[x] != x:
-            self[x] = self[self[x]]
-            x = self[x]
-        return x
-
-    def union(self, x, y) -> None:
-        self[self.find(x)] = self.find(y)
-
-
 def link_components(word: SliceWord | str, k: int | None = None) -> int:
-    """Number of link components of the closed diagram."""
+    """Number of link components of the closed diagram, as the parser counted them."""
     word = _as_word(word, k)
     if not word.closed:
         raise ValueError("diagram has open boundary")
-    forest = _UnionFind()
-    cur: list = []
-    nodes = []
-    for idx, (kind, i) in enumerate(word.tokens):
-        if kind in ("cup", "cup'"):
-            a, b = (idx, 0), (idx, 1)
-            forest[a] = a
-            forest[b] = b
-            forest.union(a, b)
-            nodes.extend([a, b])
-            cur[i - 1 : i - 1] = [a, b]
-        elif kind in ("cap", "cap'"):
-            forest.union(cur[i - 1], cur[i])
-            del cur[i - 1 : i + 1]
-        else:
-            cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    if cur:
-        raise InvariantError("closed word left strands open")
-    return len({forest.find(x) for x in nodes})
+    return word.components
 
 
 # A matching of the w endpoints at the top of the current tangle is a tuple m
@@ -328,14 +315,17 @@ def _neck_cut(terms: dict[int, int], bound: int, dots: int) -> dict[int, int]:
 
 def _top(m: tuple[int, ...], p: int, cup: bool) -> tuple[tuple[int, ...], bool]:
     """The matching after a cup (or a cap) on endpoints p, p+1, and whether
-    the cap closed a circle."""
+    the cap closed a circle: a cup inserts an arc, a cap joins the partners
+    of p and p+1, or closes their arc if they are partners."""
     if cup:
-        shifted = [r + 2 * (r >= p) for r in m]
-        return tuple(shifted[:p] + [p + 1, p] + shifted[p:]), False
-    partner = {r: s for r, s in enumerate(m) if r not in (p, p + 1)}
-    if m[p] != p + 1:
-        partner[m[p]], partner[m[p + 1]] = m[p + 1], m[p]
-    return tuple(s - 2 * (s > p + 1) for _, s in sorted(partner.items())), m[p] == p + 1
+        moved = [s + 2 * (s >= p) for s in m]
+        return tuple(moved[:p] + [p + 1, p] + moved[p:]), False
+    partner = list(m)
+    a, b = partner[p], partner[p + 1]
+    if a != p + 1:
+        partner[a], partner[b] = b, a
+    del partner[p : p + 2]
+    return tuple(s - 2 * (s > p) for s in partner), a == p + 1
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -587,59 +577,42 @@ def khovanov_homology_k2(word: SliceWord | str, field=QQ) -> dict[int, int]:
     return dims
 
 
-def _state_cup(m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """The matching m with an arc inserted on endpoints p, p+1."""
-    moved = [s + 2 * (s >= p) for s in m]
-    return tuple(moved[:p] + [p + 1, p] + moved[p:])
-
-
-def _state_cap(m: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int]:
-    """The matching m with endpoints p, p+1 capped off, and the factor 2 if
-    the cap closed a circle (else 1)."""
-    partner = list(m)
-    a, b = partner[p], partner[p + 1]
-    if a != p + 1:
-        partner[a], partner[b] = b, a
-    del partner[p : p + 2]
-    return tuple(s - 2 * (s > p) for s in partner), 2 if a == p + 1 else 1
-
-
 def oracle_euler_k2(word: SliceWord | str) -> int:
     """Euler number at k = 2 by Kauffman's state sum: (-1)^n_minus times
     the sum over resolutions of (-1)^(number of 1-bits) 2^#circles.
 
     The word is read bottom to top, keeping {matching of the top endpoints:
-    coefficient}, where a matching m has m[r] the partner of endpoint r: a
-    cup adds an arc, a cap joins two arcs or closes a circle (times 2), and
-    a crossing adds its vertical smoothing (the matching kept) and its
-    horizontal one (a cap, then a cup) with sign (-1)^bit. It shares no code
-    with the transfer matrices or the tangle scan it cross-checks.
+    coefficient}: a cup adds an arc, a cap joins two arcs or closes a circle
+    (times 2), and a crossing adds its vertical smoothing (the matching kept)
+    and its horizontal one (a cap, then a cup) with sign (-1)^bit. It moves
+    matchings with the tangle scan's `_top` and shares nothing with the
+    transfer matrices it is checked against.
     """
     if isinstance(word, str):
         word = parse_slice_word(word, 2)
     if word.k != 2:
         raise ValueError("circle counting only computes the k = 2 value")
+    if not word.closed:
+        raise ValueError("the circle oracle needs a closed diagram; the word leaves strands open")
     states: dict[tuple[int, ...], int] = {(): 1}
     for kind, i in word.tokens:
         p = i - 1
         terms: list[tuple[tuple[int, ...], int]] = []
         for m, c in states.items():
             if kind in ("cup", "cup'"):
-                terms.append((_state_cup(m, p), c))
+                terms.append((_top(m, p, True)[0], c))
             elif kind in ("cap", "cap'"):
-                capped, loop = _state_cap(m, p)
-                terms.append((capped, loop * c))
+                capped, loop = _top(m, p, False)
+                terms.append((capped, 2 * c if loop else c))
             else:
                 # pos resolves to the vertical smoothing at bit 0, neg at bit 1.
                 vertical = 1 if kind == "pos" else -1
-                capped, loop = _state_cap(m, p)
-                terms += [(m, vertical * c), (_state_cup(capped, p), -vertical * loop * c)]
+                capped, loop = _top(m, p, False)
+                terms += [(m, vertical * c), (_top(capped, p, True)[0], -vertical * (2 if loop else 1) * c)]
         states = {}
         for m, c in terms:
             states[m] = states.get(m, 0) + c
         states = {m: c for m, c in states.items() if c}
-    if not word.closed or any(states):
-        raise InvariantError("the circle oracle needs a closed diagram; the word leaves strands open")
     return states.get((), 0) * (-1 if word.n_negative % 2 else 1)
 
 

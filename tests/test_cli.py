@@ -250,6 +250,25 @@ def test_khovanov_oracle_requires_k2(capsys):
     assert cli.run(["khovanov", "--k", "3", "--word", "trefoil", "--oracle"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--oracle"], "--oracle is only defined for k=2"),
+        (["--field", "Fp", "--p", "31"], "--field Fp is only defined for k=2"),
+    ],
+    ids=["oracle", "Fp"],
+)
+def test_khovanov_k3_refuses_k2_options_before_computing(capsys, monkeypatch, argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the transfer matrices ran before the refusal")
+
+    monkeypatch.setattr(cube, "euler_invariant", never)
+    assert cli.run(["khovanov", "--k", "3", "--word", "trefoil", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_khovanov_word_file(tmp_path, capsys):
     path = tmp_path / "two_circles.sw"
     path.write_text("# nested pair of circles\ncup(1) cup(3) cap(2) cap(1)\n")

@@ -198,6 +198,72 @@ WORD_FILES = pathlib.Path(__file__).resolve().parent.parent / "words"
 BRAID_S6 = cli._load_word_text(str(WORD_FILES / "braid_s6_seed7.sw"))
 
 
+@pytest.mark.parametrize("path", sorted(WORD_FILES.glob("*.sw")), ids=lambda path: path.name)
+def test_parser_components_match_transfer_matrices_on_word_files(path):
+    # The transfer matrices give k^components at t = 1 and never read the
+    # parser's strand walk, so they check its count.
+    word = cube.parse_slice_word(cli._load_word_text(str(path)), 3)
+    assert abs(cube.euler_invariant(word)) == 3 ** cube.link_components(word)
+
+
+@settings(max_examples=25, deadline=None)
+@given(closed_braids(max_crossings=7))
+def test_parser_components_match_transfer_matrices_on_closed_braids(tokens):
+    word = cube.parse_slice_word(" ".join(tokens), 3)
+    assert abs(cube.euler_invariant(word)) == 3 ** cube.link_components(word)
+
+
+def _brute_top(m, p, cup):
+    """`cube._top` from a partner table over named endpoints: a cup inserts
+    two new names paired with each other, a cap removes two names and pairs
+    their partners, and the names left are numbered in order."""
+    ends = list(range(len(m)))
+    partner = dict(enumerate(m))
+    closed = False
+    if cup:
+        ends[p:p] = ["left", "right"]
+        partner.update(left="right", right="left")
+    else:
+        x, y = ends.pop(p), ends.pop(p)
+        closed = partner[x] == y
+        if not closed:
+            partner[partner[x]], partner[partner[y]] = partner[y], partner[x]
+    position = {e: r for r, e in enumerate(ends)}
+    return tuple(position[partner[e]] for e in ends), closed
+
+
+@st.composite
+def _matchings(draw, max_pairs=4):
+    """Perfect matchings of up to 2 * max_pairs endpoints, crossing or not."""
+    order = draw(st.permutations(range(2 * draw(st.integers(min_value=0, max_value=max_pairs)))))
+    m = [0] * len(order)
+    for a, b in zip(order[::2], order[1::2]):
+        m[a], m[b] = b, a
+    return tuple(m)
+
+
+def test_matching_move_examples():
+    # A cap on 2, 3 across the nested arcs (0 3) and (1 2) joins their
+    # partners 1 and 0.
+    assert cube._top((3, 2, 1, 0), 2, False) == ((1, 0), False)
+    # A cup then a cap on the same endpoints closes a circle.
+    assert cube._top((), 0, True) == ((1, 0), False)
+    assert cube._top((1, 0), 0, False) == ((), True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matching_move_matches_partner_table(data):
+    m = data.draw(_matchings())
+    p = data.draw(st.integers(min_value=0, max_value=len(m)))
+    cupped = cube._top(m, p, True)
+    assert cupped == _brute_top(m, p, True)
+    assert cube._top(cupped[0], p, False) == (m, True)
+    if m:
+        p = data.draw(st.integers(min_value=0, max_value=len(m) - 2))
+        assert cube._top(m, p, False) == _brute_top(m, p, False)
+
+
 @pytest.mark.parametrize(
     "text",
     # T(2,1), T(2,2), T(2,3), T(2,6) and T(2,8) are the catalogue's
@@ -241,9 +307,14 @@ def test_oracle_requires_k2():
         cube.khovanov_bigraded_k2(word)
 
 
-def test_oracle_rejects_open_words():
+def test_oracle_rejects_open_words(monkeypatch):
+    # Bad input, refused before the scan moves a single matching.
+    def never(*args):
+        raise AssertionError("the oracle scanned an open word")
+
+    monkeypatch.setattr(cube, "_top", never)
     for text in ("cup(1)", "cup'(1) cup(3) pos(2) neg(2)"):
-        with pytest.raises(InvariantError, match="closed diagram"):
+        with pytest.raises(ValueError, match="closed diagram"):
             cube.oracle_euler_k2(text)
 
 
