@@ -6,7 +6,9 @@ is deterministic given the arguments and seed: keys are sorted and nothing
 time- or host-dependent is written.
 
 Exit status: 0 when every checked assertion holds, 1 when a witness against
-one was found (the document carries it), 2 for configuration errors.
+one was found (the document carries it), 2 for configuration errors. A reader
+that closes stdout early ends the process by SIGPIPE, as it ends Unix filters:
+status 141 in a shell, and nothing on stderr.
 
 Weights are passed on the command line as comma-separated shifted entries,
 for example `--b 3,1,0`.
@@ -20,6 +22,7 @@ import dataclasses
 import functools
 import json
 import pathlib
+import signal
 import sys
 
 from . import cohomology, cube, functors, liealg, operads, verma, weights
@@ -405,6 +408,8 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # POSIX only
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(run())
 
 

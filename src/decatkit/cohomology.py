@@ -19,24 +19,19 @@ space, found by one lookup per offset group; `cohomology_table` finds every
 slice's cells in one pass over module weights and offset groups. Raising
 columns are read through `module.column` only at basis vectors of cells.
 
-Consecutive slices are ranked as one block-diagonal complex, a batch of at
-most the largest slice's cochains: one d-squared check and one elimination
-per degree serve the batch. `ce_slice` is the one-slice case.
-
 Raising operators never increase depth, so on a depth-truncated module every
 slice complex with window depth >= ht(lambda - mu) is computed exactly.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
 import itertools
 import operator
 
 from decatkit import liealg, weights
-from decatkit.exactlin import QQ, FiniteComplex, InvariantError, PrimeField, SparseMatrix, pivot_columns
+from decatkit.exactlin import QQ, FiniteComplex, InvariantError, PrimeField, SparseMatrix
 from decatkit.verma import TruncatedVerma, simple_quotient, weyl_dim
 
 Pair = tuple[int, int]
@@ -131,81 +126,42 @@ def _slice_cells(module, mu: weights.Weight) -> list[list[tuple[int, list[int]]]
     return cells
 
 
-def _batch_complex(module, batch) -> tuple[FiniteComplex, list[list[int]]]:
-    """The block-diagonal complex of a batch of slices, given as their cells,
-    and per degree the first basis index of each slice's block, then the dim."""
+def _slice_complex(module, cells) -> FiniteComplex:
+    """The complex of one slice, given as its cells: degree j's basis runs
+    through cells[j], each cell's members in turn."""
     pairs, _, _, action, contraction = _skeleton(module.n)
     column, p = module.column, module.field.p
-    starts, index = [], []  # index[j][s]: {t: (first basis index, members)}
-    for j in range(len(pairs) + 1):
-        at, start, index_j = 0, [], []
-        for cells in batch:
-            start.append(at)
-            index_j.append({})
-            for t, members in cells[j]:
-                index_j[-1][t] = (at, members)
-                at += len(members)
-        starts.append(start + [at])
+    index, dims = [], []  # index[j]: {t: (first basis index, members)}
+    for level in cells:
+        at, index_j = 0, {}
+        for t, members in level:
+            index_j[t] = (at, members)
+            at += len(members)
         index.append(index_j)
+        dims.append(at)
 
     mats = []
     for j in range(len(pairs)):
         entries: dict[tuple[int, int], object] = {}
-        row0 = 0
-        for cells, small_index in zip(batch, index[j]):
-            for t, big_members in cells[j + 1]:
-                slot = {m: row0 + u for u, m in enumerate(big_members)}
-                for small, k, sign in action[j][t]:
-                    col0, small_members = small_index.get(small, (0, ()))
-                    for u, m in enumerate(small_members):
-                        for m2, val in column(pairs[k], m).items():
-                            row = slot.get(m2)
-                            if row is None:
-                                raise InvariantError("action term left the slice")
-                            entries[row, col0 + u] = entries.get((row, col0 + u), 0) + sign * val
-                # A contraction term keeps the weight, so small and big share members.
-                for small, c in contraction[j][t]:
-                    col0 = small_index[small][0]
-                    for u in range(len(big_members)):
-                        entries[row0 + u, col0 + u] = entries.get((row0 + u, col0 + u), 0) + c
-                row0 += len(big_members)
+        for t, (row0, big_members) in index[j + 1].items():
+            slot = {m: row0 + u for u, m in enumerate(big_members)}
+            for small, k, sign in action[j][t]:
+                col0, small_members = index[j].get(small, (0, ()))
+                for u, m in enumerate(small_members):
+                    for m2, val in column(pairs[k], m).items():
+                        row = slot.get(m2)
+                        if row is None:
+                            raise InvariantError("action term left the slice")
+                        entries[row, col0 + u] = entries.get((row, col0 + u), 0) + sign * val
+            # A contraction term keeps the weight, so small and big share members.
+            for small, c in contraction[j][t]:
+                col0 = index[j][small][0]
+                for u in range(len(big_members)):
+                    entries[row0 + u, col0 + u] = entries.get((row0 + u, col0 + u), 0) + c
         # Field elements times ints: over F_p a residue is `% p`, over Q exact.
         entries = {pos: x for pos, v in entries.items() if (x := v % p if p else v)}
-        mats.append(SparseMatrix(starts[j + 1][-1], starts[j][-1], entries))
-    return FiniteComplex(field=module.field, dims=tuple(start[-1] for start in starts), maps=tuple(mats)), starts
-
-
-def _batch_homology(module, batch) -> list[tuple[tuple[int, ...], dict[int, int]]]:
-    """(cochain dims, homology dims) of each slice of a batch. The complex is
-    block diagonal, so each pivot column counts toward the slice owning it."""
-    cx, starts = _batch_complex(module, batch)
-    cx.check_complex()
-    ranks = [[0] * (len(cx.dims) + 1) for _ in batch]  # [s][j + 1]: rank leaving degree j
-    for j, m in enumerate(cx.maps):
-        for col in pivot_columns(m, cx.field) if m.entries else ():
-            ranks[bisect.bisect_right(starts[j], col) - 1][j + 1] += 1
-    out = []
-    for s, rank in enumerate(ranks):
-        dims = tuple(start[s + 1] - start[s] for start in starts)
-        out.append((dims, {j: d - rank[j] - rank[j + 1] for j, d in enumerate(dims)}))
-    return out
-
-
-def _slice_homology(module, slices):
-    """(key, cochain dims, homology dims) of each (key, cells) slice, in order.
-    A batch closes when the next slice would take it past the largest slice's
-    cochain count."""
-    sizes = [sum(len(members) for level in cells for _, members in level) for _, cells in slices]
-    cap, batches, held = max(sizes, default=0), [[]], 0
-    for item, size in zip(slices, sizes):
-        if held + size > cap:
-            batches.append([])
-            held = 0
-        batches[-1].append(item)
-        held += size
-    for batch in batches:
-        for (key, _), (dims, hom) in zip(batch, _batch_homology(module, [cells for _, cells in batch])):
-            yield key, dims, hom
+        mats.append(SparseMatrix(dims[j + 1], dims[j], entries))
+    return FiniteComplex(field=module.field, dims=tuple(dims), maps=tuple(mats))
 
 
 def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
@@ -218,7 +174,7 @@ def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
         )
     subsets = _skeleton(module.n)[1]
     cells = _slice_cells(module, weights.unshift(tuple(mu_shifted)))
-    cx, _ = _batch_complex(module, [cells])
+    cx = _slice_complex(module, cells)
     bases = [[(subsets[j][t], m) for t, members in level for m in members] for j, level in enumerate(cells)]
     return SliceComplex(mu_shifted=tuple(mu_shifted), complex=cx, bases=bases)
 
@@ -251,12 +207,11 @@ def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:
                     cells[j].append((t, members))
     # Shifting adds one vector to every weight, so this is shifted order too.
     kept = sorted((mu, cells) for mu, cells in slices.items() if cells)
-    for _, cells in kept:
+    out: dict[tuple[int, weights.Weight], int] = {}
+    for mu, cells in kept:
         for level in cells:
             level.sort()
-    out: dict[tuple[int, weights.Weight], int] = {}
-    for mu, _, hom in _slice_homology(module, kept):
-        for deg, dim in hom.items():
+        for deg, dim in _slice_complex(module, cells).homology_dims().items():
             if dim:
                 out[(deg, weights.shift(mu))] = dim
     return out
@@ -344,9 +299,12 @@ def blocks_sweep(n: int, p: int, max_entry: int) -> SweepReport:
         hts = [weights.root_height(tuple(x - y for x, y in zip(b, a))) for a in grid]
         module = TruncatedVerma(n, b, max(h for h in hts if h is not None), field)
         # Slice-major: the weights below b are fewer than the module's weights.
-        below = [(a, _slice_cells(module, weights.unshift(a))) for a, ht in zip(grid, hts) if ht is not None]
-        found = {a: (dims, hom) for a, dims, hom in _slice_homology(module, below)}
-        reports.extend(_blocks_report(n, p, a, b, found.get(a)) for a in grid)
+        for a, ht in zip(grid, hts):
+            found = None
+            if ht is not None:
+                cx = _slice_complex(module, _slice_cells(module, weights.unshift(a)))
+                found = (cx.dims, cx.homology_dims())
+            reports.append(_blocks_report(n, p, a, b, found))
     nonvan = [r for r in reports if r.nonvanishing]
     return SweepReport(
         n=n,

@@ -14,9 +14,8 @@ All elimination goes through one kernel, `Echelon`: an incremental sparse
 row-echelon basis whose rows are indexed by their pivot column, so reducing a
 vector visits only the pivots it touches. Over Q its rows are primitive
 integer vectors, so no fraction arithmetic happens while eliminating; over
-F_p they are residue rows with pivot 1. `pivot_columns` inserts the rows of
-a matrix, `matrix_rank` counts its pivots, and `nullspace` reduces tagged
-columns.
+F_p they are residue rows with pivot 1. `matrix_rank` inserts the rows of a
+matrix and `nullspace` reduces its tagged columns.
 """
 
 from __future__ import annotations
@@ -388,17 +387,12 @@ class Echelon:
         self.rows[pivot] = r
 
 
-def pivot_columns(m: SparseMatrix, field) -> list[int]:
-    """The pivot columns of an echelon basis of m's rows over the given field."""
+def matrix_rank(m: SparseMatrix, field) -> int:
+    """Exact rank over the given field."""
     echelon = Echelon(field)
     for _, row in m.rows():
         echelon.insert(row)
-    return list(echelon.rows)
-
-
-def matrix_rank(m: SparseMatrix, field) -> int:
-    """Exact rank over the given field: the number of pivot columns."""
-    return len(pivot_columns(m, field))
+    return len(echelon.rows)
 
 
 def nullspace(m: SparseMatrix, field) -> list[list]:

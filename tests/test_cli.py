@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -448,3 +452,19 @@ def test_no_default_leaks_between_subcommands():
     cohomology_args = cli.build_parser().parse_args(["cohomology", "--n", "2", "--lam", "3,0"])
     assert (cohomology_args.field, cohomology_args.p, cohomology_args.out) == ("Q", None, None)
     assert cli.build_parser().parse_args(["selftest"]).n is None
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="POSIX signal")
+def test_closed_stdout_ends_the_cli_quietly():
+    # The sweep document is far larger than a pipe buffer, so the writer is
+    # still writing when the reader goes away.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "decatkit.cli", "blocks", "--n", "4", "--p", "37", "--max", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert proc.stdout.read(16).startswith(b"{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == -signal.SIGPIPE

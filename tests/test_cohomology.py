@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decatkit import cli, cohomology, liealg, verma, weights
-from decatkit.exactlin import QQ, ComplexError, PrimeField, SparseMatrix
+from decatkit.exactlin import QQ, ComplexError, FiniteComplex, PrimeField, SparseMatrix
 from verma_reference import CRITERION_WEIGHTS, reference_simple_quotient, small_regular_dominant
 
 
@@ -383,52 +383,55 @@ CRITERION_WINDOWS = [(1, (2,), 4), (2, (3, 0), 4), (2, (4, 1), 3), (3, (4, 2, 0)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(31)], ids=["Q", "F31"])
-def test_batched_table_equals_per_slice_on_criterion_modules(field):
+def test_table_equals_per_slice_on_criterion_modules(field):
     modules = [verma.TruncatedVerma(n, lam, depth, field) for n, lam, depth in CRITERION_WINDOWS]
     modules += [verma.simple_quotient(len(lam), lam, field) for lam in CRITERION_WEIGHTS]
+    modules.append(verma.TruncatedVerma(4, (4, 2, 1, 0), 6, field))
     for module in modules:
         assert list(cohomology.cohomology_table(module).items()) == list(_per_slice_table(module).items())
 
 
-def test_gl4_window_batches_close_mid_list(monkeypatch):
-    module = verma.TruncatedVerma(4, (4, 2, 1, 0), 6, PrimeField(31))
-    batches = []
-    real = cohomology._batch_homology
+def test_every_slice_homology_is_one_finite_complex(monkeypatch):
+    ranked = []
+    real = FiniteComplex.homology_dims
 
-    def recording(module, batch):
-        batches.append([sum(map(len, (members for level in cells for _, members in level))) for cells in batch])
-        return real(module, batch)
+    def counting(self):
+        ranked.append(self.dims)
+        return real(self)
 
-    monkeypatch.setattr(cohomology, "_batch_homology", recording)
-    table = cohomology.cohomology_table(module)
-    largest = max(size for batch in batches for size in batch)
-    assert len(batches) > 2 and max(map(len, batches)) > 1
-    # No batch holds more cochains than the largest slice, and each one closes
-    # only when the next slice would not fit.
-    assert all(sum(batch) <= largest for batch in batches)
-    for batch, after in zip(batches, batches[1:]):
-        assert sum(batch) + after[0] > largest
-    assert list(table.items()) == list(_per_slice_table(module).items())
+    monkeypatch.setattr(FiniteComplex, "homology_dims", counting)
+    n, lam, depth = CRITERION_WINDOWS[3]
+    module = verma.TruncatedVerma(n, lam, depth, PrimeField(31))
+    kept = [mu for mu in slice_candidates(module) if cohomology.slice_required_depth(module, mu) <= depth]
+    cohomology.cohomology_table(module)
+    assert len(ranked) == len(kept) > 1
+    ranked.clear()
+    grid = list(itertools.product(range(3), repeat=3))
+    cohomology.blocks_sweep(3, 31, 2)
+    assert len(ranked) == sum(weights.root_order_leq(a, b) for a in grid for b in grid)
 
 
-def test_batch_counts_each_pivot_toward_its_own_slice():
-    module = verma.TruncatedVerma(3, (4, 2, 0), 4, PrimeField(31))
-    kept = [
-        mu for mu in sorted(slice_candidates(module))
-        if cohomology.slice_required_depth(module, mu) <= module.depth
-    ]
-    direct = {}
-    for mu in kept:
-        sl = cohomology.ce_slice(module, mu)
-        direct[mu] = (sl.complex.dims, sl.homology_dims())
-    # Two slices whose maps both have rank leaving degree 0, in either order.
-    ranked = [mu for mu in kept if direct[mu][0][0] > direct[mu][1][0]]
-    assert len(ranked) >= 2
-    cells = {mu: cohomology._slice_cells(module, weights.unshift(mu)) for mu in kept}
-    for pair in (ranked[:2], ranked[1::-1]):
-        assert cohomology._batch_homology(module, [cells[mu] for mu in pair]) == [direct[mu] for mu in pair]
-    # One batch of every kept slice at once.
-    assert cohomology._batch_homology(module, [cells[mu] for mu in kept]) == [direct[mu] for mu in kept]
+@pytest.mark.parametrize(
+    "n,max_entry,field",
+    [(3, 3, QQ), (3, 3, PrimeField(31)), (4, 2, PrimeField(37))],
+    ids=["gl3-Q", "gl3-F31", "gl4-F37"],
+)
+def test_slice_complex_is_invariant_under_the_diagonal_shift(n, max_entry, field):
+    # ce_slice at (a + (1,...,1), b + (1,...,1)) is the complex at (a, b):
+    # the same cochain dims and the same map entries.
+    grid = list(itertools.product(range(max_entry + 1), repeat=n))
+    pairs = [(a, b) for b in grid for a in grid if weights.root_order_leq(a, b)]
+    assert len(pairs) == {3: 292, 4: 509}[n]
+
+    def complex_at(a, b):
+        depth = weights.root_height(tuple(y - x for x, y in zip(a, b)))
+        return cohomology.ce_slice(verma.TruncatedVerma(n, b, depth, field), a).complex
+
+    for a, b in pairs:
+        cx = complex_at(a, b)
+        moved = complex_at(tuple(x + 1 for x in a), tuple(y + 1 for y in b))
+        assert moved.dims == cx.dims
+        assert [m.entries for m in moved.maps] == [m.entries for m in cx.maps]
 
 
 # Doubling one entry of e_12 on the monomial (0, 1, 0) below (2, 1, 0)
@@ -436,7 +439,7 @@ def test_batch_counts_each_pivot_toward_its_own_slice():
 BENT_WEIGHT, BENT_PAIR, BENT_MONOMIAL, BENT_SLICE = (2, 1, 0), (1, 2), (0, 1, 0), (0, 1, 2)
 
 
-def test_perturbed_raising_column_raises_in_the_batched_table():
+def test_perturbed_raising_column_raises_in_the_table():
     module = verma.TruncatedVerma(3, BENT_WEIGHT, 4, PrimeField(31))
     column = module.column(BENT_PAIR, module.basis.index(BENT_MONOMIAL))
     row = min(column)
@@ -447,7 +450,7 @@ def test_perturbed_raising_column_raises_in_the_batched_table():
         cohomology.cohomology_table(module)
 
 
-def test_perturbed_raising_column_raises_in_the_batched_sweep(monkeypatch):
+def test_perturbed_raising_column_raises_in_the_sweep(monkeypatch):
     real = verma.TruncatedVerma._build_column
 
     def bent(self, pair, col):
