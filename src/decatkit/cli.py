@@ -2,8 +2,10 @@
 
 Every subcommand runs one verification surface and emits a single JSON
 document (stdout, or --out FILE) with a top-level `schema: 1` field. Output
-is deterministic given the arguments and seed: keys are sorted and nothing
-time- or host-dependent is written.
+is deterministic given the arguments and seed; nothing time- or host-dependent
+is written. The layout is the stdlib's json.dump(sort_keys=True, indent=2):
+sorted keys, 2-space indent, ASCII escapes, then one trailing newline.
+`write_document` writes it in batches.
 
 Exit status: 0 when every checked assertion holds, 1 when a witness against
 one was found (the document carries it), 2 for configuration errors. A reader
@@ -328,6 +330,43 @@ _HANDLERS = {
 }
 
 
+_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, bool: {True: "true", False: "false"}.get}
+
+
+def _head(key) -> str:
+    # json's C encoder writes, or refuses, a lone non-string key as json.dump does.
+    return _SCALARS[str](key) + ": " if type(key) is str else json.dumps({key: 0})[1:-2]
+
+
+def write_document(document, fh) -> None:
+    """Write `document` and one newline to `fh`, byte for byte as
+    json.dump(document, fh, sort_keys=True, indent=2) lays it out, joining
+    about 4096 pieces per write; json.dump makes one write per token."""
+    pieces: list[str] = []
+
+    def put(value, pad: str) -> None:
+        scalar = _SCALARS.get(type(value))
+        if scalar is not None or not (isinstance(value, (list, tuple, dict)) and value):
+            pieces.append(scalar(value) if scalar else json.dumps(value))  # None, floats, [], {} or TypeError
+        elif not isinstance(value, dict) and all(type(item) is int for item in value):
+            inner = pad + "  "
+            pieces.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]")
+        else:
+            inner, is_dict = pad + "  ", isinstance(value, dict)
+            sep = ("{" if is_dict else "[") + inner
+            for key, item in sorted(value.items()) if is_dict else enumerate(value):
+                pieces.append(sep + _head(key) if is_dict else sep)
+                put(item, inner)
+                sep = "," + inner
+                if len(pieces) >= 4096:
+                    fh.write("".join(pieces))
+                    pieces.clear()
+            pieces.append(pad + ("}" if is_dict else "]"))
+
+    put(document, "\n")
+    fh.write("".join(pieces) + "\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: argparse builds a fresh namespace per
@@ -402,8 +441,7 @@ def run(argv=None) -> int:
     document = {"schema": 1, "subcommand": args.subcommand, "passed": ok}
     document.update(payload)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(document, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        write_document(document, fh)
     return 0 if ok else 1
 
 

@@ -467,7 +467,7 @@ class FiniteComplex:
 
     def homology_dims(self) -> dict[int, int]:
         self.check_complex()
-        ranks = [matrix_rank(m, self.field) for m in self.maps]
+        ranks = [matrix_rank(m, self.field) if m.entries else 0 for m in self.maps]
         out = {}
         for j, d in enumerate(self.dims):
             r_out = ranks[j] if j < len(ranks) else 0

@@ -121,10 +121,6 @@ def gl(n: int) -> RelationAlgebra:
     return ParabolicData((n,)).levi()
 
 
-def borel(n: int) -> RelationAlgebra:
-    return ParabolicData((1,) * n).parabolic()
-
-
 def strict_triangular(n: int) -> RelationAlgebra:
     return ParabolicData((1,) * n).nilradical()
 

@@ -89,10 +89,6 @@ class _WeightModule:
             index.setdefault(w, []).append(k)
         return index
 
-    def weight_dims(self) -> CharacterTable:
-        """Dimension of each weight space, keyed by shifted weight."""
-        return {weights.shift(w): len(idx) for w, idx in self.weight_index.items()}
-
     def _height(self, pair: Pair) -> int:
         """Depth change of e_pair, which must be a generator of gl_n."""
         i, j = pair

@@ -7,6 +7,11 @@ import itertools
 from decatkit import liealg, weights
 
 
+def borel(n: int) -> liealg.RelationAlgebra:
+    """Upper triangular matrices: the parabolic of n blocks of size 1."""
+    return liealg.ParabolicData((1,) * n).parabolic()
+
+
 def block_of(par: liealg.ParabolicData, i: int) -> int:
     """0-based block index containing the 1-based row/column i."""
     if not (1 <= i <= par.n):

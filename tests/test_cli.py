@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON document shape, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -8,8 +9,11 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decatkit import cli, cohomology, cube, operads
 
@@ -110,6 +114,77 @@ def test_stdout_and_out_file_bytes_agree(tmp_path, capsys):
     out = tmp_path / "blocks.json"
     assert cli.run([*argv, "--out", str(out)]) == 0
     assert printed == out.read_bytes()
+
+
+def _stdlib_bytes(document) -> str:
+    fh = io.StringIO()
+    json.dump(document, fh, sort_keys=True, indent=2)
+    return fh.getvalue() + "\n"
+
+
+class _RecordingFile(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+_texts = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800'), st.characters()))
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**100), max_value=10**100),
+    st.floats(),
+    _texts,
+)
+# One key family per dict: json.dump sorts the keys, and str does not order against int.
+_key_families = [_texts, st.one_of(st.integers(), st.booleans()), st.none()]
+
+
+def _documents(depth: int):
+    if depth == 0:
+        return _scalars
+    inner = _documents(depth - 1)
+    return st.one_of(
+        _scalars,
+        st.lists(st.one_of(st.integers(), st.booleans())),  # int lists, bools among them
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        *(st.dictionaries(keys, inner, max_size=4) for keys in _key_families),
+    )
+
+
+@given(_documents(4))
+@settings(max_examples=400, deadline=None)
+def test_writer_matches_json_dump(document):
+    fh = io.StringIO()
+    cli.write_document(document, fh)
+    assert fh.getvalue() == _stdlib_bytes(document)
+
+
+@given(_documents(2), st.integers(min_value=2100, max_value=2500))
+@settings(max_examples=20, deadline=None)
+def test_writer_flushes_inside_a_long_list(item, length):
+    # Two or more pieces per entry put a flush in the middle of the list.
+    document = {"rows": [item, [item, "\u00e9"]] * length, "tail": list(range(-3, 3))}
+    fh = _RecordingFile()
+    cli.write_document(document, fh)
+    assert fh.writes > 1
+    assert fh.getvalue() == _stdlib_bytes(document)
+
+
+@pytest.mark.parametrize(
+    "document", [{1, 2}, Fraction(1, 2), {"a": [1, {"b": {3}}]}, [0, Fraction(1, 3)], {(1, 2): 0}, {"a": 1, 2: 3}]
+)
+def test_writer_refuses_what_json_dump_refuses(document):
+    with pytest.raises(TypeError):
+        _stdlib_bytes(document)
+    with pytest.raises(TypeError):
+        cli.write_document(document, io.StringIO())
 
 
 def test_relations_unknown_relation_is_config_error(capsys):

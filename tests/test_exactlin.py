@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decatkit import cohomology, verma
+from decatkit import cohomology, exactlin, verma
 from decatkit.exactlin import (
     QQ,
     ComplexError,
@@ -377,6 +377,26 @@ def test_finite_complex_rejects_nonzero_square():
     cx = FiniteComplex(QQ, (1, 1, 1), (d0, d1))
     with pytest.raises(ComplexError, match="differential squared"):
         cx.check_complex()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(31)])
+def test_empty_map_is_rank_zero_without_elimination(monkeypatch, field):
+    # Q -> Q^2 -> Q^2 -> Q with a zero middle map.
+    d0 = SparseMatrix.from_triples(2, 1, [(0, 0, 1), (1, 0, 1)])
+    d2 = SparseMatrix.from_triples(1, 2, [(0, 0, 1), (0, 1, -1)])
+    cx = FiniteComplex(field, (1, 2, 2, 1), (d0, SparseMatrix.zeros(2, 2), d2))
+    # The same dims with every map ranked by elimination.
+    r0, r1, r2 = (matrix_rank(m, field) for m in cx.maps)
+    expected = {0: 1 - r0, 1: 2 - r0 - r1, 2: 2 - r1 - r2, 3: 1 - r2}
+    ranked = []
+    monkeypatch.setattr(exactlin, "matrix_rank", lambda m, f: ranked.append(m) or matrix_rank(m, f))
+    assert cx.homology_dims() == expected == {0: 0, 1: 1, 2: 1, 3: 0}
+    assert ranked == [d0, d2]
+    # A nonzero d∘d planted next to an empty map is still caught.
+    one = SparseMatrix(1, 1, {(0, 0): 1})
+    planted = FiniteComplex(field, (1, 1, 1, 1), (SparseMatrix.zeros(1, 1), one, one))
+    with pytest.raises(ComplexError, match="differential squared"):
+        planted.homology_dims()
 
 
 def test_finite_complex_degree_labels():

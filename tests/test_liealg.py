@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from decatkit import liealg
 from decatkit.exactlin import PrimeField
-from parabolic_helpers import block_of, merge_adjacent, nilradical_dim_difference, refines
+from parabolic_helpers import block_of, borel, merge_adjacent, nilradical_dim_difference, refines
 
 
 def _pairs(n):
@@ -24,7 +24,7 @@ def test_gl_bracket_matches_matrix_units():
 
 
 def test_bracket_rejects_foreign_pairs():
-    g = liealg.borel(3)
+    g = borel(3)
     with pytest.raises(KeyError, match="basis pairs"):
         g.bracket((2, 1), (1, 2))
 
@@ -37,7 +37,7 @@ def test_relation_algebra_requires_bracket_closure():
 
 def test_subalgebra_dims():
     assert liealg.gl(4).dim == 16
-    assert liealg.borel(4).dim == 10
+    assert borel(4).dim == 10
     assert liealg.strict_triangular(4).dim == 6
     lower = liealg.strict_triangular(4).opposite()
     assert lower.dim == 6
@@ -189,7 +189,7 @@ def test_standard_subalgebras_and_their_opposites(n):
     everything = set(_pairs(n))
     expected = {
         liealg.gl: (everything, everything),
-        liealg.borel: (
+        borel: (
             {(i, j) for i, j in everything if i <= j},
             {(i, j) for i, j in everything if i >= j},
         ),

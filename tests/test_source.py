@@ -38,3 +38,16 @@ def test_only_the_cli_writes_documents():
         if isinstance(node, ast.FunctionDef) and node.name == "to_json"
     ]
     assert found == []
+
+
+def test_documents_are_written_without_json_dump():
+    # json.dump with indent runs the pure-Python encoder, one write per
+    # token; `cli.write_document` lays out the same bytes in batches.
+    src = pathlib.Path(decatkit.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "dump"
+    ]
+    assert found == []

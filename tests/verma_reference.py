@@ -38,6 +38,11 @@ def small_regular_dominant(draw) -> tuple[int, weights.Weight]:
     return n, tuple(itertools.accumulate(reversed(gaps), initial=base))[::-1]
 
 
+def weight_dims(module) -> dict[weights.Weight, int]:
+    """Dimension of each weight space of a weight module, keyed by shifted weight."""
+    return {weights.shift(w): len(idx) for w, idx in module.weight_index.items()}
+
+
 @functools.cache
 def reference_simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> FiniteWeightModule:
     """The finite-dimensional simple quotient of the highest-weight module.
