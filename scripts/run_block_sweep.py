@@ -6,7 +6,9 @@ Example:
     python3 scripts/run_block_sweep.py --n 2 --p 31 --max 3
 
 This script writes no JSON. The sweep's document, every pair included,
-is the output of `decatkit blocks --n 2 --p 31 --max 3`.
+is the output of `decatkit blocks --n 2 --p 31 --max 3`. Like the CLI, it
+refuses p at or below the large-prime floor 4*n; only
+`decatkit blocks --allow-small-p` sweeps below it.
 """
 
 import argparse
@@ -26,6 +28,10 @@ def main() -> int:
 
     if not is_prime(args.p):
         print(f"p={args.p} is not prime", file=sys.stderr)
+        return 2
+    floor = cohomology.large_prime_floor(args.n)
+    if args.p <= floor:
+        print(f"p={args.p} must exceed 4*n={floor} (decatkit blocks --allow-small-p sweeps below it)", file=sys.stderr)
         return 2
 
     started = time.monotonic()

@@ -51,19 +51,19 @@ def _require_prime(p: int) -> None:
 
 
 def _large_prime_guard(args: argparse.Namespace) -> None:
-    """The modular results are only claimed for p well above the weight data;
-    4*n is the enforced floor."""
+    """Refuse p at or below `cohomology.large_prime_floor`, unless overridden."""
     _require_prime(args.p)
-    if args.p > 4 * args.n:
+    floor = cohomology.large_prime_floor(args.n)
+    if args.p > floor:
         return
     if args.allow_small_p:
         print(
-            f"warning: p={args.p} is not above the large-prime floor 4*n={4 * args.n}; "
+            f"warning: p={args.p} is not above the large-prime floor 4*n={floor}; "
             "results outside the claimed regime",
             file=sys.stderr,
         )
         return
-    raise ConfigError(f"p={args.p} must exceed 4*n={4 * args.n} (pass --allow-small-p to override)")
+    raise ConfigError(f"p={args.p} must exceed 4*n={floor} (pass --allow-small-p to override)")
 
 
 def _field_for(args: argparse.Namespace):

@@ -15,9 +15,9 @@ All of that formula but the module depends on n alone: the root subsets
 grouped by weight offset, each (j+1)-subset's signed action terms, and its
 contraction terms summed per j-subset. `_skeleton(n)` builds these once per
 n. A slice's cochains come in cells, one per subset with a nonzero weight
-space, found by one lookup per offset group; `cohomology_table` finds every
-slice's cells in one pass over module weights and offset groups. Raising
-columns are read through `module.column` only at basis vectors of cells.
+space, found by one lookup per offset group. `ce_slice` reads one slice, as
+each `blocks` pair does; `cohomology_table` finds all slices' cells in one
+pass. Raising columns are read through `module.column` only at cell vectors.
 
 Raising operators never increase depth, so on a depth-truncated module every
 slice complex with window depth >= ht(lambda - mu) is computed exactly.
@@ -217,6 +217,11 @@ def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:
     return out
 
 
+def large_prime_floor(n: int) -> int:
+    """4n: the modular results for gl_n are claimed only for primes above it."""
+    return 4 * n
+
+
 @dataclasses.dataclass
 class BlocksReport:
     """One pair of the vanishing sweep: slice cohomology of the module with
@@ -248,20 +253,19 @@ def verify_blocks_vanishing(n: int, a_shifted: weights.Weight, b_shifted: weight
     """
     a_shifted, b_shifted = tuple(a_shifted), tuple(b_shifted)
     ht = weights.root_height(tuple(x - y for x, y in zip(b_shifted, a_shifted)))
-    if ht is None:
-        return _blocks_report(n, p, a_shifted, b_shifted, None)
-    sc = ce_slice(TruncatedVerma(n, b_shifted, ht, PrimeField(p)), a_shifted)
-    return _blocks_report(n, p, a_shifted, b_shifted, (sc.complex.dims, sc.homology_dims()))
+    module = None if ht is None else TruncatedVerma(n, b_shifted, ht, PrimeField(p))
+    return _blocks_report(n, p, a_shifted, b_shifted, module)
 
 
-def _blocks_report(n: int, p: int, a: weights.Weight, b: weights.Weight, found) -> BlocksReport:
-    """One pair's report from its slice's (cochain dims, homology dims), or
-    all zeros for found None: a is not below b."""
-    if found is None:
+def _blocks_report(n: int, p: int, a: weights.Weight, b: weights.Weight, module) -> BlocksReport:
+    """One pair's report from the slice at a of `module`, whose highest
+    shifted weight is b, or all zeros for module None: a is not below b."""
+    if module is None:
         dims = (0,) * (n * (n - 1) // 2 + 1)
         hom = dict.fromkeys(range(len(dims)), 0)
     else:
-        dims, hom = found
+        sc = ce_slice(module, a)
+        dims, hom = sc.complex.dims, sc.homology_dims()
     return BlocksReport(
         n=n,
         p=p,
@@ -271,7 +275,7 @@ def _blocks_report(n: int, p: int, a: weights.Weight, b: weights.Weight, found) 
         homology=hom,
         nonvanishing=any(hom.values()),
         componentwise_leq=weights.componentwise_leq(a, b),
-        root_order_leq=found is not None,
+        root_order_leq=module is not None,
         block_congruent=weights.block_congruent(a, b, p),
     )
 
@@ -299,12 +303,7 @@ def blocks_sweep(n: int, p: int, max_entry: int) -> SweepReport:
         hts = [weights.root_height(tuple(x - y for x, y in zip(b, a))) for a in grid]
         module = TruncatedVerma(n, b, max(h for h in hts if h is not None), field)
         # Slice-major: the weights below b are fewer than the module's weights.
-        for a, ht in zip(grid, hts):
-            found = None
-            if ht is not None:
-                cx = _slice_complex(module, _slice_cells(module, weights.unshift(a)))
-                found = (cx.dims, cx.homology_dims())
-            reports.append(_blocks_report(n, p, a, b, found))
+        reports += [_blocks_report(n, p, a, b, None if ht is None else module) for a, ht in zip(grid, hts)]
     nonvan = [r for r in reports if r.nonvanishing]
     return SweepReport(
         n=n,

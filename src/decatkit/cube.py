@@ -42,10 +42,11 @@ crossingless matchings of the top endpoints with (h, q) shifts and its
 morphisms Z-combinations of dotted cobordisms. A cap deloops the circle it
 closes, a crossing takes the cone of its saddle, and Gaussian elimination
 cancels every ±identity entry, so for T(2, n) the complex keeps O(n) objects
-where the cube has 2^n vertices. The whole q-split cube lives on as the test
-reference `tests/khovanov_reference.py`. The circle oracle `oracle_euler_k2`
-scans the same way, with the same cup/cap move `_top` on matchings:
-Kauffman's state sum with integer coefficients, no resolution walked.
+where the cube has 2^n vertices. Bar-Natan's normalization is applied once,
+to the keys of the final table. The q-split cube is the test reference
+`tests/khovanov_reference.py`. The circle oracle `oracle_euler_k2` scans with
+the same cup/cap move `_top`: Kauffman's state sum, no resolution walked.
+Words enter through `_as_word`, the one parse, k check and closed check.
 """
 
 from __future__ import annotations
@@ -161,14 +162,17 @@ def parse_slice_word(text: str, k: int) -> SliceWord:
     )
 
 
-def _as_word(word: SliceWord | str, k: int | None) -> SliceWord:
-    """A raw string parsed at k; a parsed word must have been parsed at k, if given."""
+def _as_word(word: SliceWord | str, k: int | None, closed: bool = False) -> SliceWord:
+    """A raw string parsed at k; a parsed word must have been parsed at k, if
+    given. With `closed`, a word that leaves strands open is refused."""
     if isinstance(word, str):
         if k is None:
             raise ValueError("k is required when passing a raw word string")
-        return parse_slice_word(word, k)
-    if k is not None and k != word.k:
+        word = parse_slice_word(word, k)
+    elif k is not None and k != word.k:
         raise ValueError(f"word was parsed at k = {word.k}, not at k = {k}")
+    if closed and not word.closed:
+        raise ValueError("diagram has open boundary; a closed diagram is required")
     return word
 
 
@@ -256,19 +260,14 @@ def euler_invariant(word: SliceWord | str, k: int | None = None) -> int:
     Only closed diagrams have a scalar invariant; open boundary raises, and
     `tangle_alternating_sum` is the matrix-valued companion.
     """
-    word = _as_word(word, k)
-    if not word.closed:
-        raise ValueError("diagram has open boundary; use tangle_alternating_sum for tangles")
+    word = _as_word(word, k, closed=True)
     mat, _ = tangle_alternating_sum(word)
     return sum(c for (i, j, _), c in mat.terms.items() if i == j == 0)
 
 
 def link_components(word: SliceWord | str, k: int | None = None) -> int:
     """Number of link components of the closed diagram, as the parser counted them."""
-    word = _as_word(word, k)
-    if not word.closed:
-        raise ValueError("diagram has open boundary")
-    return word.components
+    return _as_word(word, k, closed=True).components
 
 
 # A matching of the w endpoints at the top of the current tangle is a tuple m
@@ -527,12 +526,7 @@ def khovanov_bigraded_k2(word: SliceWord | str, field=QQ) -> dict[tuple[int, int
     (math/0201043). The table is in Bar-Natan's normalization:
     (h - n_minus, q + n_plus - 2 n_minus).
     """
-    if isinstance(word, str):
-        word = parse_slice_word(word, 2)
-    if word.k != 2:
-        raise ValueError(f"the tangle scan computes k = 2 homology, got k = {word.k}")
-    if not word.closed:
-        raise ValueError("diagram has open boundary")
+    word = _as_word(word, 2, closed=True)
     objects: dict[int, tuple] = {0: (0, 0, ())}
     d: dict[int, dict] = {}
     for kind, i in word.tokens:
@@ -556,15 +550,13 @@ def khovanov_bigraded_k2(word: SliceWord | str, field=QQ) -> dict[tuple[int, int
     nc = word.n_crossings
     n_minus = word.n_negative
     n_plus = nc - n_minus
-    degrees = tuple(h - n_minus for h in range(nc + 1))
     table: dict[tuple[int, int], int] = {}
     for q in sorted({q for _, q in block_dims}):
         dims = tuple(block_dims.get((h, q), 0) for h in range(nc + 1))
         maps = tuple(SparseMatrix(dims[h + 1], dims[h], entries.get((h, q), {})) for h in range(nc))
-        cx = FiniteComplex(field=field, dims=dims, maps=maps, degrees=degrees)
-        for deg, dim in cx.homology_dims().items():
+        for h, dim in FiniteComplex(field=field, dims=dims, maps=maps).homology_dims().items():
             if dim:
-                table[(deg, q + n_plus - 2 * n_minus)] = dim
+                table[(h - n_minus, q + n_plus - 2 * n_minus)] = dim
     return dict(sorted(table.items()))
 
 
@@ -588,12 +580,7 @@ def oracle_euler_k2(word: SliceWord | str) -> int:
     matchings with the tangle scan's `_top` and shares nothing with the
     transfer matrices it is checked against.
     """
-    if isinstance(word, str):
-        word = parse_slice_word(word, 2)
-    if word.k != 2:
-        raise ValueError("circle counting only computes the k = 2 value")
-    if not word.closed:
-        raise ValueError("the circle oracle needs a closed diagram; the word leaves strands open")
+    word = _as_word(word, 2, closed=True)
     states: dict[tuple[int, ...], int] = {(): 1}
     for kind, i in word.tokens:
         p = i - 1

@@ -433,21 +433,15 @@ class InvariantError(RuntimeError):
 class FiniteComplex:
     """A finite cochain complex of column-vector spaces over a fixed field.
 
-    dims[j] is the dimension in degree offset j; maps[j] sends degree j to
-    degree j+1 and has shape dims[j+1] x dims[j]. `degrees` labels the offsets
-    with actual cohomological degrees (defaults to 0..len(dims)-1).
+    dims[j] is the dimension in degree j; maps[j] sends degree j to
+    degree j+1 and has shape dims[j+1] x dims[j].
     """
 
     field: object
     dims: tuple[int, ...]
     maps: tuple[SparseMatrix, ...]
-    degrees: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not self.degrees:
-            self.degrees = tuple(range(len(self.dims)))
-        if len(self.degrees) != len(self.dims):
-            raise ValueError("degree labels do not match dimension list")
         if len(self.maps) != max(len(self.dims) - 1, 0):
             raise ValueError(f"expected {len(self.dims) - 1} maps, got {len(self.maps)}")
         for j, m in enumerate(self.maps):
@@ -463,7 +457,7 @@ class FiniteComplex:
             # The product stores no zero sum, but over F_p a sum may vanish mod p.
             values = (self.maps[j + 1] @ self.maps[j]).entries.values()
             if any(map(self.field.of, values) if self.field.p else values):
-                raise ComplexError(f"differential squared is nonzero leaving degree {self.degrees[j]}")
+                raise ComplexError(f"differential squared is nonzero leaving degree {j}")
 
     def homology_dims(self) -> dict[int, int]:
         self.check_complex()
@@ -472,5 +466,5 @@ class FiniteComplex:
         for j, d in enumerate(self.dims):
             r_out = ranks[j] if j < len(ranks) else 0
             r_in = ranks[j - 1] if j > 0 else 0
-            out[self.degrees[j]] = d - r_out - r_in
+            out[j] = d - r_out - r_in
         return out

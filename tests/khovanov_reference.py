@@ -172,15 +172,14 @@ def reference_bigraded_k2(word, field=QQ, circles=None) -> dict[tuple[int, int],
 
     n_minus = word.n_negative
     n_plus = nc - n_minus
-    degrees = tuple(h - n_minus for h in range(nc + 1))
     table: dict[tuple[int, int], int] = {}
     for q in sorted({q for _, q in block_dims}):
         dims = tuple(block_dims.get((h, q), 0) for h in range(nc + 1))
         maps = tuple(SparseMatrix(dims[h + 1], dims[h], entries.get((h, q), {})) for h in range(nc))
-        cx = FiniteComplex(field=field, dims=dims, maps=maps, degrees=degrees)
-        for deg, dim in cx.homology_dims().items():
+        cx = FiniteComplex(field=field, dims=dims, maps=maps)
+        for h, dim in cx.homology_dims().items():
             if dim:
-                table[(deg, q + n_plus - 2 * n_minus)] = dim
+                table[(h - n_minus, q + n_plus - 2 * n_minus)] = dim
     return dict(sorted(table.items()))
 
 

@@ -232,6 +232,22 @@ def test_small_prime_override(capsys):
     assert "large-prime floor" in captured.err
 
 
+def test_sweep_script_applies_the_cli_floor(capsys):
+    # 7 does not exceed 4*3 = 12: the CLI and the script refuse it alike.
+    argv = ["--n", "3", "--p", "7", "--max", "1"]
+    assert cli.run(["blocks", *argv]) == 2
+    message = capsys.readouterr().err.removeprefix("error: ").split(" (")[0]
+    assert message == f"p=7 must exceed 4*n={cohomology.large_prime_floor(3)}"
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_block_sweep.py"), *argv], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(message) and "decatkit blocks --allow-small-p" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_nonprime_rejected(capsys):
     assert cli.run(["blocks", "--n", "2", "--p", "9", "--max", "1"]) == 2
     assert "not prime" in capsys.readouterr().err

@@ -364,6 +364,27 @@ def test_blocks_pairs_outside_root_cone_build_no_slice(monkeypatch):
         assert rep.cochain_dims == (0,) * 7 and not rep.nonvanishing and not rep.root_order_leq
 
 
+def test_every_blocks_pair_in_the_root_cone_reads_one_ce_slice(monkeypatch):
+    calls = []
+    real = cohomology.ce_slice
+
+    def counting(module, mu_shifted):
+        calls.append((module.lam_shifted, tuple(mu_shifted)))
+        return real(module, mu_shifted)
+
+    monkeypatch.setattr(cohomology, "ce_slice", counting)
+    grid = list(itertools.product(range(3), repeat=3))
+    cohomology.blocks_sweep(3, 31, 2)
+    assert calls == [(b, a) for b in grid for a in grid if weights.root_order_leq(a, b)]
+    assert len(calls) == 80
+    calls.clear()
+    cohomology.verify_blocks_vanishing(2, (0, 1), (1, 0), 7)
+    assert calls == [((1, 0), (0, 1))]
+    calls.clear()
+    cohomology.verify_blocks_vanishing(2, (1, 0), (0, 1), 7)
+    assert calls == []
+
+
 def _per_slice_table(module):
     """Reference for `cohomology_table`: one `ce_slice` and its own
     `homology_dims` for every kept slice, in sorted order."""

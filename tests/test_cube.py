@@ -301,21 +301,28 @@ def test_oracle_and_homology_read_shared_circles(name):
 
 def test_oracle_requires_k2():
     word = cube.parse_slice_word(cube.DIAGRAMS["unknot"], 3)
-    with pytest.raises(ValueError, match="^circle counting only computes the k = 2 value$"):
+    with pytest.raises(ValueError, match="^word was parsed at k = 3, not at k = 2$"):
         cube.oracle_euler_k2(word)
-    with pytest.raises(ValueError, match="^the tangle scan computes k = 2 homology, got k = 3$"):
+    with pytest.raises(ValueError, match="^word was parsed at k = 3, not at k = 2$"):
         cube.khovanov_bigraded_k2(word)
 
 
 def test_oracle_rejects_open_words(monkeypatch):
-    # Bad input, refused before the scan moves a single matching.
+    # Bad input, refused by the shared word guard before either scan moves
+    # a single matching.
     def never(*args):
-        raise AssertionError("the oracle scanned an open word")
+        raise AssertionError("a scan read a word it should have refused")
 
-    monkeypatch.setattr(cube, "_top", never)
-    for text in ("cup(1)", "cup'(1) cup(3) pos(2) neg(2)"):
-        with pytest.raises(ValueError, match="closed diagram"):
-            cube.oracle_euler_k2(text)
+    for name in ("_top", "_glue", "_cone"):
+        monkeypatch.setattr(cube, name, never)
+    for scan in (cube.oracle_euler_k2, cube.khovanov_bigraded_k2):
+        for text in ("cup(1)", "cup'(1) cup(3) pos(2) neg(2)"):
+            with pytest.raises(ValueError, match="closed diagram"):
+                scan(text)
+            with pytest.raises(ValueError, match="open boundary"):
+                scan(cube.parse_slice_word(text, 2))
+        with pytest.raises(ValueError, match="parsed at k = 3, not at k = 2"):
+            scan(cube.parse_slice_word(cube.DIAGRAMS["trefoil"], 3))
 
 
 @pytest.mark.parametrize(
@@ -455,8 +462,8 @@ def _unsplit_homology(word, field):
                         ent[key] = newv
     dims = tuple(degree_dims.get(h, 0) for h in range(nc + 1))
     maps = tuple(SparseMatrix(dims[h + 1], dims[h], entries_by_degree[h]) for h in range(nc))
-    cx = FiniteComplex(field, dims, maps, degrees=tuple(h - word.n_negative for h in range(nc + 1)))
-    return {deg: dim for deg, dim in cx.homology_dims().items() if dim}
+    cx = FiniteComplex(field, dims, maps)
+    return {h - word.n_negative: dim for h, dim in cx.homology_dims().items() if dim}
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])

@@ -397,11 +397,3 @@ def test_empty_map_is_rank_zero_without_elimination(monkeypatch, field):
     planted = FiniteComplex(field, (1, 1, 1, 1), (SparseMatrix.zeros(1, 1), one, one))
     with pytest.raises(ComplexError, match="differential squared"):
         planted.homology_dims()
-
-
-def test_finite_complex_degree_labels():
-    d = SparseMatrix.zeros(1, 1)
-    cx = FiniteComplex(QQ, (1, 1), (d,), degrees=(-1, 0))
-    assert cx.degrees == (-1, 0)
-    with pytest.raises(ValueError, match="degree labels"):
-        FiniteComplex(QQ, (1, 1), (d,), degrees=(0,))
