@@ -205,10 +205,9 @@ def _run_khovanov(args: argparse.Namespace) -> tuple[bool, dict]:
     text = _load_word_text(args.word)
     try:
         word = cube.parse_slice_word(text, args.k)
+        components = cube.link_components(word)
     except ValueError as exc:
         raise ConfigError(f"bad slice word: {exc}")
-    if not word.closed:
-        raise ConfigError("slice word leaves strands open; a closed diagram is required")
     field = _field_for(args)
     euler = cube.euler_invariant(word, args.k)
     doc: dict = {
@@ -216,7 +215,7 @@ def _run_khovanov(args: argparse.Namespace) -> tuple[bool, dict]:
         "word": text,
         "crossings": word.n_crossings,
         "negative_crossings": word.n_negative,
-        "components": cube.link_components(word),
+        "components": components,
         "euler": euler,
     }
     ok = True

@@ -39,14 +39,14 @@ Pair = tuple[int, int]
 
 @functools.cache
 def _skeleton(n: int):
-    """The slice skeleton of gl_n: (pairs, subsets, groups, action, contraction).
+    """The slice skeleton of gl_n: (pairs, groups, action, contraction).
 
-    subsets[j] lists the j-subsets of root indices in combinations order.
-    groups lists (offset, places), one per distinct root sum of a subset,
-    with places the (j, t) of every subsets[j][t] of that sum. For
-    big = subsets[j+1][t], action[j][t] lists (small, root, sign) and
-    contraction[j][t] lists (small, coefficient), with small an index into
-    subsets[j].
+    The j-subsets of root indices are numbered t = 0, 1, ... in combinations
+    order. groups lists (offset, places), one per distinct root sum of a
+    subset, with places the (j, t) of every j-subset of that sum. For big the
+    (j+1)-subset t, action[j][t] lists (small, root, sign) and
+    contraction[j][t] lists (small, coefficient), with small the number of a
+    j-subset.
     """
     nilpotent = liealg.strict_triangular(n)
     roots = [nilpotent.weight(pair) for pair in nilpotent.pairs]
@@ -82,19 +82,15 @@ def _skeleton(n: int):
                         raise InvariantError("contraction term left the slice")
                     terms[key] = terms.get(key, 0) + (-1) ** (a + b + small.index(s)) * c
             contraction[j].append([(small, c) for small, c in terms.items() if c])
-    return nilpotent.pairs, subsets, list(groups.items()), action, contraction
+    return nilpotent.pairs, list(groups.items()), action, contraction
 
 
 @dataclasses.dataclass
 class SliceComplex:
-    """The slice cochain complex at a fixed weight, with labeled bases."""
+    """The slice cochain complex at a fixed shifted weight."""
 
     mu_shifted: weights.Weight
     complex: FiniteComplex
-    bases: list[list[tuple[tuple[int, ...], int]]]
-
-    def homology_dims(self) -> dict[int, int]:
-        return self.complex.homology_dims()
 
 
 def slice_required_depth(module, mu_shifted: weights.Weight) -> int | None:
@@ -110,26 +106,10 @@ def slice_required_depth(module, mu_shifted: weights.Weight) -> int | None:
     return weights.root_height(tuple(l - m for l, m in zip(lam, mu_shifted)))
 
 
-def _slice_cells(module, mu: weights.Weight) -> list[list[tuple[int, list[int]]]]:
-    """The cells of the slice at unshifted mu: cells[j] holds (t, members) for
-    each j-subset subsets[j][t] whose weight mu + offset has basis vectors
-    `members`, in subset order. Degree j's cochains are (subset, member)."""
-    pairs, _, groups, _, _ = _skeleton(module.n)
-    cells: list[list[tuple[int, list[int]]]] = [[] for _ in range(len(pairs) + 1)]
-    for off, places in groups:
-        members = module.weight_index.get(tuple(map(operator.add, mu, off)))
-        if members:
-            for j, t in places:
-                cells[j].append((t, members))
-    for level in cells:
-        level.sort()
-    return cells
-
-
 def _slice_complex(module, cells) -> FiniteComplex:
     """The complex of one slice, given as its cells: degree j's basis runs
     through cells[j], each cell's members in turn."""
-    pairs, _, _, action, contraction = _skeleton(module.n)
+    pairs, _, action, contraction = _skeleton(module.n)
     column, p = module.column, module.field.p
     index, dims = [], []  # index[j]: {t: (first basis index, members)}
     for level in cells:
@@ -172,19 +152,19 @@ def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
             f"slice at {tuple(mu_shifted)} sits at depth {required}, beyond the "
             f"window depth {module.depth}; rebuild the module with depth >= {required}"
         )
-    subsets = _skeleton(module.n)[1]
-    cells = _slice_cells(module, weights.unshift(tuple(mu_shifted)))
-    cx = _slice_complex(module, cells)
-    bases = [[(subsets[j][t], m) for t, members in level for m in members] for j, level in enumerate(cells)]
-    return SliceComplex(mu_shifted=tuple(mu_shifted), complex=cx, bases=bases)
-
-
-def _exact_slice(module, mu: weights.Weight) -> bool:
-    """False at unshifted mu outside the cone or deeper than the window."""
-    if module.depth is None:
-        return True
-    required = slice_required_depth(module, weights.shift(mu))
-    return required is not None and required <= module.depth
+    pairs, groups, _, _ = _skeleton(module.n)
+    mu = weights.unshift(tuple(mu_shifted))
+    # cells[j]: (t, members) for each j-subset t whose weight mu + offset has
+    # basis vectors `members`, in subset order.
+    cells: list[list[tuple[int, list[int]]]] = [[] for _ in range(len(pairs) + 1)]
+    for off, places in groups:
+        members = module.weight_index.get(tuple(map(operator.add, mu, off)))
+        if members:
+            for j, t in places:
+                cells[j].append((t, members))
+    for level in cells:
+        level.sort()
+    return SliceComplex(mu_shifted=tuple(mu_shifted), complex=_slice_complex(module, cells))
 
 
 def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:
@@ -194,14 +174,16 @@ def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:
     complexes are cut off mid-weight and would report classes whose killing
     coboundaries lie just past the truncation edge.
     """
-    pairs, _, groups, _, _ = _skeleton(module.n)
+    pairs, groups, _, _ = _skeleton(module.n)
     slices: dict[weights.Weight, list | bool] = {}
     for w, members in module.weight_index.items():
         for off, places in groups:
             mu = tuple(map(operator.sub, w, off))
             cells = slices.get(mu)
             if cells is None:
-                cells = slices[mu] = _exact_slice(module, mu) and [[] for _ in range(len(pairs) + 1)]
+                # lam - mu = (lam - w) + off lies in the root cone, so a depth exists.
+                exact = module.depth is None or slice_required_depth(module, weights.shift(mu)) <= module.depth
+                cells = slices[mu] = exact and [[] for _ in range(len(pairs) + 1)]
             if cells:
                 for j, t in places:
                     cells[j].append((t, members))
@@ -264,8 +246,8 @@ def _blocks_report(n: int, p: int, a: weights.Weight, b: weights.Weight, module)
         dims = (0,) * (n * (n - 1) // 2 + 1)
         hom = dict.fromkeys(range(len(dims)), 0)
     else:
-        sc = ce_slice(module, a)
-        dims, hom = sc.complex.dims, sc.homology_dims()
+        cx = ce_slice(module, a).complex
+        dims, hom = cx.dims, cx.homology_dims()
     return BlocksReport(
         n=n,
         p=p,

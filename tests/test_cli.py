@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decatkit import cli, cohomology, cube, operads
+from decatkit.exactlin import ComplexError
 
 # sha256 of the `relations --k K --all` documents as the LaurentPoly-entry
 # functor layer wrote them; the flat graded terms must not change a byte.
@@ -44,8 +45,14 @@ COHOMOLOGY_SHA256 = {
 }
 
 # sha256 of further documents as written when relation sides were built
-# from matrix products and every document went through `json.dumps`.
+# from matrix products and every document went through `json.dumps`. The
+# single `blocks` pair and the 6-strand `khovanov` word were hashed when each
+# slice still carried labeled bases and the CLI checked closed words itself.
 DOCUMENT_SHA256 = {
+    "blocks --n 2 --p 31 --a 0,1 --b 1,0": "6034b31bd1a912c1f7d0ec4e37d0db076d9ddfc5b9e4d60c4e4d489600775dc6",
+    "khovanov --k 2 --word words/braid_s6_seed7.sw --oracle --field Fp --p 1031": (
+        "3cc059aa827b1f0334bc1059ef218788f94da93ab1675ab9549400b9796c5e4c"
+    ),
     "khovanov --k 2 --word torus_2_8 --oracle --field Fp --p 1031": (
         "4d5edc9c7e0474cd7a9395645276526561dbdd345f2f282f48b7fba15b79e225"
     ),
@@ -400,7 +407,19 @@ def test_khovanov_open_word_rejected(tmp_path, capsys):
     path = tmp_path / "open.sw"
     path.write_text("cup(1)\n")
     assert cli.run(["khovanov", "--k", "2", "--word", str(path)]) == 2
-    assert "open" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad slice word: diagram has open boundary; a closed diagram is required" in err
+
+
+def test_khovanov_failed_square_check_is_not_a_bad_word(monkeypatch):
+    # ComplexError is a ValueError; only the parse and the closed-word check
+    # may turn one into exit status 2.
+    def failing(word, field):
+        raise ComplexError("d o d != 0")
+
+    monkeypatch.setattr(cube, "khovanov_bigraded_k2", failing)
+    with pytest.raises(ComplexError):
+        cli.run(["khovanov", "--k", "2", "--word", "trefoil"])
 
 
 def test_operad_check(capsys):
