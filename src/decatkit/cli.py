@@ -35,6 +35,11 @@ class ConfigError(Exception):
     pass
 
 
+# `blocks` and `cohomology` read a slice skeleton that lists all
+# 2^(n(n-1)/2) root subsets: 32768 at n = 6, several GiB of them at n = 7.
+MAX_N = 6
+
+
 def _parse_weight(text: str, n: int) -> weights.Weight:
     try:
         entries = tuple(int(part) for part in text.split(","))
@@ -433,6 +438,9 @@ def run(argv=None) -> int:
     try:
         if args.n is not None and args.n < 1:
             raise ConfigError("--n must be at least 1")
+        if args.n is not None and args.n > MAX_N:
+            roots = args.n * (args.n - 1) // 2
+            raise ConfigError(f"--n {args.n} is above {MAX_N}: its slice skeleton has 2^{roots} root subsets")
         ok, payload = _HANDLERS[args.subcommand](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,13 +11,15 @@ differential is the standard alternating-sum formula: an action term moving
 one root onto the module and a contraction term pairing two roots through
 their bracket.
 
-All of that formula but the module depends on n alone: the root subsets
-grouped by weight offset, each (j+1)-subset's signed action terms, and its
-contraction terms summed per j-subset. `_skeleton(n)` builds these once per
-n. A slice's cochains come in cells, one per subset with a nonzero weight
-space, found by one lookup per offset group. `ce_slice` reads one slice, as
-each `blocks` pair does; `cohomology_table` finds all slices' cells in one
-pass. Raising columns are read through `module.column` only at cell vectors.
+All of that formula but the module depends on n alone. `_skeleton(n)`
+builds it once per n: the root subsets grouped by weight offset, and each
+subset's contraction terms, read off the few nonzero brackets. A cochain
+cell is named by its subset, whose action faces are the subset itself with
+its a-th root dropped, at sign (-1)^a. A slice's cells are the subsets with
+a nonzero weight space, found by one lookup per offset group. `ce_slice`
+reads one slice, as each `blocks` pair does; `cohomology_table` finds all
+slices' cells in one pass. Raising columns are read through `module.column`
+only at cell vectors.
 
 Raising operators never increase depth, so on a depth-truncated module every
 slice complex with window depth >= ht(lambda - mu) is computed exactly.
@@ -34,62 +36,48 @@ from decatkit import liealg, weights
 from decatkit.exactlin import QQ, FiniteComplex, InvariantError, PrimeField, SparseMatrix
 from decatkit.verma import TruncatedVerma, simple_quotient, weyl_dim
 
-Pair = tuple[int, int]
-
 
 @functools.cache
 def _skeleton(n: int):
-    """The slice skeleton of gl_n: (pairs, groups, action, contraction).
+    """The slice skeleton of gl_n: (pairs, groups, contraction).
 
-    The j-subsets of root indices are numbered t = 0, 1, ... in combinations
-    order. groups lists (offset, places), one per distinct root sum of a
-    subset, with places the (j, t) of every j-subset of that sum. For big the
-    (j+1)-subset t, action[j][t] lists (small, root, sign) and
-    contraction[j][t] lists (small, coefficient), with small the number of a
-    j-subset.
+    A cochain cell is named by its root subset, a sorted tuple of root
+    indices. groups lists (offset, subsets), one per distinct root sum, with
+    the subsets of that sum in (size, lex) order. contraction maps a subset
+    to its nonzero contraction terms [(smaller subset, coefficient)], read
+    off the nonzero brackets [e_x, e_y] = c e_s with x < y, found once.
     """
     nilpotent = liealg.strict_triangular(n)
-    roots = [nilpotent.weight(pair) for pair in nilpotent.pairs]
-    root_of = {pair: k for k, pair in enumerate(nilpotent.pairs)}
-    subsets = [list(itertools.combinations(range(len(roots)), j)) for j in range(len(roots) + 1)]
-    where = [{subset: t for t, subset in enumerate(level)} for level in subsets]
-    offsets = [
-        [tuple(sum(roots[k][c] for k in subset) for c in range(n)) for subset in level]
-        for level in subsets
-    ]
-    groups: dict[weights.Weight, list[tuple[int, int]]] = {}
-    for j, level in enumerate(offsets):
-        for t, off in enumerate(level):
-            groups.setdefault(off, []).append((j, t))
-    action, contraction = [], []
-    for j, level in enumerate(subsets[1:]):
-        action.append([
-            [(where[j][big[:a] + big[a + 1 :]], k, -1 if a % 2 else 1) for a, k in enumerate(big)]
-            for big in level
-        ])
-        contraction.append([])
-        for t, big in enumerate(level):
-            terms: dict[int, int] = {}
-            for a, b in itertools.combinations(range(len(big)), 2):
-                rest = tuple(x for u, x in enumerate(big) if u not in (a, b))
-                for z, c in nilpotent.bracket(nilpotent.pairs[big[a]], nilpotent.pairs[big[b]]).items():
-                    s = root_of[z]
-                    if s in rest:
-                        continue
-                    small = tuple(sorted(rest + (s,)))
-                    key = where[j][small]
-                    if offsets[j][key] != offsets[j + 1][t]:
-                        raise InvariantError("contraction term left the slice")
-                    terms[key] = terms.get(key, 0) + (-1) ** (a + b + small.index(s)) * c
-            contraction[j].append([(small, c) for small, c in terms.items() if c])
-    return nilpotent.pairs, list(groups.items()), action, contraction
+    pairs = nilpotent.pairs
+    roots = [nilpotent.weight(pair) for pair in pairs]
+    brackets = []
+    for x, y in itertools.combinations(range(len(pairs)), 2):
+        for z, c in nilpotent.bracket(pairs[x], pairs[y]).items():
+            s = pairs.index(z)
+            if roots[s] != tuple(map(operator.add, roots[x], roots[y])):
+                raise InvariantError("contraction term left the slice")
+            brackets.append((x, y, s, c))
+    groups: dict[weights.Weight, list[tuple[int, ...]]] = {}
+    contraction: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for j in range(len(roots) + 1):
+        for big in itertools.combinations(range(len(roots)), j):
+            groups.setdefault(tuple(sum(roots[k][c] for k in big) for c in range(n)), []).append(big)
+            terms: dict[tuple[int, ...], int] = {}
+            for x, y, s, c in brackets:
+                if x in big and y in big and s not in big:
+                    a, b = big.index(x), big.index(y)
+                    small = tuple(sorted([k for k in big if k not in (x, y)] + [s]))
+                    terms[small] = terms.get(small, 0) + (-1) ** (a + b + small.index(s)) * c
+            nonzero = [(small, c) for small, c in terms.items() if c]
+            if nonzero:
+                contraction[big] = nonzero
+    return pairs, list(groups.items()), contraction
 
 
 @dataclasses.dataclass
 class SliceComplex:
     """The slice cochain complex at a fixed shifted weight."""
 
-    mu_shifted: weights.Weight
     complex: FiniteComplex
 
 
@@ -108,14 +96,15 @@ def slice_required_depth(module, mu_shifted: weights.Weight) -> int | None:
 
 def _slice_complex(module, cells) -> FiniteComplex:
     """The complex of one slice, given as its cells: degree j's basis runs
-    through cells[j], each cell's members in turn."""
-    pairs, _, action, contraction = _skeleton(module.n)
+    through cells[j], the (subset, members) of its j-subsets in lex order,
+    each cell's members in turn."""
+    pairs, _, contraction = _skeleton(module.n)
     column, p = module.column, module.field.p
-    index, dims = [], []  # index[j]: {t: (first basis index, members)}
+    index, dims = [], []  # index[j]: {subset: (first basis index, members)}
     for level in cells:
         at, index_j = 0, {}
-        for t, members in level:
-            index_j[t] = (at, members)
+        for subset, members in level:
+            index_j[subset] = (at, members)
             at += len(members)
         index.append(index_j)
         dims.append(at)
@@ -123,10 +112,12 @@ def _slice_complex(module, cells) -> FiniteComplex:
     mats = []
     for j in range(len(pairs)):
         entries: dict[tuple[int, int], object] = {}
-        for t, (row0, big_members) in index[j + 1].items():
+        for big, (row0, big_members) in index[j + 1].items():
             slot = {m: row0 + u for u, m in enumerate(big_members)}
-            for small, k, sign in action[j][t]:
-                col0, small_members = index[j].get(small, (0, ()))
+            # Dropping root k = big[a] leaves a face, acted on by e_k with sign (-1)^a.
+            for a, k in enumerate(big):
+                col0, small_members = index[j].get(big[:a] + big[a + 1 :], (0, ()))
+                sign = -1 if a % 2 else 1
                 for u, m in enumerate(small_members):
                     for m2, val in column(pairs[k], m).items():
                         row = slot.get(m2)
@@ -134,7 +125,7 @@ def _slice_complex(module, cells) -> FiniteComplex:
                             raise InvariantError("action term left the slice")
                         entries[row, col0 + u] = entries.get((row, col0 + u), 0) + sign * val
             # A contraction term keeps the weight, so small and big share members.
-            for small, c in contraction[j][t]:
+            for small, c in contraction.get(big, ()):
                 col0 = index[j][small][0]
                 for u in range(len(big_members)):
                     entries[row0 + u, col0 + u] = entries.get((row0 + u, col0 + u), 0) + c
@@ -152,19 +143,19 @@ def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
             f"slice at {tuple(mu_shifted)} sits at depth {required}, beyond the "
             f"window depth {module.depth}; rebuild the module with depth >= {required}"
         )
-    pairs, groups, _, _ = _skeleton(module.n)
+    pairs, groups, _ = _skeleton(module.n)
     mu = weights.unshift(tuple(mu_shifted))
-    # cells[j]: (t, members) for each j-subset t whose weight mu + offset has
-    # basis vectors `members`, in subset order.
-    cells: list[list[tuple[int, list[int]]]] = [[] for _ in range(len(pairs) + 1)]
-    for off, places in groups:
+    # cells[j]: (subset, members) for each j-subset whose weight mu + offset
+    # has basis vectors `members`.
+    cells: list[list[tuple[tuple[int, ...], list[int]]]] = [[] for _ in range(len(pairs) + 1)]
+    for off, subsets in groups:
         members = module.weight_index.get(tuple(map(operator.add, mu, off)))
         if members:
-            for j, t in places:
-                cells[j].append((t, members))
+            for subset in subsets:
+                cells[len(subset)].append((subset, members))
     for level in cells:
         level.sort()
-    return SliceComplex(mu_shifted=tuple(mu_shifted), complex=_slice_complex(module, cells))
+    return SliceComplex(complex=_slice_complex(module, cells))
 
 
 def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:
@@ -174,10 +165,10 @@ def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:
     complexes are cut off mid-weight and would report classes whose killing
     coboundaries lie just past the truncation edge.
     """
-    pairs, groups, _, _ = _skeleton(module.n)
+    pairs, groups, _ = _skeleton(module.n)
     slices: dict[weights.Weight, list | bool] = {}
     for w, members in module.weight_index.items():
-        for off, places in groups:
+        for off, subsets in groups:
             mu = tuple(map(operator.sub, w, off))
             cells = slices.get(mu)
             if cells is None:
@@ -185,8 +176,8 @@ def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:
                 exact = module.depth is None or slice_required_depth(module, weights.shift(mu)) <= module.depth
                 cells = slices[mu] = exact and [[] for _ in range(len(pairs) + 1)]
             if cells:
-                for j, t in places:
-                    cells[j].append((t, members))
+                for subset in subsets:
+                    cells[len(subset)].append((subset, members))
     # Shifting adds one vector to every weight, so this is shifted order too.
     kept = sorted((mu, cells) for mu, cells in slices.items() if cells)
     out: dict[tuple[int, weights.Weight], int] = {}

@@ -471,6 +471,24 @@ def test_blocks_n_guard(capsys):
     assert "--n" in capsys.readouterr().err
 
 
+def test_n_above_six_is_refused_before_any_skeleton(capsys, monkeypatch):
+    # At n = 7 the skeleton would list 2^21 root subsets; never build it.
+    def refuse(n):
+        raise AssertionError(f"the skeleton of gl_{n} was built")
+
+    monkeypatch.setattr(cohomology, "_skeleton", refuse)
+    for argv in (
+        ["cohomology", "--n", "7", "--lam", "6,5,4,3,2,1,0"],
+        ["blocks", "--n", "7", "--p", "37", "--max", "1"],
+        ["blocks", "--n", "7", "--p", "37", "--a", "0,0,0,0,0,0,0", "--b", "0,0,0,0,0,0,0"],
+    ):
+        assert cli.run(argv) == 2
+        assert "--n 7 is above 6" in capsys.readouterr().err
+    # n = 6 is admitted: its one-pair slice reaches the skeleton.
+    with pytest.raises(AssertionError, match="gl_6"):
+        cli.run(["blocks", "--n", "6", "--p", "37", "--a", "0,0,0,0,0,0", "--b", "0,0,0,0,0,0"])
+
+
 def test_blocks_max_guard(capsys):
     assert cli.run(["blocks", "--n", "2", "--p", "31", "--max", "-1"]) == 2
     assert "--max" in capsys.readouterr().err
