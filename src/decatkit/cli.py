@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import pathlib
@@ -181,7 +180,7 @@ def _run_relations(args: argparse.Namespace) -> tuple[bool, dict]:
         holds = all(r.holds for r in reports)
         ok = ok and holds
         doc[rel] = holds
-        doc["detail"][rel] = [dataclasses.asdict(r) for r in reports]
+        doc["detail"][rel] = [dict(vars(r)) for r in reports]
     return ok, doc
 
 

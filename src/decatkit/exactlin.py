@@ -162,9 +162,11 @@ class LaurentMatrix:
         return mat
 
     @classmethod
-    def from_sums(cls, nrows: int, ncols: int, sums: Mapping[tuple[int, int, int], int]) -> "LaurentMatrix":
-        """The terms of `sums` whose coefficient is nonzero; positions unchecked."""
-        return cls.from_terms(nrows, ncols, {key: c for key, c in sums.items() if c})
+    def from_sums(cls, nrows: int, ncols: int, sums: dict[tuple[int, int, int], int]) -> "LaurentMatrix":
+        """The terms of `sums` whose coefficient is nonzero: `sums` itself, not
+        copied, unless some sum is zero; positions unchecked."""
+        kept = sums if 0 not in sums.values() else {key: c for key, c in sums.items() if c}
+        return cls.from_terms(nrows, ncols, kept)
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

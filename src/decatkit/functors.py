@@ -14,7 +14,9 @@ its transpose.
 Matrices are `LaurentMatrix` graded terms {(row, col, exp): int}. Each move
 acts locally through `apply_move` as a key rewrite: the mixed-radix digit of
 the moved blocks changes in each row and the local exponent is added, with
-local images cached per (k, kind, parts); I (x) local (x) I is never formed.
+local images cached per (k, kind, parts). I (x) local (x) I is formed only
+for a word's first move, by `move_matrix`, as runs of terms along the longer
+identity factor; every later move is a rewrite of the matrix so far.
 
 Only a merge sums terms. Merge is a function on basis vectors, so two local
 indices can share its image and signed coefficients (as in the cube's
@@ -66,8 +68,11 @@ def sig_dim(k: int, sig: Sig) -> int:
 def identity_matrix(k: int, sig: Sig, scalar: int | LaurentPoly = 1) -> LaurentMatrix:
     """scalar (an int or a Laurent polynomial) times the identity on sig."""
     poly = scalar if isinstance(scalar, LaurentPoly) else LaurentPoly.from_dict({0: scalar})
-    n = sig_dim(k, sig)
-    return LaurentMatrix.from_terms(n, n, {(i, i, e): c for i in range(n) for e, c in poly.terms})
+    diagonal = range(sig_dim(k, sig))
+    terms: dict[tuple[int, int, int], int] = {}
+    for e, c in poly.terms:
+        terms |= dict.fromkeys(zip(diagonal, diagonal, itertools.repeat(e)), c)
+    return LaurentMatrix.from_terms(len(diagonal), len(diagonal), terms)
 
 
 def _inv(s: tuple[int, ...], t: tuple[int, ...]) -> int:
@@ -110,12 +115,10 @@ def parse_word(text: str) -> tuple[Move, ...]:
             if len(args) != 3:
                 raise ValueError(f"split needs (i;b,c), got {token!r}")
             moves.append(("split", args[0], (args[1], args[2])))
-        elif kind in ("merge", "ins", "del", "shift"):
+        else:
             if len(args) != 1:
                 raise ValueError(f"{kind} needs one argument, got {token!r}")
             moves.append((kind, args[0]))
-        else:
-            raise InvariantError(kind)
     return tuple(moves)
 
 
@@ -153,21 +156,19 @@ def _local_action(k: int, sig: Sig, move: Move) -> tuple[int, int, Sig, tuple]:
     if kind == "merge":
         if not (1 <= i < len(sig)):
             raise ValueError(f"no block pair at position {i} in signature {sig}")
-        parts, span, new_blocks = sig[i - 1 : i + 1], 2, (sig[i - 1] + sig[i],)
-    elif kind in ("split", "del"):
-        if not (1 <= i <= len(sig)):
-            raise ValueError(f"no block at position {i} in signature {sig}")
-        if kind == "del":
-            if sig[i - 1] != k:
-                raise ValueError(f"block {i} has weight {sig[i - 1]}, not {k}")
-            return i - 1, 1, (), (((0, 0),),)
-        parts = new_blocks = move[2]
-        span = 1
-        if sum(parts) != sig[i - 1] or min(parts) <= 0:
-            raise ValueError(f"parts {parts} do not split block weight {sig[i - 1]}")
-    else:
+        return i - 1, 2, (sig[i - 1] + sig[i],), _local_images(k, kind, tuple(sig[i - 1 : i + 1]))
+    if kind not in ("split", "del"):
         raise ValueError(f"unknown move kind {kind!r}")
-    return i - 1, span, new_blocks, _local_images(k, kind, tuple(parts))
+    if not (1 <= i <= len(sig)):
+        raise ValueError(f"no block at position {i} in signature {sig}")
+    if kind == "del":
+        if sig[i - 1] != k:
+            raise ValueError(f"block {i} has weight {sig[i - 1]}, not {k}")
+        return i - 1, 1, (), (((0, 0),),)
+    parts = tuple(move[2])
+    if sum(parts) != sig[i - 1] or min(parts) <= 0:
+        raise ValueError(f"parts {parts} do not split block weight {sig[i - 1]}")
+    return i - 1, 1, parts, _local_images(k, kind, parts)
 
 
 def apply_move(k: int, sig: Sig, move: Move, mat: LaurentMatrix) -> tuple[LaurentMatrix, Sig]:
@@ -203,18 +204,38 @@ def apply_move(k: int, sig: Sig, move: Move, mat: LaurentMatrix) -> tuple[Lauren
 
 
 def move_matrix(k: int, sig: Sig, move: Move) -> tuple[LaurentMatrix, Sig]:
-    return apply_move(k, sig, move, identity_matrix(k, sig))
+    """(I_left (x) local (x) I_right, new signature), written directly: for
+    each image (r, e) of each local index j, runs of terms t^e at
+    ((a, r, b), (a, j, b)) along the longer of the factors a < left, b < right.
+    No two terms share a position, so nothing sums."""
+    pos, span, new_blocks, images = _local_action(k, sig, move)
+    dims = sig_dims(k, sig)
+    left, right = math.prod(dims[:pos]), math.prod(dims[pos + span :])
+    row_step, col_step = sig_dim(k, new_blocks) * right, len(images) * right
+    nrows, ncols = left * row_step, left * col_step
+    terms: dict[tuple[int, int, int], int] = {}
+    for j, image in enumerate(images):
+        for r, e in image:
+            r0, c0 = r * right, j * right
+            if right >= left:  # per left index a, `right` consecutive indices
+                starts = zip(range(r0, nrows, row_step), range(c0, ncols, col_step))
+                runs = ((range(row, row + right), range(col, col + right)) for row, col in starts)
+            else:  # per right index b, `left` indices a row_step / col_step apart
+                runs = ((range(r0 + b, nrows, row_step), range(c0 + b, ncols, col_step)) for b in range(right))
+            for rows, cols in runs:
+                terms.update(zip(zip(rows, cols, itertools.repeat(e)), itertools.repeat(1)))
+    return LaurentMatrix.from_terms(nrows, ncols, terms), sig[:pos] + new_blocks + sig[pos + span :]
 
 
 def evaluate(k: int, sig: Sig, moves) -> tuple[LaurentMatrix, Sig]:
-    """Apply the moves in word order (first move acts first) to the identity."""
+    """Apply the moves in word order (first move acts first) to the identity:
+    the first move's matrix is built directly, the rest act on it."""
     if isinstance(moves, str):
         moves = parse_word(moves)
-    mat = identity_matrix(k, sig)
-    cur = tuple(sig)
+    mat, cur = None, tuple(sig)
     for move in moves:
-        mat, cur = apply_move(k, cur, move, mat)
-    return mat, cur
+        mat, cur = move_matrix(k, cur, move) if mat is None else apply_move(k, cur, move, mat)
+    return (identity_matrix(k, sig) if mat is None else mat), cur
 
 
 @dataclasses.dataclass
@@ -227,23 +248,21 @@ class RelationReport:
     detail: dict
 
 
-RELATION_IDS = ("R1", "R2", "R3", "R4", "R5", "L5")
+_CORES = {
+    "R1": lambda k: (k,),
+    "R2": lambda k: (2,),
+    "R3": lambda k: (1, k),
+    "R4": lambda k: (k, 1, k - 1),
+    "R5": lambda k: (1, 1, 1),
+    "L5": lambda k: (2, 1),
+}
+RELATION_IDS = tuple(_CORES)
 
 
 def core_signature(relation: str, k: int) -> Sig:
-    if relation == "R1":
-        return (k,)
-    if relation == "R2":
-        return (2,)
-    if relation == "R3":
-        return (1, k)
-    if relation == "R4":
-        return (k, 1, k - 1)
-    if relation == "R5":
-        return (1, 1, 1)
-    if relation == "L5":
-        return (2, 1)
-    raise ValueError(f"unknown relation {relation!r}; known: {RELATION_IDS}")
+    if relation not in _CORES:
+        raise ValueError(f"unknown relation {relation!r}; known: {RELATION_IDS}")
+    return _CORES[relation](k)
 
 
 def ambient_signatures(relation: str, k: int, max_len: int = 4):
@@ -283,9 +302,9 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
         done = len(word)
         while done and word[:done] not in values:
             done -= 1
-        mat, sig = values[word[:done]] if done else identity_matrix(k, ambient), ambient
+        mat, sig = values[word[:done]] if done else None, ambient
         for end in range(done + 1, len(word) + 1):
-            mat, sig = apply_move(k, sig, word[end - 1], mat)
+            mat, sig = apply_move(k, sig, word[end - 1], mat) if end > 1 else move_matrix(k, sig, word[0])
             if sig == ambient:
                 values[word[:end]] = mat
         if sig != ambient:
@@ -314,26 +333,13 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
         holds = side((1, (("split", o + 1, (1, 1)), ("merge", o + 1)))) == side((geometric_shift_sum(2), ()))
 
     elif relation == "R3":
-        word = (
-            ("split", o + 2, (1, k - 1)),
-            ("merge", o + 1),
-            ("split", o + 1, (1, 1)),
-            ("merge", o + 2),
-        )
+        word = (("split", o + 2, (1, k - 1)), ("merge", o + 1), ("split", o + 1, (1, 1)), ("merge", o + 2))
         scalar = LaurentPoly.from_dict({2 * i: 1 for i in range(1, k)})
         holds = side((1, word)) == side((scalar, ()))
 
     elif relation == "R4":
-        word = (
-            ("split", o + 1, (k - 1, 1)),
-            ("merge", o + 2),
-            ("split", o + 2, (1, 1)),
-            ("merge", o + 3),
-            ("split", o + 3, (1, k - 1)),
-            ("merge", o + 2),
-            ("split", o + 2, (1, 1)),
-            ("merge", o + 1),
-        )
+        word = (("split", o + 1, (k - 1, 1)), ("merge", o + 2), ("split", o + 2, (1, 1)), ("merge", o + 3),
+                ("split", o + 3, (1, k - 1)), ("merge", o + 2), ("split", o + 2, (1, 1)), ("merge", o + 1))
         bubble = (("merge", o + 2), ("split", o + 2, (1, k - 1)))
         coeff = LaurentPoly.from_dict({2 * i: 1 for i in range(2, k)})
         got = side((1, word))
@@ -351,12 +357,7 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
         holds = side((1, e1 + e2 + e1), (t2, e2)) == side((1, e2 + e1 + e2), (t2, e1))
 
     elif relation == "L5":
-        word = (
-            ("split", o + 1, (1, 1)),
-            ("merge", o + 2),
-            ("split", o + 2, (1, 1)),
-            ("merge", o + 1),
-        )
+        word = (("split", o + 1, (1, 1)), ("merge", o + 2), ("split", o + 2, (1, 1)), ("merge", o + 1))
         expected = [(LaurentPoly.t_power(2), ())]
         if k >= 3:
             expected.append((1, (("merge", o + 1), ("split", o + 1, (2, 1)))))
@@ -367,7 +368,4 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
 
 
 def verify_relation_everywhere(relation: str, k: int, max_len: int = 4) -> list[RelationReport]:
-    return [
-        verify_relation(relation, k, ambient, offset)
-        for ambient, offset in ambient_signatures(relation, k, max_len)
-    ]
+    return [verify_relation(relation, k, *placement) for placement in ambient_signatures(relation, k, max_len)]

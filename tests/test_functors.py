@@ -342,20 +342,31 @@ def test_r5_fails_when_the_second_merge_is_bent(monkeypatch, k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_r5_applies_each_prefix_once_per_placement(monkeypatch, k):
     # E1 E2 E1 is evaluated first (6 moves), keeping its loop prefix E1;
-    # E2 (2 moves) then starts E2 E1 E2, which needs 4 more.
-    calls = []
-    real = functors.apply_move
+    # E2 (2 moves) then starts E2 E1 E2, which needs 4 more. A word with no
+    # evaluated prefix starts from its first move's matrix, not an identity.
+    calls, identities = [], []
+    real_apply, real_matrix, real_identity = functors.apply_move, functors.move_matrix, functors.identity_matrix
 
-    def counting(k, sig, move, mat):
+    def counting_apply(k, sig, move, mat):
         calls.append(move)
-        return real(k, sig, move, mat)
+        return real_apply(k, sig, move, mat)
 
-    monkeypatch.setattr(functors, "apply_move", counting)
-    assert functors.verify_relation("R5", k).holds
-    assert len(calls) == 12
-    calls.clear()
-    assert functors.verify_relation("R5", k, (k, 1, 1, 1), 1).holds
-    assert len(calls) == 12
+    def counting_matrix(k, sig, move):
+        calls.append(move)
+        return real_matrix(k, sig, move)
+
+    def counting_identity(*args):
+        identities.append(args)
+        return real_identity(*args)
+
+    monkeypatch.setattr(functors, "apply_move", counting_apply)
+    monkeypatch.setattr(functors, "move_matrix", counting_matrix)
+    monkeypatch.setattr(functors, "identity_matrix", counting_identity)
+    for ambient, offset in (((1, 1, 1), 0), ((k, 1, 1, 1), 1)):
+        calls.clear()
+        assert functors.verify_relation("R5", k, ambient, offset).holds
+        assert len(calls) == 12
+    assert identities == []
 
 
 def test_relation_word_leaving_the_ambient_raises(monkeypatch):
@@ -377,6 +388,85 @@ def test_identity_matrix_times_a_scalar():
     assert functors.identity_matrix(3, (1, 2), poly) == functors.identity_matrix(3, (1, 2)).scaled(poly)
     assert functors.identity_matrix(2, (1,), -3) == functors.identity_matrix(2, (1,)).scaled(-3)
     assert functors.identity_matrix(2, (1,), 0).terms == {}
+
+
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=3),
+    st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_identity_matrix_matches_a_per_term_reference(k, weights, coeffs):
+    sig = tuple(min(a, k) for a in weights)
+    poly = LaurentPoly.from_dict(coeffs)
+    n = functors.sig_dim(k, sig)
+    expected = {}
+    for e, c in poly.terms:
+        for i in range(n):
+            expected[(i, i, e)] = c
+    got = functors.identity_matrix(k, sig, poly)
+    assert (got.nrows, got.ncols, got.terms) == (n, n, expected)
+
+
+def _identity_factors(k, sig, move):
+    """(left, right): the dimensions of the blocks before and after the moved ones."""
+    pos, span, _, _ = functors._local_action(k, sig, move)
+    return functors.sig_dim(k, sig[:pos]), functors.sig_dim(k, sig[pos + span :])
+
+
+def _assert_move_matrix_is_reference(k, sig, move):
+    got, new_sig = functors.move_matrix(k, sig, move)
+    via_identity, via_sig = functors.apply_move(k, sig, move, functors.identity_matrix(k, sig))
+    assert (got, new_sig) == (via_identity, via_sig)
+    assert _as_poly_matrix(got) == _reference_move(k, sig, move)
+    assert set(got.terms.values()) <= {1}
+
+
+@st.composite
+def signature_and_move(draw):
+    k = draw(st.integers(min_value=2, max_value=4))
+    sig = tuple(draw(st.lists(st.integers(min_value=1, max_value=k), max_size=4)))
+    return k, sig, draw(st.sampled_from(_valid_moves(draw, k, sig, max_len=5)))
+
+
+@given(signature_and_move())
+@settings(max_examples=200, deadline=None)
+def test_move_matrix_matches_identity_and_kron_references(data):
+    _assert_move_matrix_is_reference(*data)
+
+
+@pytest.mark.parametrize(
+    "k, sig, move, along_right",
+    [
+        (4, (1, 1, 3, 2), ("merge", 1), True),  # first block pair
+        (4, (2, 3, 1, 1), ("merge", 3), False),  # last block pair
+        (2, (1, 1), ("merge", 1), True),  # e1 (x) e1 and e2 (x) e2 have no image
+        (3, (2, 1, 1), ("merge", 2), False),  # images empty where the subsets meet
+        (3, (2, 1, 2), ("split", 3, (1, 1)), False),  # last block
+        (4, (3, 2, 1), ("split", 1, (2, 1)), True),  # first block
+        (3, (2, 2), ("split", 2, (1, 1)), False),
+        (3, (1, 3, 2), ("del", 2), True),  # left 3, right 3: the tie runs along the right
+        (3, (2, 1, 3), ("del", 3), False),
+        (3, (3, 2, 1), ("del", 1), True),
+        (3, (1, 2), ("ins", 3), False),
+        (3, (1, 2), ("ins", 1), True),
+        (3, (1, 2), ("shift", -2), True),
+        (2, (), ("shift", 3), True),
+    ],
+)
+def test_move_matrix_runs_along_either_identity_factor(k, sig, move, along_right):
+    left, right = _identity_factors(k, sig, move)
+    assert (right >= left) == along_right
+    _assert_move_matrix_is_reference(k, sig, move)
+
+
+def test_move_matrix_checks_the_move_like_apply_move():
+    with pytest.raises(ValueError, match="no block pair"):
+        functors.move_matrix(3, (1, 2), ("merge", 2))
+    with pytest.raises(ValueError, match="not 3"):
+        functors.move_matrix(3, (1, 2), ("del", 1))
+    with pytest.raises(ValueError, match="outside"):
+        functors.move_matrix(3, (4,), ("shift", 1))
 
 
 def _poly_apply_move(k, sig, move, mat):
