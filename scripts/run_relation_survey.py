@@ -2,7 +2,9 @@
 """Check every diagrammatic relation across a range of k, in all ambient
 signatures up to a length bound, and tabulate the placement counts.
 
-Exits 1 when a relation fails and 2 when the arguments admit no placement.
+Exits 1 when a relation fails, and 2 when the arguments admit no placement
+or a k whose sweep is above `functors.SWEEP_DIMENSION_LIMIT` (checked for
+every k before any matrix is built).
 
 Example:
     python3 scripts/run_relation_survey.py --kmax 4 --max-len 4
@@ -22,16 +24,23 @@ def main() -> int:
     ap.add_argument("--max-len", type=int, default=4)
     args = ap.parse_args()
 
+    for k in range(args.kmin, args.kmax + 1):
+        try:
+            size = functors.sweep_dimension(k, max_len=args.max_len)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if size > functors.SWEEP_DIMENSION_LIMIT:
+            print(f"error: k = {k} sweeps ambient signatures of summed dimension at least {size}, "
+                  f"over the limit {functors.SWEEP_DIMENSION_LIMIT}; lower --kmax or --max-len", file=sys.stderr)
+            return 2
+
     failures = 0
     print(f"{'relation':<10}{'k':>3}{'placements':>12}{'status':>9}")
     for k in range(args.kmin, args.kmax + 1):
         for relation in functors.RELATION_IDS:
             started = time.monotonic()
-            try:
-                reports = functors.verify_relation_everywhere(relation, k, args.max_len)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            reports = functors.verify_relation_everywhere(relation, k, args.max_len)
             ok = all(r.holds for r in reports)
             failures += 0 if ok else 1
             status = "ok" if ok else "FAIL"

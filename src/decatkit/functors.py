@@ -14,9 +14,13 @@ its transpose.
 Matrices are `LaurentMatrix` graded terms {(row, col, exp): int}. Each move
 acts locally through `apply_move` as a key rewrite: the mixed-radix digit of
 the moved blocks changes in each row and the local exponent is added, with
-local images cached per (k, kind, parts). I (x) local (x) I is formed only
-for a word's first move, by `move_matrix`, as runs of terms along the longer
-identity factor; every later move is a rewrite of the matrix so far.
+local images cached per (k, kind, parts). A word starts from one matrix for
+its leading run of moves on one block window (`leading_run`: each next move
+takes exactly the blocks the previous one wrote, as in split(i) merge(i)).
+`move_matrix` composes the run's local tables into one small table with int
+coefficients and writes I (x) table (x) I as runs of terms along the longer
+identity factor, since (I (x) A (x) I)(I (x) B (x) I) = I (x) AB (x) I.
+Every later move is a rewrite of the matrix so far.
 
 Only a merge sums terms. Merge is a function on basis vectors, so two local
 indices can share its image and signed coefficients (as in the cube's
@@ -29,8 +33,9 @@ they are; `_local_images` checks this once per cached split table.
 Words of moves are evaluated left to right (the first move acts first), so
 `evaluate` returns the product of the move matrices in reverse word order.
 Each relation is one equality between Laurent combinations of move words,
-sum of c * value(word), with the empty word the identity: `apply_move` is
-the relation layer's only product, and no two matrices are multiplied.
+sum of c * value(word), with the empty word the identity: `apply_move` and
+the local composition in `move_matrix` are the relation layer's only
+products, and no two ambient matrices are multiplied.
 Word syntax: merge(i), split(i;b,c), shift(m), ins(i), del(i), with 1-based
 block positions; ins inserts a full block (weight k, a one-dimensional
 factor) at position i, del removes one.
@@ -203,19 +208,58 @@ def apply_move(k: int, sig: Sig, move: Move, mat: LaurentMatrix) -> tuple[Lauren
     return LaurentMatrix.from_sums(nrows, mat.ncols, sums), new_sig
 
 
-def move_matrix(k: int, sig: Sig, move: Move) -> tuple[LaurentMatrix, Sig]:
-    """(I_left (x) local (x) I_right, new signature), written directly: for
-    each image (r, e) of each local index j, runs of terms t^e at
-    ((a, r, b), (a, j, b)) along the longer of the factors a < left, b < right.
-    No two terms share a position, so nothing sums."""
-    pos, span, new_blocks, images = _local_action(k, sig, move)
+# Blocks a move kind takes and writes at its block position (shift: none, at 1).
+_WINDOW = {"merge": (2, 1), "split": (1, 2), "ins": (0, 1), "del": (1, 0), "shift": (0, 0)}
+
+
+def _window(move: Move) -> tuple:
+    """(block position, blocks taken, blocks written) of a move."""
+    taken, written = _WINDOW.get(move[0], (None, None))
+    return 1 if move[0] == "shift" else move[1], taken, written
+
+
+def leading_run(moves) -> int:
+    """How many leading moves act on one block window: each next move takes,
+    at the same position, exactly the blocks the previous one wrote."""
+    n = 1
+    while n < len(moves) and _window(moves[n])[:2] == _window(moves[n - 1])[::2]:
+        n += 1
+    return n
+
+
+def _then(image: list, step: tuple) -> list:
+    """The (index, exponent, coefficient) image of a local index, followed by
+    the step table: a sum, since two terms of the image may meet."""
+    sums: dict[tuple[int, int], int] = {}
+    for r, e, c in image:
+        for s, f in step[r]:
+            sums[s, e + f] = sums.get((s, e + f), 0) + c
+    return [(s, e, c) for (s, e), c in sums.items() if c]
+
+
+def move_matrix(k: int, sig: Sig, *moves: Move) -> tuple[LaurentMatrix, Sig]:
+    """(I_left (x) L (x) I_right, new signature) for a run of moves on one
+    block window (see `leading_run`), L the composition of their local tables
+    read at the signature each move meets. Written directly: for each image
+    (r, e, c) of each local index j, runs of terms c t^e at ((a, r, b), (a, j, b))
+    along the longer of the factors a < left, b < right. No two terms share a
+    position, so nothing sums."""
+    if not moves or leading_run(moves) < len(moves):
+        raise ValueError(f"moves {moves} do not act on one block window")
+    pos, span, new_blocks, images = _local_action(k, sig, moves[0])
     dims = sig_dims(k, sig)
     left, right = math.prod(dims[:pos]), math.prod(dims[pos + span :])
-    row_step, col_step = sig_dim(k, new_blocks) * right, len(images) * right
+    table = [[(r, e, 1) for r, e in image] for image in images]
+    cur = sig[:pos] + new_blocks + sig[pos + span :]
+    for move in moves[1:]:
+        _, taken, new_blocks, step = _local_action(k, cur, move)
+        table = [_then(image, step) for image in table]
+        cur = cur[:pos] + new_blocks + cur[pos + taken :]
+    row_step, col_step = sig_dim(k, new_blocks) * right, len(table) * right
     nrows, ncols = left * row_step, left * col_step
     terms: dict[tuple[int, int, int], int] = {}
-    for j, image in enumerate(images):
-        for r, e in image:
+    for j, image in enumerate(table):
+        for r, e, c in image:
             r0, c0 = r * right, j * right
             if right >= left:  # per left index a, `right` consecutive indices
                 starts = zip(range(r0, nrows, row_step), range(c0, ncols, col_step))
@@ -223,19 +267,21 @@ def move_matrix(k: int, sig: Sig, move: Move) -> tuple[LaurentMatrix, Sig]:
             else:  # per right index b, `left` indices a row_step / col_step apart
                 runs = ((range(r0 + b, nrows, row_step), range(c0 + b, ncols, col_step)) for b in range(right))
             for rows, cols in runs:
-                terms.update(zip(zip(rows, cols, itertools.repeat(e)), itertools.repeat(1)))
-    return LaurentMatrix.from_terms(nrows, ncols, terms), sig[:pos] + new_blocks + sig[pos + span :]
+                terms.update(zip(zip(rows, cols, itertools.repeat(e)), itertools.repeat(c)))
+    return LaurentMatrix.from_terms(nrows, ncols, terms), cur
 
 
 def evaluate(k: int, sig: Sig, moves) -> tuple[LaurentMatrix, Sig]:
     """Apply the moves in word order (first move acts first) to the identity:
-    the first move's matrix is built directly, the rest act on it."""
-    if isinstance(moves, str):
-        moves = parse_word(moves)
-    mat, cur = None, tuple(sig)
-    for move in moves:
-        mat, cur = move_matrix(k, cur, move) if mat is None else apply_move(k, cur, move, mat)
-    return (identity_matrix(k, sig) if mat is None else mat), cur
+    the leading run's matrix is built directly, the rest act on it."""
+    moves = parse_word(moves) if isinstance(moves, str) else tuple(moves)
+    if not moves:
+        return identity_matrix(k, sig), tuple(sig)
+    done = leading_run(moves)
+    mat, cur = move_matrix(k, tuple(sig), *moves[:done])
+    for move in moves[done:]:
+        mat, cur = apply_move(k, cur, move, mat)
+    return mat, cur
 
 
 @dataclasses.dataclass
@@ -280,6 +326,25 @@ def ambient_signatures(relation: str, k: int, max_len: int = 4):
                     yield left + core + right, left_len
 
 
+# Largest summed ambient dimension a relation sweep may build: k = 5 sums
+# 1.5 M, k = 6 17 M (about 45 s and 112 MiB on a 2-core VM), k = 7 189 M.
+SWEEP_DIMENSION_LIMIT = 2 * 10**7
+
+
+def sweep_dimension(k: int, relations=RELATION_IDS, max_len: int = 4) -> int:
+    """Summed dimension of the ambient signatures that `verify_relation_everywhere`
+    visits for the relations at k: the size of the matrices the sweep builds.
+    The sum stops as soon as it passes SWEEP_DIMENSION_LIMIT, so any k is
+    cheap to refuse."""
+    total = 0
+    for relation in relations:
+        for ambient, _ in ambient_signatures(relation, k, max_len):
+            total += sig_dim(k, ambient)
+            if total > SWEEP_DIMENSION_LIMIT:
+                return total
+    return total
+
+
 def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: int = 0) -> RelationReport:
     """Exact matrix check of one relation on an ambient signature.
 
@@ -302,9 +367,15 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
         done = len(word)
         while done and word[:done] not in values:
             done -= 1
-        mat, sig = values[word[:done]] if done else None, ambient
+        if done:
+            mat, sig = values[word[:done]], ambient
+        else:
+            done = leading_run(word)
+            mat, sig = move_matrix(k, ambient, *word[:done])
+            if sig == ambient:
+                values[word[:done]] = mat
         for end in range(done + 1, len(word) + 1):
-            mat, sig = apply_move(k, sig, word[end - 1], mat) if end > 1 else move_matrix(k, sig, word[0])
+            mat, sig = apply_move(k, sig, word[end - 1], mat)
             if sig == ambient:
                 values[word[:end]] = mat
         if sig != ambient:

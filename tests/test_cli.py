@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decatkit import cli, cohomology, cube, operads
+from decatkit import cli, cohomology, cube, functors, operads
 from decatkit.exactlin import ComplexError
 
 # sha256 of the `relations --k K --all` documents as the LaurentPoly-entry
@@ -201,6 +201,47 @@ def test_relations_unknown_relation_is_config_error(capsys):
 
 def test_relations_k_guard(capsys):
     assert cli.run(["relations", "--k", "1"]) == 2
+
+
+def test_relations_sweep_above_the_limit_is_refused_before_any_matrix(capsys, monkeypatch):
+    def never(*_args, **_kwargs):
+        raise AssertionError("a relation was checked")
+
+    monkeypatch.setattr(functors, "verify_relation", never)
+    for k in (7, 9):
+        assert cli.run(["relations", "--k", str(k), "--all"]) == 2
+        err = capsys.readouterr().err
+        assert f"--k {k} --all sweeps" in err and f"over the limit {functors.SWEEP_DIMENSION_LIMIT}" in err
+    # Without --all only the core is checked, which is small at any k here.
+    with pytest.raises(AssertionError, match="was checked"):
+        cli.run(["relations", "--k", "9", "--relation", "R2"])
+
+
+def test_relations_sweep_limit_admits_k_up_to_6(capsys, monkeypatch):
+    started = []
+
+    def stub(relation, k):
+        started.append((relation, k))
+        return []
+
+    monkeypatch.setattr(functors, "verify_relation_everywhere", stub)
+    for k in (5, 6, 7):
+        cli.run(["relations", "--k", str(k), "--all"])
+    assert started == [(rel, k) for k in (5, 6) for rel in functors.RELATION_IDS]
+    # One relation is sized alone: R4's sweep at k = 7 is small.
+    assert cli.run(["relations", "--k", "7", "--relation", "R4", "--all"]) == 0
+    assert started[-1] == ("R4", 7)
+
+
+def test_survey_script_refuses_a_sweep_above_the_limit():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_relation_survey.py"), "--kmin", "2", "--kmax", "9"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert proc.returncode == 2
+    assert "k = 7 sweeps" in proc.stderr and f"over the limit {functors.SWEEP_DIMENSION_LIMIT}" in proc.stderr
+    assert proc.stdout == ""  # refused before the k = 2 sweep ran
 
 
 def test_blocks_pair(capsys):

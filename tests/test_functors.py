@@ -180,6 +180,21 @@ class TestRelations:
         assert "shorter than the R3 core" in proc.stderr
         assert "all relations exact" not in proc.stdout
 
+    def test_sweep_dimension_sums_the_ambient_dimensions(self):
+        # Each padding block ranges over weights 1..k, whose dimensions sum to
+        # 2^k - 1; a core with n padding blocks has n + 1 placements of them.
+        for k in (2, 3, 4, 5, 6):
+            expected = 0
+            for relation in RELATIONS:
+                core = functors.core_signature(relation, k)
+                budget = 4 - len(core)
+                expected += functors.sig_dim(k, core) * sum((n + 1) * (2**k - 1) ** n for n in range(budget + 1))
+            assert functors.sweep_dimension(k) == expected <= functors.SWEEP_DIMENSION_LIMIT
+        assert functors.sweep_dimension(5) == 1514690
+        for k in (7, 8, 40):
+            assert functors.sweep_dimension(k) > functors.SWEEP_DIMENSION_LIMIT
+        assert functors.sweep_dimension(7, ("R4",)) == 12495
+
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValueError, match="unknown relation"):
             functors.verify_relation("R9", 2)
@@ -307,6 +322,26 @@ def test_relation_sweep_sees_a_split_bug_off_the_core(monkeypatch):
     assert not all(report.holds for report in functors.verify_relation_everywhere("R2", 3))
 
 
+def test_relation_sweep_sees_an_apply_move_merge_bug_off_the_core(monkeypatch):
+    # R1 and R2 are one run each, so their merges never reach apply_move;
+    # the words whose merges do still see a bug placed only off the core.
+    real = functors.apply_move
+
+    def bent(k, sig, move, mat):
+        """Every merge from block position 3 on gets its exponents raised by 1."""
+        mat, new_sig = real(k, sig, move, mat)
+        if move[0] == "merge" and move[1] >= 3:
+            mat = LaurentMatrix(mat.nrows, mat.ncols, {(r, c, e + 1): v for (r, c, e), v in mat.terms.items()})
+        return mat, new_sig
+
+    monkeypatch.setattr(functors, "apply_move", bent)
+    for k in (2, 3, 4):
+        for relation in ("R3", "R5", "L5"):
+            assert functors.verify_relation(relation, k).holds
+        for relation in ("R3", "R4", "R5", "L5"):
+            assert not all(report.holds for report in functors.verify_relation_everywhere(relation, k))
+
+
 def _e(i):
     """E_i = merge(i) split(i;1,1) as a move word: its value is e_i."""
     return (("merge", i), ("split", i, (1, 1)))
@@ -343,7 +378,8 @@ def test_r5_fails_when_the_second_merge_is_bent(monkeypatch, k):
 def test_r5_applies_each_prefix_once_per_placement(monkeypatch, k):
     # E1 E2 E1 is evaluated first (6 moves), keeping its loop prefix E1;
     # E2 (2 moves) then starts E2 E1 E2, which needs 4 more. A word with no
-    # evaluated prefix starts from its first move's matrix, not an identity.
+    # evaluated prefix starts from its leading run's matrix, not an identity,
+    # and each move of that run is one local operator applied.
     calls, identities = [], []
     real_apply, real_matrix, real_identity = functors.apply_move, functors.move_matrix, functors.identity_matrix
 
@@ -351,9 +387,9 @@ def test_r5_applies_each_prefix_once_per_placement(monkeypatch, k):
         calls.append(move)
         return real_apply(k, sig, move, mat)
 
-    def counting_matrix(k, sig, move):
-        calls.append(move)
-        return real_matrix(k, sig, move)
+    def counting_matrix(k, sig, *moves):
+        calls.extend(moves)
+        return real_matrix(k, sig, *moves)
 
     def counting_identity(*args):
         identities.append(args)
@@ -372,13 +408,24 @@ def test_r5_applies_each_prefix_once_per_placement(monkeypatch, k):
 def test_relation_word_leaving_the_ambient_raises(monkeypatch):
     # Prefixes of R5's words leave the ambient; only a whole word must return.
     assert functors.verify_relation("R5", 2).holds
-    real = functors.apply_move
+    real_apply, real_matrix = functors.apply_move, functors.move_matrix
 
-    def drifting(k, sig, move, mat):
-        mat, sig = real(k, sig, move, mat)
-        return mat, (sig + (1,) if move[0] == "merge" else sig)
+    def drifting_apply(k, sig, move, mat):
+        """R3's last move, merge(2), goes through apply_move and drifts."""
+        mat, sig = real_apply(k, sig, move, mat)
+        return mat, (sig + (1,) if move == ("merge", 2) else sig)
 
-    monkeypatch.setattr(functors, "apply_move", drifting)
+    def drifting_matrix(k, sig, *moves):
+        """R2's whole word is one run and drifts."""
+        mat, sig = real_matrix(k, sig, *moves)
+        return mat, sig + (1,)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(functors, "apply_move", drifting_apply)
+        assert functors.verify_relation("R2", 2).holds
+        with pytest.raises(InvariantError, match="leaves"):
+            functors.verify_relation("R3", 2)
+    monkeypatch.setattr(functors, "move_matrix", drifting_matrix)
     with pytest.raises(InvariantError, match="leaves"):
         functors.verify_relation("R2", 2)
 
@@ -467,6 +514,57 @@ def test_move_matrix_checks_the_move_like_apply_move():
         functors.move_matrix(3, (1, 2), ("del", 1))
     with pytest.raises(ValueError, match="outside"):
         functors.move_matrix(3, (4,), ("shift", 1))
+
+
+@st.composite
+def window_runs(draw):
+    """(k, sig, run): two or three moves on one block window of a padded sig."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    pads = st.lists(st.integers(min_value=1, max_value=k), max_size=2)
+    left, right = tuple(draw(pads)), tuple(draw(pads))
+    i = len(left) + 1
+    kind = draw(st.sampled_from(["split-merge", "merge-split", "ins-split", "merge-del"]))
+
+    def split(w):
+        b = draw(st.integers(min_value=1, max_value=w - 1))
+        return ("split", i, (b, w - b))
+
+    if kind == "split-merge":
+        window = (draw(st.integers(min_value=2, max_value=k)),)
+        run = [split(window[0]), ("merge", i)]
+    elif kind == "ins-split":
+        window, run = (), [("ins", i), split(k)]
+    else:
+        a = draw(st.integers(min_value=1, max_value=k - 1))
+        b = k - a if kind == "merge-del" else draw(st.integers(min_value=1, max_value=k - a))
+        window = (a, b)
+        run = [("merge", i), ("del", i) if kind == "merge-del" else split(a + b)]
+    if run[-1][0] == "split" and draw(st.booleans()):
+        run.append(("merge", i))
+    elif kind == "split-merge" and draw(st.booleans()):
+        run.append(split(window[0]))
+    return k, left + window + right, tuple(run)
+
+
+@given(window_runs())
+@settings(max_examples=150, deadline=None)
+def test_move_matrix_of_a_run_equals_its_moves_applied_in_turn(data):
+    k, sig, run = data
+    assert functors.leading_run(run) == len(run)
+    got, got_sig = functors.move_matrix(k, sig, *run)
+    mat, cur = functors.identity_matrix(k, sig), sig
+    for move in run:
+        mat, cur = functors.apply_move(k, cur, move, mat)
+    assert (got, got_sig) == (mat, cur)
+    assert all(got.terms.values())
+
+
+def test_move_matrix_refuses_moves_off_one_window():
+    for run in ((("split", 1, (1, 1)), ("merge", 2)), (("merge", 1), ("split", 2, (1, 1))), ()):
+        with pytest.raises(ValueError, match="one block window"):
+            functors.move_matrix(3, (2, 1, 1), *run)
+    assert functors.leading_run((("merge", 1), ("split", 1, (1, 1)), ("merge", 2))) == 2
+    assert functors.leading_run((("shift", 2), ("ins", 1), ("split", 1, (1, 2)))) == 3
 
 
 def _poly_apply_move(k, sig, move, mat):
