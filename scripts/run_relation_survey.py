@@ -4,7 +4,7 @@ signatures up to a length bound, and tabulate the placement counts.
 
 Exits 1 when a relation fails, and 2 when the arguments admit no placement
 or a k whose sweep is above `functors.SWEEP_DIMENSION_LIMIT` (checked for
-every k before any matrix is built).
+every k before any relation is checked).
 
 Example:
     python3 scripts/run_relation_survey.py --kmax 4 --max-len 4

@@ -170,12 +170,14 @@ def _run_relations(args: argparse.Namespace) -> tuple[bool, dict]:
     for rel in wanted:
         if rel not in functors.RELATION_IDS:
             raise ConfigError(f"unknown relation {rel!r}; known: {functors.RELATION_IDS}")
-    size = functors.sweep_dimension(args.k, wanted) if args.all else 0
-    if size > functors.SWEEP_DIMENSION_LIMIT:
-        raise ConfigError(
-            f"--k {args.k} --all sweeps ambient signatures of summed dimension at least {size}, "
-            f"over the limit {functors.SWEEP_DIMENSION_LIMIT}; lower --k"
-        )
+    if args.all:
+        size, limit = functors.sweep_dimension(args.k, wanted), functors.SWEEP_DIMENSION_LIMIT
+        what = "--all sweeps ambient signatures of summed dimension at least"
+    else:
+        size = sum(functors.sig_dim(args.k, functors.core_signature(rel, args.k)) for rel in wanted)
+        limit, what = functors.CORE_DIMENSION_LIMIT, "checks relation cores of summed dimension"
+    if size > limit:
+        raise ConfigError(f"--k {args.k} {what} {size}, over the limit {limit}; lower --k")
     doc: dict = {"k": args.k, "ambient_sweep": bool(args.all), "detail": {}}
     ok = True
     for rel in wanted:

@@ -233,6 +233,27 @@ def test_relations_sweep_limit_admits_k_up_to_6(capsys, monkeypatch):
     assert started[-1] == ("R4", 7)
 
 
+def test_relations_cores_above_the_limit_are_refused_before_any_check(capsys, monkeypatch):
+    checked = []
+
+    def stub(relation, k):
+        checked.append((relation, k))
+        return functors.RelationReport(relation, k, (), 0, True, {})
+
+    monkeypatch.setattr(functors, "verify_relation", stub)
+    for k in (32, 100):
+        assert cli.run(["relations", "--k", str(k)]) == 2
+        err = capsys.readouterr().err
+        assert f"--k {k} checks relation cores" in err and f"over the limit {functors.CORE_DIMENSION_LIMIT}" in err
+    assert "summed dimension 1510051," in err  # R5's core alone is 100^3
+    assert checked == []
+    for k in (20, 31):
+        assert cli.run(["relations", "--k", str(k)]) == 0
+    assert checked == [(rel, k) for k in (20, 31) for rel in functors.RELATION_IDS]
+    # One relation is sized alone: R3's core (1, 100) is small.
+    assert cli.run(["relations", "--k", "100", "--relation", "R3"]) == 0
+
+
 def test_survey_script_refuses_a_sweep_above_the_limit():
     root = pathlib.Path(__file__).resolve().parents[1]
     proc = subprocess.run(

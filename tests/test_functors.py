@@ -322,23 +322,23 @@ def test_relation_sweep_sees_a_split_bug_off_the_core(monkeypatch):
     assert not all(report.holds for report in functors.verify_relation_everywhere("R2", 3))
 
 
-def test_relation_sweep_sees_an_apply_move_merge_bug_off_the_core(monkeypatch):
-    # R1 and R2 are one run each, so their merges never reach apply_move;
-    # the words whose merges do still see a bug placed only off the core.
-    real = functors.apply_move
+def test_relation_sweep_sees_a_merge_bug_off_the_core(monkeypatch):
+    # Every relation word is composed on its core window; a bug placed only
+    # off the core still shows on the placements that put a merge there.
+    real = functors._act
 
-    def bent(k, sig, move, mat):
+    def bent(k, sig, window, move, table):
         """Every merge from block position 3 on gets its exponents raised by 1."""
-        mat, new_sig = real(k, sig, move, mat)
+        table, new_sig, new_window = real(k, sig, window, move, table)
         if move[0] == "merge" and move[1] >= 3:
-            mat = LaurentMatrix(mat.nrows, mat.ncols, {(r, c, e + 1): v for (r, c, e), v in mat.terms.items()})
-        return mat, new_sig
+            table = {(r, c, e + 1): v for (r, c, e), v in table.items()}
+        return table, new_sig, new_window
 
-    monkeypatch.setattr(functors, "apply_move", bent)
+    monkeypatch.setattr(functors, "_act", bent)
     for k in (2, 3, 4):
-        for relation in ("R3", "R5", "L5"):
+        for relation in ("R1", "R2", "R3", "R5", "L5"):  # R4's core word merges at block 3
             assert functors.verify_relation(relation, k).holds
-        for relation in ("R3", "R4", "R5", "L5"):
+        for relation in RELATIONS:
             assert not all(report.holds for report in functors.verify_relation_everywhere(relation, k))
 
 
@@ -375,59 +375,45 @@ def test_r5_fails_when_the_second_merge_is_bent(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_r5_applies_each_prefix_once_per_placement(monkeypatch, k):
-    # E1 E2 E1 is evaluated first (6 moves), keeping its loop prefix E1;
-    # E2 (2 moves) then starts E2 E1 E2, which needs 4 more. A word with no
-    # evaluated prefix starts from its leading run's matrix, not an identity,
-    # and each move of that run is one local operator applied.
-    calls, identities = [], []
-    real_apply, real_matrix, real_identity = functors.apply_move, functors.move_matrix, functors.identity_matrix
+def test_verify_relation_builds_no_ambient_matrix(monkeypatch, k):
+    def never(*_args):
+        raise AssertionError("an ambient matrix was built")
 
-    def counting_apply(k, sig, move, mat):
-        calls.append(move)
-        return real_apply(k, sig, move, mat)
-
-    def counting_matrix(k, sig, *moves):
-        calls.extend(moves)
-        return real_matrix(k, sig, *moves)
-
-    def counting_identity(*args):
-        identities.append(args)
-        return real_identity(*args)
-
-    monkeypatch.setattr(functors, "apply_move", counting_apply)
-    monkeypatch.setattr(functors, "move_matrix", counting_matrix)
-    monkeypatch.setattr(functors, "identity_matrix", counting_identity)
-    for ambient, offset in (((1, 1, 1), 0), ((k, 1, 1, 1), 1)):
-        calls.clear()
-        assert functors.verify_relation("R5", k, ambient, offset).holds
-        assert len(calls) == 12
-    assert identities == []
+    for name in ("apply_move", "move_matrix", "identity_matrix"):
+        monkeypatch.setattr(functors, name, never)
+    monkeypatch.setattr(functors, "LaurentMatrix", None)
+    for relation in RELATIONS:
+        core = functors.core_signature(relation, k)
+        for ambient, offset in ((core, 0), ((k,) + core, 1), (core + (1,), 0)):
+            assert functors.verify_relation(relation, k, ambient, offset).holds
 
 
 def test_relation_word_leaving_the_ambient_raises(monkeypatch):
     # Prefixes of R5's words leave the ambient; only a whole word must return.
     assert functors.verify_relation("R5", 2).holds
-    real_apply, real_matrix = functors.apply_move, functors.move_matrix
+    real = functors._act
 
-    def drifting_apply(k, sig, move, mat):
-        """R3's last move, merge(2), goes through apply_move and drifts."""
-        mat, sig = real_apply(k, sig, move, mat)
-        return mat, (sig + (1,) if move == ("merge", 2) else sig)
+    def drifting(k, sig, window, move, table):
+        """merge(2), the last move of R3's word, drifts to a longer signature."""
+        table, sig, window = real(k, sig, window, move, table)
+        return table, (sig + (1,) if move == ("merge", 2) else sig), window
 
-    def drifting_matrix(k, sig, *moves):
-        """R2's whole word is one run and drifts."""
-        mat, sig = real_matrix(k, sig, *moves)
-        return mat, sig + (1,)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(functors, "apply_move", drifting_apply)
-        assert functors.verify_relation("R2", 2).holds
-        with pytest.raises(InvariantError, match="leaves"):
-            functors.verify_relation("R3", 2)
-    monkeypatch.setattr(functors, "move_matrix", drifting_matrix)
+    monkeypatch.setattr(functors, "_act", drifting)
+    assert functors.verify_relation("R2", 2).holds
     with pytest.raises(InvariantError, match="leaves"):
-        functors.verify_relation("R2", 2)
+        functors.verify_relation("R3", 2)
+
+
+def test_a_move_outside_the_window_raises():
+    # The window is block 2 alone, of dimension 3 in each signature.
+    identity = {(j, j, 0): 1 for j in range(3)}
+    for sig, move in (((1, 2, 1), ("merge", 1)), ((1, 2, 1), ("merge", 2)), ((1, 1, 2), ("split", 3, (1, 1))),
+                      ((1, 2, 1), ("ins", 1)), ((1, 2, 1), ("ins", 4)), ((3, 2, 1), ("del", 1))):
+        with pytest.raises(InvariantError, match="outside blocks 2..2"):
+            functors._act(3, sig, (1, 2), move, identity)
+    assert functors._act(3, (1, 2, 1), (1, 2), ("shift", 2), identity) == (
+        {(j, j, 2): 1 for j in range(3)}, (1, 2, 1), (1, 2))
+    assert functors._act(3, (1, 2, 1), (1, 2), ("ins", 3), identity) == (identity, (1, 2, 3, 1), (1, 3))
 
 
 def test_identity_matrix_times_a_scalar():
@@ -517,54 +503,84 @@ def test_move_matrix_checks_the_move_like_apply_move():
 
 
 @st.composite
-def window_runs(draw):
-    """(k, sig, run): two or three moves on one block window of a padded sig."""
-    k = draw(st.integers(min_value=2, max_value=5))
+def padded_words(draw):
+    """(k, sig, word): one to six moves drawn on the middle blocks of a signature
+    padded on either side, so the word's window has identity factors around it."""
+    k = draw(st.integers(min_value=2, max_value=4))
     pads = st.lists(st.integers(min_value=1, max_value=k), max_size=2)
     left, right = tuple(draw(pads)), tuple(draw(pads))
-    i = len(left) + 1
-    kind = draw(st.sampled_from(["split-merge", "merge-split", "ins-split", "merge-del"]))
-
-    def split(w):
-        b = draw(st.integers(min_value=1, max_value=w - 1))
-        return ("split", i, (b, w - b))
-
-    if kind == "split-merge":
-        window = (draw(st.integers(min_value=2, max_value=k)),)
-        run = [split(window[0]), ("merge", i)]
-    elif kind == "ins-split":
-        window, run = (), [("ins", i), split(k)]
-    else:
-        a = draw(st.integers(min_value=1, max_value=k - 1))
-        b = k - a if kind == "merge-del" else draw(st.integers(min_value=1, max_value=k - a))
-        window = (a, b)
-        run = [("merge", i), ("del", i) if kind == "merge-del" else split(a + b)]
-    if run[-1][0] == "split" and draw(st.booleans()):
-        run.append(("merge", i))
-    elif kind == "split-merge" and draw(st.booleans()):
-        run.append(split(window[0]))
-    return k, left + window + right, tuple(run)
+    middle = tuple(draw(st.lists(st.integers(min_value=1, max_value=k), min_size=1, max_size=3)))
+    cur, word = middle, []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        move = draw(st.sampled_from(_valid_moves(draw, k, cur)))
+        _, cur = functors.apply_move(k, cur, move, functors.identity_matrix(k, cur))
+        word.append(move if move[0] == "shift" else (move[0], move[1] + len(left), *move[2:]))
+    return k, left + middle + right, tuple(word)
 
 
-@given(window_runs())
+@given(padded_words())
 @settings(max_examples=150, deadline=None)
 def test_move_matrix_of_a_run_equals_its_moves_applied_in_turn(data):
-    k, sig, run = data
-    assert functors.leading_run(run) == len(run)
-    got, got_sig = functors.move_matrix(k, sig, *run)
+    k, sig, word = data
+    got, got_sig = functors.move_matrix(k, sig, *word)
     mat, cur = functors.identity_matrix(k, sig), sig
-    for move in run:
+    for move in word:
         mat, cur = functors.apply_move(k, cur, move, mat)
     assert (got, got_sig) == (mat, cur)
     assert all(got.terms.values())
 
 
-def test_move_matrix_refuses_moves_off_one_window():
-    for run in ((("split", 1, (1, 1)), ("merge", 2)), (("merge", 1), ("split", 2, (1, 1))), ()):
-        with pytest.raises(ValueError, match="one block window"):
-            functors.move_matrix(3, (2, 1, 1), *run)
-    assert functors.leading_run((("merge", 1), ("split", 1, (1, 1)), ("merge", 2))) == 2
-    assert functors.leading_run((("shift", 2), ("ins", 1), ("split", 1, (1, 2)))) == 3
+def test_move_matrix_of_the_empty_word_is_the_identity():
+    assert functors.move_matrix(3, (1, 2)) == (functors.identity_matrix(3, (1, 2)), (1, 2))
+    assert functors.move_matrix(3, ()) == (functors.identity_matrix(3, ()), ())
+
+
+def _lift(table, k, ambient, window):
+    """I_left (x) table (x) I_right on the ambient space, index by index."""
+    lo, hi = window
+    left, mid, right = (functors.sig_dim(k, blocks) for blocks in (ambient[:lo], ambient[lo:hi], ambient[hi:]))
+    return {
+        ((a * mid + r) * right + b, (a * mid + j) * right + b, e): c
+        for (r, j, e), c in table.items()
+        for a in range(left)
+        for b in range(right)
+    }
+
+
+def _ambient_sum(k, ambient, terms):
+    """sum c * value(word) on the whole ambient space, each word applied
+    move by move with apply_move: the path the window check replaces."""
+    n = functors.sig_dim(k, ambient)
+    total = LaurentMatrix(n, n, {})
+    for c, word in terms:
+        mat, sig = functors.identity_matrix(k, ambient), ambient
+        for move in word:
+            mat, sig = functors.apply_move(k, sig, move, mat)
+        assert sig == ambient
+        total = total + mat.scaled(c)
+    return total
+
+
+def test_window_sum_weights_each_word_by_its_coefficient():
+    # The relations' own coefficients are all 1, so they cannot show a lost factor.
+    k, ambient, window = 3, (1, 2, 1), (1, 2)
+    bubble = (("split", 2, (1, 1)), ("merge", 2))
+    terms = ((-3, ()), (LaurentPoly.from_dict({1: 2, -1: -1}), bubble), (5, bubble))
+    got = _lift(functors._window_sum(k, ambient, window, terms), k, ambient, window)
+    assert got == _ambient_sum(k, ambient, terms).terms
+    assert functors._window_sum(k, ambient, window, ((2, ()), (-2, ()))) == {}
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@pytest.mark.parametrize("k", [2, 3])
+def test_each_relation_side_lifts_to_its_ambient_sum(relation, k):
+    core = functors.core_signature(relation, k)
+    for ambient, offset in functors.ambient_signatures(relation, k, max_len=4):
+        window = (offset, offset + len(core))
+        for lhs, rhs in functors._equations(relation, k, offset).values():
+            for side in (lhs, rhs):
+                lifted = _lift(functors._window_sum(k, ambient, window, side), k, ambient, window)
+                assert lifted == _ambient_sum(k, ambient, side).terms
 
 
 def _poly_apply_move(k, sig, move, mat):
