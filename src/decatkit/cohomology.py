@@ -31,6 +31,7 @@ import dataclasses
 import functools
 import itertools
 import operator
+import types
 
 from decatkit import liealg, weights
 from decatkit.exactlin import QQ, FiniteComplex, InvariantError, PrimeField, SparseMatrix
@@ -205,7 +206,7 @@ class BlocksReport:
     a: weights.Weight
     b: weights.Weight
     cochain_dims: tuple[int, ...]
-    homology: dict[int, int]
+    homology: dict[int, int] | types.MappingProxyType  # read-only outside the root cone
     nonvanishing: bool
     componentwise_leq: bool
     root_order_leq: bool
@@ -230,12 +231,19 @@ def verify_blocks_vanishing(n: int, a_shifted: weights.Weight, b_shifted: weight
     return _blocks_report(n, p, a_shifted, b_shifted, module)
 
 
+@functools.cache
+def _zero_record(n: int) -> tuple[tuple[int, ...], types.MappingProxyType]:
+    """(cochain_dims, homology) of any pair outside the root cone: all zeros,
+    one read-only record per n."""
+    dims = (0,) * (n * (n - 1) // 2 + 1)
+    return dims, types.MappingProxyType(dict.fromkeys(range(len(dims)), 0))
+
+
 def _blocks_report(n: int, p: int, a: weights.Weight, b: weights.Weight, module) -> BlocksReport:
     """One pair's report from the slice at a of `module`, whose highest
     shifted weight is b, or all zeros for module None: a is not below b."""
     if module is None:
-        dims = (0,) * (n * (n - 1) // 2 + 1)
-        hom = dict.fromkeys(range(len(dims)), 0)
+        dims, hom = _zero_record(n)
     else:
         cx = ce_slice(module, a).complex
         dims, hom = cx.dims, cx.homology_dims()

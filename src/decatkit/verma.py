@@ -5,16 +5,21 @@ Highest weights are passed *shifted* (the staircase shift already added, see
 
 The module basis is PBW: ordered monomials in the lowering generators e_ij
 (i > j), ordered ascending in (j, i); for gl_3 the order is e_21, e_31, e_32.
-A monomial's depth is the root height of its total weight drop, and the
-module keeps exactly the basis vectors of depth <= D.
+A monomial's depth is the root height of its weight drop, and a window keeps
+those of depth <= D: a prefix of one lambda-free table per n (`_pbw_table`),
+kept for the whole process, grown to the deepest window built and shared by
+every weight and depth, whose monomials run in (depth, exponents) order.
 
 Both module kinds hand out their action only as `column(x, col)`: e_x times
-basis vector col, as {row: nonzero field value}, built on first read and
-kept. On the window one commutation step builds it. Write the basis vector
-as e_g v_rest, with g the first generator of its monomial. Then e_x e_g v_rest
-is the monomial with one more x when x is lowering and x <= g, the weight
-times the vector when x is Cartan, and otherwise e_g (e_x v_rest) +
-[e_x, e_g] v_rest, where e_x and the bracket act on the shorter v_rest.
+basis vector col, as {row: nonzero field value}. A window's column is the
+table's, whose entries are interned affine forms (c0, ..., cn), meaning
+c0 + sum c_i lambda_i; the window evaluates each form once in its field and
+hands out a fresh dict. One commutation step over Z[lambda] builds a column
+on first read. Write the basis vector as e_g v_rest, with g the first
+generator of its monomial. Then e_x e_g v_rest is the monomial with one more
+x when x is lowering and x <= g, the weight times the vector when x is
+Cartan (never stored), and otherwise e_g (e_x v_rest) + [e_x, e_g] v_rest,
+where e_x and the bracket act on the shorter v_rest and e_g carries no lambda.
 A lowering e_x sends a monomial of depth d to depth d + ht(x), so its column
 leaves the window exactly when d + ht(x) > D: `column` refuses it, and
 `action(x)`, which assembles a matrix from columns, records it in
@@ -40,6 +45,7 @@ lowest alcove) are required, and below it the construction refuses.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import itertools
@@ -67,11 +73,12 @@ def generator_height(pair: Pair) -> int:
 
 class _WeightModule:
     """Weight spaces and the column protocol shared by both module kinds; a
-    kind supplies `_build_column`, one missing column, unreduced."""
+    finite kind keeps its columns in `columns` and supplies `_build_column`,
+    one missing column, unreduced."""
 
     depth: int | None = None  # window depth; a finite module has none
 
-    def __init__(self, n: int, field, basis_weight, columns: dict[Pair, dict[int, dict[int, object]]]):
+    def __init__(self, n: int, field, basis_weight, columns: dict[Pair, dict[int, dict[int, object]]] | None = None):
         self.n = n
         self.field = field
         self.basis_weight = tuple(basis_weight)
@@ -100,6 +107,12 @@ class _WeightModule:
         """Whether an operator of this height keeps basis vector `col` inside."""
         return True
 
+    def _check(self, pair: Pair, col: int) -> None:
+        if not 0 <= col < self.dim:
+            raise IndexError(f"basis vector {col} outside 0..{self.dim - 1}")
+        if not self._fits(col, self._height(pair)):
+            raise ValueError(f"e_{pair} moves basis vector {col} out of the depth window")
+
     def column(self, pair: Pair, col: int) -> dict[int, object]:
         """e_pair times basis vector `col`, as {row: nonzero field value};
         built on first read and kept for the module's lifetime."""
@@ -108,10 +121,7 @@ class _WeightModule:
             hit = done.get(col)
             if hit is not None:
                 return hit
-        if not 0 <= col < self.dim:
-            raise IndexError(f"basis vector {col} outside 0..{self.dim - 1}")
-        if not self._fits(col, self._height(pair)):
-            raise ValueError(f"e_{pair} moves basis vector {col} out of the depth window")
+        self._check(pair, col)
         # Built from field elements and ints, so over F_p a residue is `% p`.
         p = self.field.p
         out = {row: r for row, v in self._build_column(pair, col).items() if (r := v % p if p else v)}
@@ -151,8 +161,82 @@ class _WeightModule:
         return bad
 
 
+def _monomials(heights: list[int], depth: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of total height exactly `depth`, in ascending order."""
+    if not heights:
+        return [] if depth else [()]
+    return [(m, *t) for m in range(depth // heights[0] + 1) for t in _monomials(heights[1:], depth - m * heights[0])]
+
+
+class _PBWTable:
+    """The lambda-free PBW basis and columns of gl_n (module docstring)."""
+
+    def __init__(self, n: int):
+        self.n, self.gens, self.gl = n, lowering_generators(n), liealg.gl(n)
+        self.pos = {g: k for k, g in enumerate(self.gens)}
+        self.monos, self.depths, self.drops, self.index = [], [], [], {}  # index: monomial -> position
+        self.columns = {x: {} for x in self.gl.pairs if x[0] != x[1]}  # {pair: {col: {row: form}}}
+        self.forms: dict[tuple[int, ...], tuple[int, ...]] = {}  # each form -> its one interned copy
+        self.one = self.form(1, *[0] * n)
+
+    def form(self, *coeffs: int) -> tuple[int, ...]:
+        """The interned form c0 + c1 lambda_1 + ... + cn lambda_n."""
+        return self.forms.setdefault(coeffs, coeffs)
+
+    def grow(self, depth: int) -> int:
+        """Extend the basis through `depth`; the number of monomials up to it."""
+        heights, roots = [generator_height(g) for g in self.gens], [self.gl.weight(g) for g in self.gens]
+        for d in range(self.depths[-1] + 1 if self.depths else 0, depth + 1):
+            for mono in _monomials(heights, d):
+                self.index[mono] = len(self.monos)
+                self.monos.append(mono)
+                self.depths.append(d)
+                self.drops.append(tuple(-sum(m * r[c] for m, r in zip(mono, roots)) for c in range(self.n)))
+        return bisect.bisect_right(self.depths, depth)
+
+    def column(self, pair: Pair, col: int) -> dict[int, tuple[int, ...]]:
+        """e_pair times monomial `col` as {row: form}: the stored dict, or a
+        fresh one for a Cartan pair."""
+        i, j = pair
+        if i == j:
+            return {col: self.form(-self.drops[col][i - 1], *(int(k == i) for k in range(1, self.n + 1)))}
+        out = self.columns[pair].get(col)
+        if out is None:
+            out = self.columns[pair][col] = self._build(pair, col)
+        return out
+
+    def _build(self, pair: Pair, col: int) -> dict[int, tuple[int, ...]]:
+        """One commutation step (module docstring)."""
+        mono = self.monos[col]
+        lead = next((k for k, e in enumerate(mono) if e), None)
+        k = self.pos.get(pair)
+        if k is not None and (lead is None or k <= lead):
+            return {self.index[mono[:k] + (mono[k] + 1,) + mono[k + 1 :]]: self.one}
+        if lead is None:
+            return {}
+        g = self.gens[lead]
+        rest = self.index[mono[:lead] + (mono[lead] - 1,) + mono[lead + 1 :]]
+        terms, acc = [], {}
+        # e_g (e_x v_rest), each lowering entry a scalar, then [e_x, e_g] v_rest.
+        for mid, f in self.column(pair, rest).items():
+            for row, s in self.column(g, mid).items():
+                if any(s[1:]):
+                    raise InvariantError(f"a lowering column of e_{g} below {self.monos[rest]} carries a lambda term")
+                terms.append((row, s[0], f))
+        for z, c in self.gl.bracket(pair, g).items():
+            terms += [(row, c, f) for row, f in self.column(z, rest).items()]
+        for row, c, f in terms:
+            a = acc.get(row)
+            acc[row] = [c * x for x in f] if a is None else [y + c * x for y, x in zip(a, f)]
+        return {row: self.form(*a) for row, a in acc.items() if any(a)}
+
+
+_pbw_table = functools.cache(_PBWTable)
+
+
 class TruncatedVerma(_WeightModule):
-    """Depth-truncated universal highest-weight module for gl_n."""
+    """Depth-truncated universal highest-weight module for gl_n: the depth-D
+    prefix of the PBW table of gl_n, at highest weight lambda."""
 
     def __init__(self, n: int, lam_shifted: weights.Weight, depth: int, field=QQ):
         if len(lam_shifted) != n:
@@ -162,42 +246,36 @@ class TruncatedVerma(_WeightModule):
         self.depth = depth
         self.lam_shifted = tuple(lam_shifted)
         self.lam = weights.unshift(self.lam_shifted)
-        self.gens_low = lowering_generators(n)
-        self._gen_pos = {g: k for k, g in enumerate(self.gens_low)}
-        self._gl = liealg.gl(n)
-        self._heights = [generator_height(g) for g in self.gens_low]
-        self.basis = self._enumerate_basis()
-        self.basis_index = {m: k for k, m in enumerate(self.basis)}
+        self._table = table = _pbw_table(n)
+        self._values: dict[tuple[int, ...], object] = {}  # form -> its value at lambda in the field
         self.truncation_losses: list[tuple[Pair, int]] = []
         self._action_cache: dict[Pair, SparseMatrix] = {}
-        super().__init__(n, field, [self._monomial_weight(m) for m in self.basis], {})
+        drops = table.drops[: table.grow(depth)]
+        super().__init__(n, field, [tuple(l - d for l, d in zip(self.lam, drop)) for drop in drops])
 
-    def _enumerate_basis(self) -> list[tuple[int, ...]]:
-        monos: list[tuple[int, ...]] = []
-
-        def rec(idx: int, left: int, acc: list[int]):
-            if idx == len(self.gens_low):
-                monos.append(tuple(acc))
-                return
-            h = self._heights[idx]
-            for m in range(left // h + 1):
-                rec(idx + 1, left - m * h, acc + [m])
-
-        rec(0, self.depth, [])
-        return sorted(monos, key=lambda m: (self.monomial_depth(m), m))
-
-    def monomial_depth(self, mono: tuple[int, ...]) -> int:
-        return sum(m * h for m, h in zip(mono, self._heights))
-
-    def _monomial_weight(self, mono: tuple[int, ...]) -> weights.Weight:
-        w = list(self.lam)
-        for m, (i, j) in zip(mono, self.gens_low):
-            w[i - 1] += m
-            w[j - 1] -= m
-        return tuple(w)
+    @functools.cached_property
+    def basis(self) -> list[tuple[int, ...]]:
+        return self._table.monos[: self.dim]
 
     def _fits(self, col: int, height: int) -> bool:
-        return self.monomial_depth(self.basis[col]) + height <= self.depth
+        return self._table.depths[col] + height <= self.depth
+
+    def column(self, pair: Pair, col: int) -> dict[int, object]:
+        """e_pair times basis vector `col`, as {row: nonzero field value}: the
+        table's column, each form evaluated once per module, in a fresh dict."""
+        i, j = pair  # one test on the hot path; `_check` names what failed
+        table = self._table
+        if not (0 <= col < len(self.basis_weight) and 0 < i <= self.n and 0 < j <= self.n
+                and table.depths[col] + i - j <= self.depth):
+            self._check(pair, col)
+        src = table.columns[pair].get(col) if i != j else None
+        values, out = self._values, {}
+        for row, form in (table.column(pair, col) if src is None else src).items():
+            if (v := values.get(form)) is None:
+                v = values[form] = self.field.of(sum(c * x for c, x in zip(form, (1, *self.lam))))
+            if v:
+                out[row] = v
+        return out
 
     def action(self, pair: Pair) -> SparseMatrix:
         """Matrix of e_pair on the window, columns indexed by the basis."""
@@ -213,26 +291,6 @@ class TruncatedVerma(_WeightModule):
         mat = SparseMatrix.from_triples(self.dim, self.dim, triples)
         self._action_cache[pair] = mat
         return mat
-
-    def _build_column(self, pair: Pair, col: int) -> dict[int, int]:
-        """e_pair times basis vector `col` by the one-step rule; int entries."""
-        mono = self.basis[col]
-        i, j = pair
-        lead = next((k for k, e in enumerate(mono) if e), None)
-        if i == j:
-            return {col: self.basis_weight[col][i - 1]}
-        if i > j and (lead is None or self._gen_pos[pair] <= lead):
-            k = self._gen_pos[pair]
-            return {self.basis_index[mono[:k] + (mono[k] + 1,) + mono[k + 1 :]]: 1}
-        if lead is None:
-            return {}
-        g = self.gens_low[lead]
-        rest = self.basis_index[mono[:lead] + (mono[lead] - 1,) + mono[lead + 1 :]]
-        acc = self._apply({}, g, self.column(pair, rest))
-        for z, c in self._gl.bracket(pair, g).items():
-            for row, b in self.column(z, rest).items():
-                acc[row] = acc.get(row, 0) + c * b
-        return acc
 
 
 def verma_character(n: int, lam_shifted: weights.Weight, depth: int) -> CharacterTable:

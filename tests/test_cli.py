@@ -42,6 +42,11 @@ COHOMOLOGY_SHA256 = {
     "--n 3 --lam 3,1,0 --field Fp --p 31": "ca131e51c766e32c5301517225899ba9801105e10a68a48962e42fdca5558545",
     "--n 4 --lam 3,2,1,0": "74493e8e4269ea74725345771a5e69a2918d487746bb19fcda0cc70da24c5268",
     "--n 4 --lam 3,2,1,0 --field Fp --p 37": "3243835e460082e820a844f4ead2b5e8ba99eaf3ef717df2c7f223fd85346156",
+    # Hashed when each module built its own Verma columns; sorted last, so it
+    # runs after the shallower gl_4 windows in one process.
+    "--n 4 --lam 6,4,2,0 --depth 8 --field Fp --p 1031": (
+        "afe4517dc7ed0665d0735986d48fdc87aecd48c9b79d709bba70e25518d790be"
+    ),
 }
 
 # sha256 of further documents as written when relation sides were built

@@ -480,11 +480,20 @@ def test_slice_complex_is_invariant_under_the_diagonal_shift(n, max_entry, field
 BENT_WEIGHT, BENT_PAIR, BENT_MONOMIAL, BENT_SLICE = (2, 1, 0), (1, 2), (0, 1, 0), (0, 1, 2)
 
 
-def test_perturbed_raising_column_raises_in_the_table():
+def _bend_table_entry(monkeypatch):
+    """Double, in the shared table of gl_3, the entry of the e_12 column on
+    the bent monomial whose value at the bent weight is nonzero mod 31."""
     module = verma.TruncatedVerma(3, BENT_WEIGHT, 4, PrimeField(31))
-    column = module.column(BENT_PAIR, module.basis.index(BENT_MONOMIAL))
-    row = min(column)
-    column[row] = 2 * column[row] % 31  # the module's memo holds this column
+    col = module.basis.index(BENT_MONOMIAL)
+    row = min(module.column(BENT_PAIR, col))
+    table = verma._pbw_table(3)
+    column = table.column(BENT_PAIR, col)
+    monkeypatch.setitem(table.columns[BENT_PAIR], col, {**column, row: tuple(2 * c for c in column[row])})
+    return module
+
+
+def test_perturbed_raising_column_raises_in_the_table(monkeypatch):
+    module = _bend_table_entry(monkeypatch)
     with pytest.raises(ComplexError):
         cohomology.ce_slice(module, BENT_SLICE).complex.homology_dims()
     with pytest.raises(ComplexError):
@@ -492,16 +501,7 @@ def test_perturbed_raising_column_raises_in_the_table():
 
 
 def test_perturbed_raising_column_raises_in_the_sweep(monkeypatch):
-    real = verma.TruncatedVerma._build_column
-
-    def bent(self, pair, col):
-        out = real(self, pair, col)
-        if (self.lam_shifted, pair, self.basis[col]) == (BENT_WEIGHT, BENT_PAIR, BENT_MONOMIAL):
-            row = min(out)
-            out = {**out, row: 2 * out[row]}
-        return out
-
-    monkeypatch.setattr(verma.TruncatedVerma, "_build_column", bent)
+    _bend_table_entry(monkeypatch)
     with pytest.raises(ComplexError):
         cohomology.verify_blocks_vanishing(3, BENT_SLICE, BENT_WEIGHT, 31)
     with pytest.raises(ComplexError):

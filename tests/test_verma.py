@@ -5,6 +5,8 @@ depth D, so every assertion here either stays inside the window or checks
 that the spill is confined to lowering generators at the edge.
 """
 
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decatkit import liealg, verma, weights
-from decatkit.exactlin import QQ, PrimeField, SparseMatrix
+from decatkit.exactlin import QQ, InvariantError, PrimeField, SparseMatrix
 from verma_reference import CRITERION_WEIGHTS, reference_simple_quotient, small_regular_dominant, weight_dims
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(31)], ids=["Q", "F31"])
+
+
+def _depth(module, mono):
+    """Root height of a monomial's weight drop, for a module of gl_n."""
+    return sum(m * verma.generator_height(g) for m, g in zip(mono, verma.lowering_generators(module.n)))
 
 
 def test_lowering_generators_order():
@@ -73,12 +80,12 @@ def test_sl2_string_coefficients(ell_bar_minus_one, base, depth):
     module = verma.TruncatedVerma(2, lam, depth)
     raise_m = module.action((1, 2))
     for m in range(1, depth + 1):
-        image = raise_m.columns().get(module.basis_index[(m,)], {})
+        image = raise_m.columns().get(module.basis.index((m,)), {})
         coeff = m * (ell_bar - m)
         if coeff == 0:
             assert image == {}
         else:
-            assert image == {module.basis_index[(m - 1,)]: coeff}
+            assert image == {module.basis.index((m - 1,)): coeff}
 
 
 def test_cartan_action_is_diagonal_with_unshifted_weights():
@@ -243,11 +250,14 @@ def test_bracket_violations_report_a_flipped_pattern_coefficient():
     assert bad and len(bad) == len(set(bad))
 
 
-def test_bracket_violations_report_a_corrupted_window_column():
+def test_bracket_violations_report_a_corrupted_window_column(monkeypatch):
+    # Columns live in the table shared by every module of gl_3; setitem puts
+    # the table's entry back after the test.
     module = verma.TruncatedVerma(3, (4, 2, 0), 4)
-    column = module.column((2, 1), 0)
-    ((row, v),) = column.items()
-    column[row] = 2 * v
+    table = verma._pbw_table(3)
+    ((row, form),) = table.column((2, 1), 0).items()
+    monkeypatch.setitem(table.columns[2, 1], 0, {row: tuple(2 * c for c in form)})
+    assert module.column((2, 1), 0) == {row: 2}
     bad = module.bracket_violations()
     assert bad and len(bad) == len(set(bad))
     assert module._action_cache == {}
@@ -317,7 +327,8 @@ def _bubble_action(module, pair):
     order: a column is lost when some term leaves the depth window.
     """
     gl = liealg.gl(module.n)
-    gens = module.gens_low
+    gens = verma.lowering_generators(module.n)
+    index = {mono: k for k, mono in enumerate(module.basis)}
 
     def key(p):
         i, j = p
@@ -350,7 +361,7 @@ def _bubble_action(module, pair):
                 if not alive or coeff == 0:
                     continue
                 target = tuple(exps)
-                if module.monomial_depth(target) > module.depth:
+                if _depth(module, target) > module.depth:
                     lost = True
                     continue
                 out[target] = out.get(target, 0) + coeff
@@ -358,7 +369,7 @@ def _bubble_action(module, pair):
             losses.append((pair, col))
         for target, coeff in out.items():
             if v := module.field.of(coeff):
-                triples.append((module.basis_index[target], col, v))
+                triples.append((index[target], col, v))
     return SparseMatrix.from_triples(module.dim, module.dim, triples), losses
 
 
@@ -387,7 +398,7 @@ def test_column_on_demand_matches_action_columns(lam, depth, field):
     pairs = liealg.gl(n).pairs
     # Raising and Cartan columns all stay in the window; lowering ones only
     # below its edge, and `action` builds no other column.
-    depths = [module.monomial_depth(mono) for mono in module.basis]
+    depths = [_depth(module, mono) for mono in module.basis]
     window = {pair: [c for c, d in enumerate(depths) if d + verma.generator_height(pair) <= depth] for pair in pairs}
     for pair in pairs:
         for col in reversed(window[pair]):
@@ -400,7 +411,7 @@ def test_column_on_demand_matches_action_columns(lam, depth, field):
 
 
 def test_action_leaves_every_in_window_column_built(monkeypatch):
-    # `action` and `column` share one memo, so after all nine actions no
+    # `action` and `column` read one table, so after all nine actions no
     # column read needs a bracket.
     module = verma.TruncatedVerma(3, (4, 2, 0), 4)
     for pair in liealg.gl(3).pairs:
@@ -415,7 +426,7 @@ def test_action_leaves_every_in_window_column_built(monkeypatch):
     monkeypatch.setattr(liealg.RelationAlgebra, "bracket", counting)
     for pair in liealg.gl(3).pairs:
         for col, mono in enumerate(module.basis):
-            if module.monomial_depth(mono) + verma.generator_height(pair) <= module.depth:
+            if _depth(module, mono) + verma.generator_height(pair) <= module.depth:
                 module.column(pair, col)
     assert calls == []
 
@@ -443,7 +454,102 @@ def test_column_on_demand_covers_entries_that_vanish_mod_p():
 def test_column_on_demand_refuses_to_leave_the_window():
     module = verma.TruncatedVerma(3, (4, 2, 0), 2)
     top = module.dim - 1
-    assert module.monomial_depth(module.basis[top]) == 2
+    assert _depth(module, module.basis[top]) == 2
     with pytest.raises(ValueError, match="out of the depth window"):
         module.column((3, 1), top)
     assert module.column((2, 1), 0) == module.action((2, 1)).columns()[0]
+
+
+def _in_window_columns(module, pair):
+    """{col: column} of e_pair for every basis vector it keeps in the window,
+    leaving out zero columns, as `SparseMatrix.columns` does."""
+    height = verma.generator_height(pair)
+    cols = {col: module.column(pair, col) for col in range(module.dim) if module._fits(col, height)}
+    return {col: column for col, column in cols.items() if column}
+
+
+_DRAWN_MODULE = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(min_value=-2, max_value=5), min_size=n, max_size=n).map(tuple),
+        st.integers(min_value=0, max_value=5 if n < 4 else 3),
+        st.sampled_from([QQ, PrimeField(5), PrimeField(31)]),
+    )
+)
+
+
+@given(st.lists(_DRAWN_MODULE, min_size=1, max_size=3))
+@settings(max_examples=20, deadline=None)
+def test_shared_table_columns_match_bubble_in_any_build_order(drawn):
+    # Modules of one n share one table, whichever weight and depth grew it.
+    for n, lam, depth, field in drawn:
+        module = verma.TruncatedVerma(n, lam, depth, field)
+        for pair in liealg.gl(n).pairs:
+            expected, _ = _bubble_action(module, pair)
+            assert _in_window_columns(module, pair) == expected.columns(), (lam, depth, field, pair)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shallow_basis_is_a_prefix_of_the_deep_one(n):
+    deep = verma.TruncatedVerma(n, tuple(range(n, 0, -1)), 6)
+    assert deep.basis == sorted(deep.basis, key=lambda mono: (_depth(deep, mono), mono))
+    for depth in range(6):
+        shallow = verma.TruncatedVerma(n, (0,) * n, depth)
+        assert shallow.basis == deep.basis[: shallow.dim]
+        assert all(_depth(deep, mono) <= depth for mono in shallow.basis)
+        assert _depth(deep, deep.basis[shallow.dim]) == depth + 1
+        # Weight lambda - drop: the drops do not depend on lambda.
+        drops = {tuple(map(operator.sub, deep.lam, w)) for w in deep.basis_weight[: shallow.dim]}
+        assert drops == {tuple(map(operator.sub, shallow.lam, w)) for w in shallow.basis_weight}
+
+
+def test_second_module_reads_the_first_modules_columns_without_a_bracket(monkeypatch):
+    monkeypatch.setattr(verma, "_pbw_table", functools.cache(verma._PBWTable))
+    calls = []
+    original = liealg.RelationAlgebra.bracket
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(liealg.RelationAlgebra, "bracket", counting)
+    first = verma.TruncatedVerma(3, (4, 2, 0), 4, PrimeField(31))
+    for pair in liealg.gl(3).pairs:
+        _in_window_columns(first, pair)
+    assert calls
+    calls.clear()
+    second = verma.TruncatedVerma(3, (1, 5, 2), 3)
+    for pair in liealg.gl(3).pairs:
+        _in_window_columns(second, pair)
+    assert calls == []
+
+
+def test_mutating_a_returned_column_touches_no_table_or_module():
+    first = verma.TruncatedVerma(3, (4, 2, 0), 3, PrimeField(31))
+    second = verma.TruncatedVerma(3, (5, 1, 0), 4)
+    table = verma._pbw_table(3)
+    pairs = [(1, 2), (1, 3), (2, 1), (2, 2)]
+    before = {
+        pair: (dict(table.column(pair, 4)), dict(first.column(pair, 4)), dict(second.column(pair, 4)))
+        for pair in pairs
+    }
+    for pair in pairs:
+        column = first.column(pair, 4)
+        assert column
+        column.clear()
+        column[0] = 7
+        second.column(pair, 4)[0] = 11
+    for pair, (stored, of_first, of_second) in before.items():
+        assert table.column(pair, 4) == stored
+        assert first.column(pair, 4) == of_first and second.column(pair, 4) == of_second
+
+
+def test_lowering_column_with_a_lambda_term_raises():
+    # A raising step scales by lowering entries; one that carries lambda
+    # is refused, not truncated to its constant.
+    table = verma._PBWTable(2)
+    assert table.grow(2) == 3
+    assert table.column((1, 2), 1) == {0: (0, 1, -1)}  # e f v = (lambda_1 - lambda_2) v
+    table.columns[2, 1][0] = {1: table.form(1, 1, 0)}
+    with pytest.raises(InvariantError, match="carries a lambda term"):
+        table.column((1, 2), 2)

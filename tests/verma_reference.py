@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from decatkit import liealg, weights
 from decatkit.exactlin import QQ, Echelon, InvariantError, SparseMatrix, nullspace
-from decatkit.verma import FiniteWeightModule, Pair, TruncatedVerma
+from decatkit.verma import FiniteWeightModule, Pair, TruncatedVerma, lowering_generators
 
 # The criterion-3 and criterion-5 weights of the acceptance suite.
 CRITERION_WEIGHTS = [(2,), (4,), (3, 0), (4, 1), (5, 2), (2, 1, 0), (4, 2, 0)]
@@ -62,7 +62,7 @@ def reference_simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> 
 
     simple_raisings = [(i, i + 1) for i in range(1, n)]
     raising_cols = [verma.action(g).columns() for g in simple_raisings]
-    lowering_cols = [verma.action(g).columns() for g in verma.gens_low]
+    lowering_cols = [verma.action(g).columns() for g in lowering_generators(n)]
 
     spans: dict[weights.Weight, Echelon] = {}
 
