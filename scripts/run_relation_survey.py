@@ -4,7 +4,9 @@ signatures up to a length bound, and tabulate the placement counts.
 
 Exits 1 when a relation fails, and 2 when the arguments admit no placement
 or a k whose sweep is above `functors.SWEEP_DIMENSION_LIMIT` (checked for
-every k before any relation is checked).
+every k before any relation is checked). A sweep is sized by its core
+dimension summed over its placements, each checked on the core's window:
+k <= 8 runs at the default --max-len.
 
 Example:
     python3 scripts/run_relation_survey.py --kmax 4 --max-len 4
@@ -31,7 +33,7 @@ def main() -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if size > functors.SWEEP_DIMENSION_LIMIT:
-            print(f"error: k = {k} sweeps ambient signatures of summed dimension at least {size}, "
+            print(f"error: k = {k} sweeps placements of summed core dimension at least {size}, "
                   f"over the limit {functors.SWEEP_DIMENSION_LIMIT}; lower --kmax or --max-len", file=sys.stderr)
             return 2
 

@@ -172,7 +172,7 @@ def _run_relations(args: argparse.Namespace) -> tuple[bool, dict]:
             raise ConfigError(f"unknown relation {rel!r}; known: {functors.RELATION_IDS}")
     if args.all:
         size, limit = functors.sweep_dimension(args.k, wanted), functors.SWEEP_DIMENSION_LIMIT
-        what = "--all sweeps ambient signatures of summed dimension at least"
+        what = "--all sweeps placements of summed core dimension at least"
     else:
         size = sum(functors.sig_dim(args.k, functors.core_signature(rel, args.k)) for rel in wanted)
         limit, what = functors.CORE_DIMENSION_LIMIT, "checks relation cores of summed dimension"

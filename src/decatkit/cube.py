@@ -190,10 +190,12 @@ def _token_moves(kind: str, i: int, k: int, bit: int | None):
     raise InvariantError(kind)
 
 
-def _apply_token(k: int, token: Token, bit: int | None, sig, mat: LaurentMatrix):
+def _apply_token(k: int, token: Token, bit: int | None, sig, table: dict):
+    """The token's moves applied in turn to a table {(row, col, exp): coeff}
+    whose rows index sig: `functors._act` on the window of all of sig."""
     for move in _token_moves(*token, k, bit):
-        mat, sig = functors.apply_move(k, sig, move, mat)
-    return mat, sig
+        table, sig, _ = functors._act(k, sig, (0, len(sig)), move, table)
+    return table, sig
 
 
 @dataclasses.dataclass
@@ -218,10 +220,10 @@ def build_cube(word: SliceWord | str, k: int | None = None) -> Cube:
     final_sigs: set[tuple[int, ...]] = set()
     for bits in itertools.product((0, 1), repeat=word.n_crossings):
         bit_at = dict(zip(word.crossings, bits))
-        mat, sig = functors.identity_matrix(k, ()), ()
+        table, sig = {(0, 0, 0): 1}, ()
         for idx, token in enumerate(word.tokens):
-            mat, sig = _apply_token(k, token, bit_at.get(idx), sig, mat)
-        values[bits] = mat
+            table, sig = _apply_token(k, token, bit_at.get(idx), sig, table)
+        values[bits] = LaurentMatrix.from_terms(functors.sig_dim(k, sig), 1, table)
         final_sigs.add(sig)
     if final_sigs != {word.final_labels}:
         raise InvariantError(f"resolutions end in signatures {final_sigs}, not {word.final_labels}")
@@ -233,25 +235,30 @@ def tangle_alternating_sum(word: SliceWord | str, k: int | None = None) -> tuple
 
     The sum over bit vectors b of (-1)^|b| M_c(b_c) ... M_1(b_1) equals
     (M_c(0) - M_c(1)) ... (M_1(0) - M_1(1)), so each crossing applies the
-    difference of its two resolutions to the running matrix.
+    difference of its two resolutions to the running table, one table
+    subtracted from the other in place. A sum that cancels to zero is
+    dropped by the next move, or at the end, where the n_minus sign is
+    applied.
     """
     word = _as_word(word, k)
     k = word.k
     sig: tuple[int, ...] = ()
-    mat = functors.identity_matrix(k, sig)
+    table = {(0, 0, 0): 1}
     for token in word.tokens:
         if token[0] in ("pos", "neg"):
             # Both resolutions return to the (1, 1) labels of the crossing.
-            m0, _ = _apply_token(k, token, 0, sig, mat)
-            m1, sig = _apply_token(k, token, 1, sig, mat)
-            mat = m0 + m1.scaled(-1)
+            diff, _ = _apply_token(k, token, 0, sig, table)
+            t1, sig = _apply_token(k, token, 1, sig, table)
+            for key, c in t1.items():
+                diff[key] = diff.get(key, 0) - c
+            table = diff
         else:
-            mat, sig = _apply_token(k, token, None, sig, mat)
+            table, sig = _apply_token(k, token, None, sig, table)
     if sig != word.final_labels:
         raise InvariantError(f"word ends in signature {sig}, not {word.final_labels}")
-    if word.n_negative % 2:
-        mat = mat.scaled(-1)
-    return mat, sig
+    sign = -1 if word.n_negative % 2 else 1
+    terms = {key: sign * c for key, c in table.items() if c}
+    return LaurentMatrix.from_terms(functors.sig_dim(k, sig), 1, terms), sig
 
 
 def euler_invariant(word: SliceWord | str, k: int | None = None) -> int:

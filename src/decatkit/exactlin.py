@@ -138,8 +138,7 @@ def geometric_shift_sum(count: int) -> LaurentPoly:
 class LaurentMatrix:
     """Matrix over the integer Laurent polynomials as graded terms: `terms`
     maps (row, col, exp) to the nonzero int coefficient of t^exp in entry
-    (row, col). The constructor checks every position and coefficient; the
-    operations build through `from_sums`, which only drops zero sums, and
+    (row, col). The constructor checks every position and coefficient;
     `from_terms` takes terms already known to be nonzero and in range as is.
     """
 
@@ -160,31 +159,6 @@ class LaurentMatrix:
         mat = object.__new__(cls)
         mat.nrows, mat.ncols, mat.terms = nrows, ncols, terms
         return mat
-
-    @classmethod
-    def from_sums(cls, nrows: int, ncols: int, sums: dict[tuple[int, int, int], int]) -> "LaurentMatrix":
-        """The terms of `sums` whose coefficient is nonzero: `sums` itself, not
-        copied, unless some sum is zero; positions unchecked."""
-        kept = sums if 0 not in sums.values() else {key: c for key, c in sums.items() if c}
-        return cls.from_terms(nrows, ncols, kept)
-
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} + {other.nrows}x{other.ncols}")
-        sums = dict(self.terms)
-        for key, c in other.terms.items():
-            sums[key] = sums.get(key, 0) + c
-        return LaurentMatrix.from_sums(self.nrows, self.ncols, sums)
-
-    def scaled(self, c: "int | LaurentPoly") -> "LaurentMatrix":
-        """Every entry times the int or Laurent polynomial c."""
-        poly = c.terms if isinstance(c, LaurentPoly) else ((0, c),)
-        sums: dict[tuple[int, int, int], int] = {}
-        for (i, j, e), u in self.terms.items():
-            for f, v in poly:
-                key = (i, j, e + f)
-                sums[key] = sums.get(key, 0) + u * v
-        return LaurentMatrix.from_sums(self.nrows, self.ncols, sums)
 
 
 @dataclasses.dataclass

@@ -17,15 +17,8 @@ blocks the moves act within (their window): `_act` applies a move to such a
 table as a key rewrite (the moved blocks' digit of each row changes and the
 local exponent is added; local images are cached per (k, kind, parts)), and
 `move_matrix` writes I (x) X (x) I once, in runs of terms along the longer
-identity factor. `apply_move` is the same rewrite on a whole-signature matrix.
-
-Only a merge sums terms. Merge is a function on basis vectors, so two local
-indices can share its image and signed coefficients (as in the cube's
-alternating sums) can cancel there. Split is its transpose: each index of
-Lambda^(a+b) goes to its own decompositions, and different indices never
-share one. ins, del and shift have one image per index. So `apply_move`
-writes every other move's terms into the result as they are;
-`_local_images` checks this once per cached split table.
+identity factor. `_act` is the only key rewrite: the cube's transfer
+matrices apply each move with it on the window of the whole signature.
 
 Words of moves are evaluated left to right (the first move acts first), so
 `evaluate` returns the product of the move matrices in reverse word order.
@@ -65,16 +58,6 @@ def sig_dims(k: int, sig: Sig) -> list[int]:
 
 def sig_dim(k: int, sig: Sig) -> int:
     return math.prod(sig_dims(k, sig))
-
-
-def identity_matrix(k: int, sig: Sig, scalar: int | LaurentPoly = 1) -> LaurentMatrix:
-    """scalar (an int or a Laurent polynomial) times the identity on sig."""
-    poly = scalar if isinstance(scalar, LaurentPoly) else LaurentPoly.from_dict({0: scalar})
-    diagonal = range(sig_dim(k, sig))
-    terms: dict[tuple[int, int, int], int] = {}
-    for e, c in poly.terms:
-        terms |= dict.fromkeys(zip(diagonal, diagonal, itertools.repeat(e)), c)
-    return LaurentMatrix.from_terms(len(diagonal), len(diagonal), terms)
 
 
 def _inv(s: tuple[int, ...], t: tuple[int, ...]) -> int:
@@ -128,8 +111,12 @@ def parse_word(text: str) -> tuple[Move, ...]:
 def _local_images(k: int, kind: str, parts: tuple[int, int]) -> tuple:
     """images[j]: the (local index, exponent of t) pairs that j is sent to.
 
-    A split table must send no two local indices to one target: `apply_move`
-    writes split terms without summing them.
+    Only a merge sums terms. Merge is a function on basis vectors, so two
+    local indices can share its image and signed coefficients (as in the
+    cube's alternating sums) can cancel there. Split is its transpose: each
+    index of Lambda^(a+b) goes to its own decompositions, and different
+    indices never share one. A split table that sends two indices to one
+    target is not the merge's transpose, so it raises InvariantError.
     """
     local = local_merge(k, *parts)
     images = [[] for _ in range(local.ncols if kind == "merge" else local.nrows)]
@@ -173,43 +160,13 @@ def _local_action(k: int, sig: Sig, move: Move) -> tuple[int, int, Sig, tuple]:
     return i - 1, 1, parts, _local_images(k, kind, parts)
 
 
-def apply_move(k: int, sig: Sig, move: Move, mat: LaurentMatrix) -> tuple[LaurentMatrix, Sig]:
-    """(move matrix @ mat, new signature) for a matrix whose rows index sig.
-
-    Each local entry is a power of t, so a term of the product is a term of
-    mat with the moved blocks' digit of its row rewritten and t^e multiplied.
-    Only a merge sends two terms to one key; every other move's terms go
-    into the result as they are.
-    """
-    pos, span, new_blocks, images = _local_action(k, sig, move)
-    dims = sig_dims(k, sig)
-    if mat.nrows != math.prod(dims):
-        raise ValueError(f"matrix has {mat.nrows} rows, but signature {sig} has dimension {math.prod(dims)}")
-    right = math.prod(dims[pos + span :])
-    width, new_mid = len(images), sig_dim(k, new_blocks)
-    nrows, new_sig = mat.nrows // width * new_mid, sig[:pos] + new_blocks + sig[pos + span :]
-    if move[0] != "merge":
-        terms = {
-            ((head // width * new_mid + r) * right + low, col, exp + e): c
-            for (row, col, exp), c in mat.terms.items()
-            for head, low in (divmod(row, right),)
-            for r, e in images[head % width]
-        }
-        return LaurentMatrix.from_terms(nrows, mat.ncols, terms), new_sig
-    sums: dict[tuple[int, int, int], int] = {}
-    for (row, col, exp), c in mat.terms.items():
-        head, low = divmod(row, right)
-        for r, e in images[head % width]:
-            key = ((head // width * new_mid + r) * right + low, col, exp + e)
-            sums[key] = sums.get(key, 0) + c
-    return LaurentMatrix.from_sums(nrows, mat.ncols, sums), new_sig
-
-
 def _act(k: int, sig: Sig, window: tuple[int, int], move: Move, table: dict) -> tuple[dict, Sig, tuple[int, int]]:
-    """`apply_move`'s key rewrite on a table {(row, col, exp): coeff} whose rows
-    index blocks lo:hi of sig, the images read at the move's place in sig:
-    (table, new sig, new window). A move that takes or writes a block outside
-    the window raises InvariantError."""
+    """The move applied to a table {(row, col, exp): coeff} whose rows index
+    blocks lo:hi of sig, the images read at the move's place in sig: (table,
+    new sig, new window). Each local entry is a power of t, so each term has
+    the moved blocks' digit of its row rewritten and t^e multiplied in; terms
+    that meet at one key are summed and zero sums dropped. A move that takes
+    or writes a block outside the window raises InvariantError."""
     lo, hi = window
     pos, span, new_blocks, images = _local_action(k, sig, move)
     if (span or new_blocks) and not lo <= pos <= pos + span <= hi:
@@ -322,10 +279,11 @@ def ambient_signatures(relation: str, k: int, max_len: int = 4):
                     yield left + core + right, left_len
 
 
-# Largest summed ambient dimension of a relation sweep: k = 5 sums 1.5 M, k = 6
-# 17 M, k = 7 189 M. It no longer measures the sweep's cost: `relations --k 6
-# --all` takes 0.4 s and 19 MiB on a 2-core VM.
-SWEEP_DIMENSION_LIMIT = 2 * 10**7
+# Largest summed core dimension over the placements of a relation sweep.
+# `relations --k K --all` on a 2-core VM: k = 6 sums 30652 (0.4 s, 20 MiB),
+# k = 8 123733 (1.1 s, 22 MiB), k = 9 220222 (1.9 s), k = 10 369526 (3.4 s,
+# 26 MiB). k <= 8 runs.
+SWEEP_DIMENSION_LIMIT = 15 * 10**4
 # Largest summed core dimension checked without a sweep (R5's core is k^3).
 # `relations --k K` on a 2-core VM: k = 20 sums 12411 (0.34 s, 47 MiB), k = 30
 # 41416 (1.3 s, 130 MiB), k = 40 97621 (3.7 s, 266 MiB). k <= 31 runs.
@@ -333,13 +291,14 @@ CORE_DIMENSION_LIMIT = 5 * 10**4
 
 
 def sweep_dimension(k: int, relations=RELATION_IDS, max_len: int = 4) -> int:
-    """Summed dimension of the ambient signatures that `verify_relation_everywhere`
-    visits for the relations at k. The sum stops as soon as it passes
-    SWEEP_DIMENSION_LIMIT, so any k is cheap to refuse."""
+    """Summed core dimension over the placements that `verify_relation_everywhere`
+    visits for the relations at k, each checked on its core's window. The sum
+    stops as soon as it passes SWEEP_DIMENSION_LIMIT, so any k is cheap to refuse."""
     total = 0
     for relation in relations:
-        for ambient, _ in ambient_signatures(relation, k, max_len):
-            total += sig_dim(k, ambient)
+        core = sig_dim(k, core_signature(relation, k))
+        for _ in ambient_signatures(relation, k, max_len):
+            total += core
             if total > SWEEP_DIMENSION_LIMIT:
                 return total
     return total

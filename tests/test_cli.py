@@ -213,16 +213,17 @@ def test_relations_sweep_above_the_limit_is_refused_before_any_matrix(capsys, mo
         raise AssertionError("a relation was checked")
 
     monkeypatch.setattr(functors, "verify_relation", never)
-    for k in (7, 9):
+    for k in (9, 12):
         assert cli.run(["relations", "--k", str(k), "--all"]) == 2
         err = capsys.readouterr().err
         assert f"--k {k} --all sweeps" in err and f"over the limit {functors.SWEEP_DIMENSION_LIMIT}" in err
+    assert "summed core dimension at least 150061," in err  # the sum stops just past the limit
     # Without --all only the core is checked, which is small at any k here.
     with pytest.raises(AssertionError, match="was checked"):
-        cli.run(["relations", "--k", "9", "--relation", "R2"])
+        cli.run(["relations", "--k", "12", "--relation", "R2"])
 
 
-def test_relations_sweep_limit_admits_k_up_to_6(capsys, monkeypatch):
+def test_relations_sweep_limit_admits_k_up_to_8(capsys, monkeypatch):
     started = []
 
     def stub(relation, k):
@@ -230,12 +231,12 @@ def test_relations_sweep_limit_admits_k_up_to_6(capsys, monkeypatch):
         return []
 
     monkeypatch.setattr(functors, "verify_relation_everywhere", stub)
-    for k in (5, 6, 7):
+    for k in (7, 8, 9):
         cli.run(["relations", "--k", str(k), "--all"])
-    assert started == [(rel, k) for k in (5, 6) for rel in functors.RELATION_IDS]
-    # One relation is sized alone: R4's sweep at k = 7 is small.
-    assert cli.run(["relations", "--k", "7", "--relation", "R4", "--all"]) == 0
-    assert started[-1] == ("R4", 7)
+    assert started == [(rel, k) for k in (7, 8) for rel in functors.RELATION_IDS]
+    # One relation is sized alone: R4's sweep at k = 9 is small.
+    assert cli.run(["relations", "--k", "9", "--relation", "R4", "--all"]) == 0
+    assert started[-1] == ("R4", 9)
 
 
 def test_relations_cores_above_the_limit_are_refused_before_any_check(capsys, monkeypatch):
@@ -262,11 +263,11 @@ def test_relations_cores_above_the_limit_are_refused_before_any_check(capsys, mo
 def test_survey_script_refuses_a_sweep_above_the_limit():
     root = pathlib.Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_relation_survey.py"), "--kmin", "2", "--kmax", "9"],
+        [sys.executable, str(root / "scripts" / "run_relation_survey.py"), "--kmin", "2", "--kmax", "10"],
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(root / "src")),
     )
     assert proc.returncode == 2
-    assert "k = 7 sweeps" in proc.stderr and f"over the limit {functors.SWEEP_DIMENSION_LIMIT}" in proc.stderr
+    assert "k = 9 sweeps" in proc.stderr and f"over the limit {functors.SWEEP_DIMENSION_LIMIT}" in proc.stderr
     assert proc.stdout == ""  # refused before the k = 2 sweep ran
 
 

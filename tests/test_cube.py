@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decatkit import cli, cube
+from decatkit import cli, cube, functors
 from decatkit.exactlin import QQ, ComplexError, FiniteComplex, InvariantError, LaurentPoly, PrimeField, SparseMatrix
 from khovanov_reference import (
     braid_letters,
@@ -21,6 +21,7 @@ from khovanov_reference import (
     reference_euler_k2,
     resolution_circles,
 )
+from test_functors import _as_poly_matrix
 
 # name -> (euler at k=2, euler at k=3, components, k=2 rational homology)
 CATALOGUE = {
@@ -152,17 +153,19 @@ def test_euler_invariant_catalogue(name):
 
 
 def _signed_vertex_sum(word, k):
-    """The alternating cube sum from all 2^c vertex values of `build_cube`."""
+    """The alternating cube sum from all 2^c vertex values of `build_cube`,
+    added up as matrices of LaurentPoly entries."""
     resolved = cube.build_cube(word, k)
-    signed = [mat.scaled(-1 if sum(bits) % 2 else 1) for bits, mat in resolved.values.items()]
-    return sum(signed[1:], signed[0]).scaled(-1 if resolved.word.n_negative % 2 else 1)
+    sign = {1: LaurentPoly.t_power(0), -1: LaurentPoly.from_dict({0: -1})}
+    signed = [_as_poly_matrix(mat).scaled(sign[(-1) ** sum(bits)]) for bits, mat in resolved.values.items()]
+    return sum(signed[1:], signed[0]).scaled(sign[(-1) ** resolved.word.n_negative])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
 def test_transfer_matrices_match_cube_sum(name, k):
     vertex_sum = _signed_vertex_sum(cube.DIAGRAMS[name], k)
-    at_one = sum(c for (i, j, _), c in vertex_sum.terms.items() if i == j == 0)
+    at_one = sum(c for _, c in vertex_sum.entries.get((0, 0), LaurentPoly()).terms)
     assert cube.euler_invariant(cube.DIAGRAMS[name], k) == at_one
 
 
@@ -180,7 +183,30 @@ def test_transfer_matrices_match_cube_sum(name, k):
 def test_tangle_transfer_matrices_match_cube_sum(text, k):
     mat, sig = cube.tangle_alternating_sum(text, k)
     assert sig == cube.parse_slice_word(text, k).final_labels
-    assert mat == _signed_vertex_sum(text, k)
+    assert all(mat.terms.values())
+    assert _as_poly_matrix(mat) == _signed_vertex_sum(text, k)
+
+
+def test_one_bent_rewrite_reaches_the_relations_and_the_cube(monkeypatch):
+    # Relation words and the cube's transfer matrices apply their moves with
+    # the one key rewrite `functors._act`, so a bug planted there shows in both.
+    word = cube.DIAGRAMS["trefoil"]
+    honest, _ = cube.tangle_alternating_sum(word, 3)
+    real = functors._act
+
+    def bent(k, sig, window, move, table):
+        """Every merge gets its exponents raised by 1."""
+        table, new_sig, new_window = real(k, sig, window, move, table)
+        if move[0] == "merge":
+            table = {(r, c, e + 1): v for (r, c, e), v in table.items()}
+        return table, new_sig, new_window
+
+    monkeypatch.setattr(functors, "_act", bent)
+    got, _ = cube.tangle_alternating_sum(word, 3)
+    assert got != honest
+    assert not functors.verify_relation("R2", 3).holds
+    # The product and the vertex-by-vertex fold still agree: both are bent.
+    assert _as_poly_matrix(got) == _signed_vertex_sum(word, 3)
 
 
 @pytest.mark.parametrize("k", [3, 4])

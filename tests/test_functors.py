@@ -40,7 +40,7 @@ def merge_matrix_shifted(k, sig, i):
     """Merge normalized by t^(-2d), d the nilradical dimension difference."""
     mat, new_sig = functors.move_matrix(k, sig, ("merge", i))
     d = merge_shift_exponent(sig, i)
-    return mat.scaled(LaurentPoly.t_power(-2 * d)), new_sig
+    return _as_poly_matrix(mat).scaled(LaurentPoly.t_power(-2 * d)), new_sig
 
 
 class TestBlocksAndBases:
@@ -99,12 +99,12 @@ class TestLocalMatrices:
         # Normalized merge rescales by t^(-2d).
         mm, _ = functors.move_matrix(2, (1, 1), ("merge", 1))
         shifted, _ = merge_matrix_shifted(2, (1, 1), 1)
-        assert shifted == LaurentMatrix(1, 4, {(i, j, e - 2): c for (i, j, e), c in mm.terms.items()})
+        assert shifted == _as_poly_matrix(LaurentMatrix(1, 4, {(i, j, e - 2): c for (i, j, e), c in mm.terms.items()}))
 
     def test_insert_delete_roundtrip(self):
         mat, sig = functors.evaluate(3, (1, 2), "ins(2) del(2)")
         assert sig == (1, 2)
-        assert mat == functors.identity_matrix(3, (1, 2))
+        assert mat == functors.move_matrix(3, (1, 2))[0]
 
     def test_delete_requires_full_block(self):
         with pytest.raises(ValueError, match="weight"):
@@ -135,7 +135,7 @@ class TestWordGrammar:
     def test_shift_moves_commute_to_identity(self):
         mat, sig = functors.evaluate(2, (1, 1), "shift(5) shift(-5)")
         assert sig == (1, 1)
-        assert mat == functors.identity_matrix(2, (1, 1))
+        assert mat == functors.move_matrix(2, (1, 1))[0]
 
 
 class TestRelations:
@@ -180,20 +180,25 @@ class TestRelations:
         assert "shorter than the R3 core" in proc.stderr
         assert "all relations exact" not in proc.stdout
 
-    def test_sweep_dimension_sums_the_ambient_dimensions(self):
-        # Each padding block ranges over weights 1..k, whose dimensions sum to
-        # 2^k - 1; a core with n padding blocks has n + 1 placements of them.
-        for k in (2, 3, 4, 5, 6):
+    def test_sweep_dimension_sums_the_core_dimension_over_placements(self):
+        # A core with n padding blocks has (n + 1) k^n placements of them, and
+        # each placement is checked on the core's blocks alone. At k = 2:
+        # R1 and R2, core (2) of dimension 1: 1 + 2*2 + 3*4 + 4*8 = 49 each;
+        # R3 (1, 2) and L5 (2, 1) of dimension 2: 2 * (1 + 2*2 + 3*4) = 34 each;
+        # R4 (2, 1, 1) of dimension 4: 4 * (1 + 2*2) = 20; R5 (1, 1, 1): 8 * 5 = 40.
+        assert functors.sweep_dimension(2) == 49 + 49 + 34 + 34 + 20 + 40 == 226
+        for k in range(2, 9):
             expected = 0
             for relation in RELATIONS:
                 core = functors.core_signature(relation, k)
                 budget = 4 - len(core)
-                expected += functors.sig_dim(k, core) * sum((n + 1) * (2**k - 1) ** n for n in range(budget + 1))
+                expected += functors.sig_dim(k, core) * sum((n + 1) * k**n for n in range(budget + 1))
             assert functors.sweep_dimension(k) == expected <= functors.SWEEP_DIMENSION_LIMIT
-        assert functors.sweep_dimension(5) == 1514690
-        for k in (7, 8, 40):
+        assert [functors.sweep_dimension(k) for k in (6, 7, 8)] == [30652, 64576, 123733]
+        for k in (9, 10, 40):
             assert functors.sweep_dimension(k) > functors.SWEEP_DIMENSION_LIMIT
-        assert functors.sweep_dimension(7, ("R4",)) == 12495
+        # R4's core (9, 1, 8) has dimension 9 * 9 and 1 + 2*9 placements.
+        assert functors.sweep_dimension(9, ("R4",)) == 81 * 19
 
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValueError, match="unknown relation"):
@@ -265,27 +270,33 @@ def signature_move_matrix(draw):
     return k, sig, move, LaurentMatrix(nrows, ncols, terms)
 
 
+def _act_on_all_of(k, sig, move, mat):
+    """`_act` on the window of all of sig, as the cube applies its moves: the
+    table wrapped by the checking constructor, which refuses a zero or
+    out-of-range term."""
+    table, new_sig, window = functors._act(k, sig, (0, len(sig)), move, mat.terms)
+    assert window == (0, len(new_sig))
+    return LaurentMatrix(functors.sig_dim(k, new_sig), mat.ncols, table), new_sig
+
+
 @given(signature_move_matrix())
 @settings(max_examples=200, deadline=None)
 def test_apply_move_matches_kron_reference(data):
+    # The move is applied by `_act` on the whole signature.
     k, sig, move, mat = data
-    got, new_sig = functors.apply_move(k, sig, move, mat)
+    got, _ = _act_on_all_of(k, sig, move, mat)
     assert _as_poly_matrix(got) == _reference_move(k, sig, move) @ _as_poly_matrix(mat)
-    assert functors.sig_dim(k, new_sig) == got.nrows
-    assert all(0 <= i < got.nrows and 0 <= j < got.ncols for i, j, _ in got.terms)
-    assert all(got.terms.values())
 
 
 def test_signed_terms_cancel_under_merge_and_pass_through_split():
     # e1 (x) e2 and e2 (x) e1 merge to t^0 and t^1 times e12: +t and -1 cancel.
-    got, new_sig = functors.apply_move(2, (1, 1), ("merge", 1), LaurentMatrix(4, 1, {(1, 0, 1): 1, (2, 0, 0): -1}))
+    got, new_sig = _act_on_all_of(2, (1, 1), ("merge", 1), LaurentMatrix(4, 1, {(1, 0, 1): 1, (2, 0, 0): -1}))
     assert (new_sig, got.nrows, got.terms) == ((2,), 1, {})
-    assert all(got.terms.values())
     move = ("split", 1, (1, 1))
     mat = LaurentMatrix(3, 2, {(0, 0, 1): 1, (1, 0, 1): -1, (2, 1, 0): -3, (0, 1, -2): 2})
-    got, new_sig = functors.apply_move(3, (2,), move, mat)
+    got, new_sig = _act_on_all_of(3, (2,), move, mat)
     assert _as_poly_matrix(got) == _reference_move(3, (2,), move) @ _as_poly_matrix(mat)
-    assert new_sig == (1, 1) and all(got.terms.values())
+    assert new_sig == (1, 1)
 
 
 def test_split_refuses_a_table_with_two_indices_on_one_target(monkeypatch):
@@ -301,7 +312,7 @@ def test_split_refuses_a_table_with_two_indices_on_one_target(monkeypatch):
     functors._local_images.cache_clear()
     try:
         with pytest.raises(InvariantError, match="one target"):
-            functors.apply_move(3, (2,), ("split", 1, (1, 1)), functors.identity_matrix(3, (2,)))
+            _act_on_all_of(3, (2,), ("split", 1, (1, 1)), functors.move_matrix(3, (2,))[0])
     finally:
         monkeypatch.undo()
         functors._local_images.cache_clear()
@@ -379,7 +390,7 @@ def test_verify_relation_builds_no_ambient_matrix(monkeypatch, k):
     def never(*_args):
         raise AssertionError("an ambient matrix was built")
 
-    for name in ("apply_move", "move_matrix", "identity_matrix"):
+    for name in ("move_matrix", "evaluate"):
         monkeypatch.setattr(functors, name, never)
     monkeypatch.setattr(functors, "LaurentMatrix", None)
     for relation in RELATIONS:
@@ -416,31 +427,6 @@ def test_a_move_outside_the_window_raises():
     assert functors._act(3, (1, 2, 1), (1, 2), ("ins", 3), identity) == (identity, (1, 2, 3, 1), (1, 3))
 
 
-def test_identity_matrix_times_a_scalar():
-    poly = LaurentPoly.from_dict({-1: 2, 3: -1})
-    assert functors.identity_matrix(3, (1, 2), poly) == functors.identity_matrix(3, (1, 2)).scaled(poly)
-    assert functors.identity_matrix(2, (1,), -3) == functors.identity_matrix(2, (1,)).scaled(-3)
-    assert functors.identity_matrix(2, (1,), 0).terms == {}
-
-
-@given(
-    st.integers(min_value=2, max_value=4),
-    st.lists(st.integers(min_value=1, max_value=4), max_size=3),
-    st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=4),
-)
-@settings(max_examples=60, deadline=None)
-def test_identity_matrix_matches_a_per_term_reference(k, weights, coeffs):
-    sig = tuple(min(a, k) for a in weights)
-    poly = LaurentPoly.from_dict(coeffs)
-    n = functors.sig_dim(k, sig)
-    expected = {}
-    for e, c in poly.terms:
-        for i in range(n):
-            expected[(i, i, e)] = c
-    got = functors.identity_matrix(k, sig, poly)
-    assert (got.nrows, got.ncols, got.terms) == (n, n, expected)
-
-
 def _identity_factors(k, sig, move):
     """(left, right): the dimensions of the blocks before and after the moved ones."""
     pos, span, _, _ = functors._local_action(k, sig, move)
@@ -449,8 +435,7 @@ def _identity_factors(k, sig, move):
 
 def _assert_move_matrix_is_reference(k, sig, move):
     got, new_sig = functors.move_matrix(k, sig, move)
-    via_identity, via_sig = functors.apply_move(k, sig, move, functors.identity_matrix(k, sig))
-    assert (got, new_sig) == (via_identity, via_sig)
+    assert (_as_poly_matrix(got), new_sig) == _poly_apply_move(k, sig, move, _poly_identity(functors.sig_dim(k, sig)))
     assert _as_poly_matrix(got) == _reference_move(k, sig, move)
     assert set(got.terms.values()) <= {1}
 
@@ -513,7 +498,7 @@ def padded_words(draw):
     cur, word = middle, []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
         move = draw(st.sampled_from(_valid_moves(draw, k, cur)))
-        _, cur = functors.apply_move(k, cur, move, functors.identity_matrix(k, cur))
+        _, cur = _poly_apply_move(k, cur, move, _poly_identity(functors.sig_dim(k, cur)))
         word.append(move if move[0] == "shift" else (move[0], move[1] + len(left), *move[2:]))
     return k, left + middle + right, tuple(word)
 
@@ -523,41 +508,43 @@ def padded_words(draw):
 def test_move_matrix_of_a_run_equals_its_moves_applied_in_turn(data):
     k, sig, word = data
     got, got_sig = functors.move_matrix(k, sig, *word)
-    mat, cur = functors.identity_matrix(k, sig), sig
+    ref, cur = _poly_identity(functors.sig_dim(k, sig)), sig
     for move in word:
-        mat, cur = functors.apply_move(k, cur, move, mat)
-    assert (got, got_sig) == (mat, cur)
+        ref, cur = _poly_apply_move(k, cur, move, ref)
+    assert (_as_poly_matrix(got), got_sig) == (ref, cur)
     assert all(got.terms.values())
 
 
 def test_move_matrix_of_the_empty_word_is_the_identity():
-    assert functors.move_matrix(3, (1, 2)) == (functors.identity_matrix(3, (1, 2)), (1, 2))
-    assert functors.move_matrix(3, ()) == (functors.identity_matrix(3, ()), ())
+    for sig, n in (((1, 2), 9), ((), 1)):
+        assert functors.move_matrix(3, sig) == (LaurentMatrix(n, n, {(j, j, 0): 1 for j in range(n)}), sig)
 
 
 def _lift(table, k, ambient, window):
     """I_left (x) table (x) I_right on the ambient space, index by index."""
     lo, hi = window
     left, mid, right = (functors.sig_dim(k, blocks) for blocks in (ambient[:lo], ambient[lo:hi], ambient[hi:]))
-    return {
+    terms = {
         ((a * mid + r) * right + b, (a * mid + j) * right + b, e): c
         for (r, j, e), c in table.items()
         for a in range(left)
         for b in range(right)
     }
+    return LaurentMatrix(left * mid * right, left * mid * right, terms)
 
 
 def _ambient_sum(k, ambient, terms):
-    """sum c * value(word) on the whole ambient space, each word applied
-    move by move with apply_move: the path the window check replaces."""
+    """sum c * value(word) on the whole ambient space with LaurentPoly
+    entries, each word applied move by move with `_poly_apply_move`: the
+    path the window check replaces."""
     n = functors.sig_dim(k, ambient)
-    total = LaurentMatrix(n, n, {})
+    total = SparseMatrix.zeros(n, n)
     for c, word in terms:
-        mat, sig = functors.identity_matrix(k, ambient), ambient
+        mat, sig = _poly_identity(n), ambient
         for move in word:
-            mat, sig = functors.apply_move(k, sig, move, mat)
+            mat, sig = _poly_apply_move(k, sig, move, mat)
         assert sig == ambient
-        total = total + mat.scaled(c)
+        total = total + mat.scaled(c if isinstance(c, LaurentPoly) else LaurentPoly.from_dict({0: c}))
     return total
 
 
@@ -567,7 +554,7 @@ def test_window_sum_weights_each_word_by_its_coefficient():
     bubble = (("split", 2, (1, 1)), ("merge", 2))
     terms = ((-3, ()), (LaurentPoly.from_dict({1: 2, -1: -1}), bubble), (5, bubble))
     got = _lift(functors._window_sum(k, ambient, window, terms), k, ambient, window)
-    assert got == _ambient_sum(k, ambient, terms).terms
+    assert _as_poly_matrix(got) == _ambient_sum(k, ambient, terms)
     assert functors._window_sum(k, ambient, window, ((2, ()), (-2, ()))) == {}
 
 
@@ -580,13 +567,13 @@ def test_each_relation_side_lifts_to_its_ambient_sum(relation, k):
         for lhs, rhs in functors._equations(relation, k, offset).values():
             for side in (lhs, rhs):
                 lifted = _lift(functors._window_sum(k, ambient, window, side), k, ambient, window)
-                assert lifted == _ambient_sum(k, ambient, side).terms
+                assert _as_poly_matrix(lifted) == _ambient_sum(k, ambient, side)
 
 
 def _poly_apply_move(k, sig, move, mat):
-    """apply_move on a SparseMatrix of LaurentPoly entries, kept as the
-    reference for the flat terms: the same row-digit rewrite, with each local
-    power of t multiplied into a polynomial entry."""
+    """A move applied to a SparseMatrix of LaurentPoly entries, kept as the
+    reference for `_act`'s flat terms: the same row-digit rewrite, with each
+    local power of t multiplied into a polynomial entry."""
     kind, i = move[0], move[1]
     if kind in ("shift", "ins", "del"):
         pos, span = (0, 0) if kind == "shift" else (i - 1, int(kind == "del"))
@@ -638,8 +625,3 @@ def test_evaluate_matches_laurent_poly_reference(data):
         ref, ref_sig = _poly_apply_move(k, ref_sig, move, ref)
     assert got_sig == ref_sig
     assert _as_poly_matrix(got) == ref
-
-
-def test_apply_move_rejects_wrong_row_count():
-    with pytest.raises(ValueError, match="dimension"):
-        functors.apply_move(2, (1, 1), ("merge", 1), functors.identity_matrix(2, (1,)))
