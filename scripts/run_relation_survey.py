@@ -4,9 +4,10 @@ signatures up to a length bound, and tabulate the placement counts.
 
 Exits 1 when a relation fails, and 2 when the arguments admit no placement
 or a k whose sweep is above `functors.SWEEP_DIMENSION_LIMIT` (checked for
-every k before any relation is checked). A sweep is sized by its core
-dimension summed over its placements, each checked on the core's window:
-k <= 8 runs at the default --max-len.
+every k before any relation is checked). Each relation is checked once, on
+its core, and every placement shares that result; a sweep is sized by its
+core dimension summed over its placements: k <= 8 runs at the default
+--max-len.
 
 Example:
     python3 scripts/run_relation_survey.py --kmax 4 --max-len 4

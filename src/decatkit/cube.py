@@ -192,9 +192,9 @@ def _token_moves(kind: str, i: int, k: int, bit: int | None):
 
 def _apply_token(k: int, token: Token, bit: int | None, sig, table: dict):
     """The token's moves applied in turn to a table {(row, col, exp): coeff}
-    whose rows index sig: `functors._act` on the window of all of sig."""
+    whose rows index sig, each by `functors._act`."""
     for move in _token_moves(*token, k, bit):
-        table, sig, _ = functors._act(k, sig, (0, len(sig)), move, table)
+        table, sig = functors._act(k, sig, move, table)
     return table, sig
 
 

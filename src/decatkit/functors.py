@@ -11,21 +11,20 @@ when the subsets meet and to t^inv(S,T) e_(S u T) otherwise, where inv counts
 pairs (s, t) in S x T with s > t and t is the formal shift variable. Split is
 its transpose.
 
-Matrices are `LaurentMatrix` graded terms {(row, col, exp): int}. A word of
-moves acts as I_left (x) X (x) I_right, X a table on the fewest consecutive
-blocks the moves act within (their window): `_act` applies a move to such a
-table as a key rewrite (the moved blocks' digit of each row changes and the
-local exponent is added; local images are cached per (k, kind, parts)), and
-`move_matrix` writes I (x) X (x) I once, in runs of terms along the longer
-identity factor. `_act` is the only key rewrite: the cube's transfer
-matrices apply each move with it on the window of the whole signature.
+Matrices are `LaurentMatrix` graded terms {(row, col, exp): int}. `_act`
+applies one move to such a table as a key rewrite: the moved blocks' digit of
+each row changes and the local exponent is added (local images are cached per
+(k, kind, parts)). `_compose` applies a word's moves in turn to the identity,
+and `move_matrix` is its table. `_act` is the only key rewrite: the cube's
+transfer matrices apply each move with it too.
 
 Words of moves are evaluated left to right (the first move acts first), so
 `evaluate` returns the product of the move matrices in reverse word order.
 Each relation is one equality between Laurent combinations of move words,
 sum of c * value(word), the empty word the identity. Its words act within
-the relation's core blocks, so `verify_relation` compares the two sides'
-window tables there and builds no ambient matrix.
+the relation's core blocks, so in an ambient signature each side is
+I (x) X (x) I, X its sum on the core alone: `verify_relation` checks each
+relation once, on its core signature, and builds no ambient matrix.
 Word syntax: merge(i), split(i;b,c), shift(m), ins(i), del(i), with 1-based
 block positions; ins inserts a full block (weight k, a one-dimensional
 factor) at position i, del removes one.
@@ -33,6 +32,7 @@ factor) at position i, del removes one.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -160,18 +160,13 @@ def _local_action(k: int, sig: Sig, move: Move) -> tuple[int, int, Sig, tuple]:
     return i - 1, 1, parts, _local_images(k, kind, parts)
 
 
-def _act(k: int, sig: Sig, window: tuple[int, int], move: Move, table: dict) -> tuple[dict, Sig, tuple[int, int]]:
+def _act(k: int, sig: Sig, move: Move, table: dict) -> tuple[dict, Sig]:
     """The move applied to a table {(row, col, exp): coeff} whose rows index
-    blocks lo:hi of sig, the images read at the move's place in sig: (table,
-    new sig, new window). Each local entry is a power of t, so each term has
+    sig: (table, new sig). Each local entry is a power of t, so each term has
     the moved blocks' digit of its row rewritten and t^e multiplied in; terms
-    that meet at one key are summed and zero sums dropped. A move that takes
-    or writes a block outside the window raises InvariantError."""
-    lo, hi = window
+    that meet at one key are summed and zero sums dropped."""
     pos, span, new_blocks, images = _local_action(k, sig, move)
-    if (span or new_blocks) and not lo <= pos <= pos + span <= hi:
-        raise InvariantError(f"move {move} reaches outside blocks {lo + 1}..{hi} of {sig}")
-    right = sig_dim(k, sig[pos + span : hi])
+    right = sig_dim(k, sig[pos + span :])
     width, new_mid = len(images), sig_dim(k, new_blocks)
     sums: dict[tuple[int, int, int], int] = {}
     for (row, col, exp), c in table.items():
@@ -180,55 +175,23 @@ def _act(k: int, sig: Sig, window: tuple[int, int], move: Move, table: dict) -> 
             key = ((head // width * new_mid + r) * right + low, col, exp + e)
             sums[key] = sums.get(key, 0) + c
     new_sig = sig[:pos] + new_blocks + sig[pos + span :]
-    return {key: c for key, c in sums.items() if c}, new_sig, (lo, hi + len(new_blocks) - span)
+    return {key: c for key, c in sums.items() if c}, new_sig
 
 
-def _compose(k: int, sig: Sig, window: tuple[int, int], moves) -> tuple[dict, Sig, tuple[int, int]]:
-    """(table, signature, window) after the moves act in turn on the identity
-    on blocks window[0]:window[1] of sig."""
-    lo, hi = window
-    table = {(j, j, 0): 1 for j in range(sig_dim(k, sig[lo:hi]))}
+def _compose(k: int, sig: Sig, moves) -> tuple[dict, Sig]:
+    """(table, signature) after the moves act in turn on the identity of sig."""
+    table = {(j, j, 0): 1 for j in range(sig_dim(k, sig))}
     for move in moves:
-        table, sig, window = _act(k, sig, window, move, table)
-    return table, sig, window
-
-
-def _word_window(k: int, sig: Sig, moves) -> tuple[int, int]:
-    """The fewest consecutive blocks lo:hi of sig that the moves act within:
-    the blocks left of lo and the `rest` right of hi are never taken or written."""
-    n = lo = rest = len(sig)
-    for move in moves:
-        pos, span, new_blocks, _ = _local_action(k, sig, move)
-        if span or new_blocks:
-            lo, rest = min(lo, pos), min(rest, len(sig) - pos - span)
-        sig = sig[:pos] + new_blocks + sig[pos + span :]
-    return lo, max(lo, n - rest)
+        table, sig = _act(k, sig, move, table)
+    return table, sig
 
 
 def move_matrix(k: int, sig: Sig, *moves: Move) -> tuple[LaurentMatrix, Sig]:
-    """(I_left (x) X (x) I_right, new signature): X the word's local tables
-    composed on its window (`_word_window`), since (I (x) A (x) I)(I (x) B (x) I)
-    = I (x) AB (x) I; the empty word gives the identity. Each term c t^e of X
-    at (r, j) is written as runs of terms at ((a, r, b), (a, j, b)) along the
-    longer of the factors a < left, b < right; no two share a position."""
+    """(matrix, new signature) of the moves applied in turn to the identity
+    (`_compose`); the empty word gives the identity."""
     sig = tuple(sig)
-    lo, hi = _word_window(k, sig, moves)
-    table, cur, (_, new_hi) = _compose(k, sig, (lo, hi), moves)
-    dims = sig_dims(k, sig)
-    left, right = math.prod(dims[:lo]), math.prod(dims[hi:])
-    row_step, col_step = sig_dim(k, cur[lo:new_hi]) * right, math.prod(dims[lo:hi]) * right
-    nrows, ncols = left * row_step, left * col_step
-    terms: dict[tuple[int, int, int], int] = {}
-    for (r, j, e), c in table.items():
-        r0, c0 = r * right, j * right
-        if right >= left:  # per left index a, `right` consecutive indices
-            starts = zip(range(r0, nrows, row_step), range(c0, ncols, col_step))
-            runs = ((range(row, row + right), range(col, col + right)) for row, col in starts)
-        else:  # per right index b, `left` indices a row_step / col_step apart
-            runs = ((range(r0 + b, nrows, row_step), range(c0 + b, ncols, col_step)) for b in range(right))
-        for rows, cols in runs:
-            terms.update(zip(zip(rows, cols, itertools.repeat(e)), itertools.repeat(c)))
-    return LaurentMatrix.from_terms(nrows, ncols, terms), cur
+    table, new_sig = _compose(k, sig, moves)
+    return LaurentMatrix.from_terms(sig_dim(k, new_sig), sig_dim(k, sig), table), new_sig
 
 
 def evaluate(k: int, sig: Sig, moves) -> tuple[LaurentMatrix, Sig]:
@@ -279,10 +242,11 @@ def ambient_signatures(relation: str, k: int, max_len: int = 4):
                     yield left + core + right, left_len
 
 
-# Largest summed core dimension over the placements of a relation sweep.
-# `relations --k K --all` on a 2-core VM: k = 6 sums 30652 (0.4 s, 20 MiB),
-# k = 8 123733 (1.1 s, 22 MiB), k = 9 220222 (1.9 s), k = 10 369526 (3.4 s,
-# 26 MiB). k <= 8 runs.
+# Largest summed core dimension over the placements of a relation sweep. Each
+# core is checked once, so the sum now bounds the document, one report per
+# placement: `relations --k K --all` on a 2-core VM writes 0.5 MB at k = 6
+# (0.22 s, 19 MiB) and 1.2 MB at k = 8 (0.28 s, 21 MiB); with the limit lifted,
+# 2.2 MB at k = 10 (0.31 s, 25 MiB). k <= 8 runs.
 SWEEP_DIMENSION_LIMIT = 15 * 10**4
 # Largest summed core dimension checked without a sweep (R5's core is k^3).
 # `relations --k K` on a 2-core VM: k = 20 sums 12411 (0.34 s, 47 MiB), k = 30
@@ -292,8 +256,8 @@ CORE_DIMENSION_LIMIT = 5 * 10**4
 
 def sweep_dimension(k: int, relations=RELATION_IDS, max_len: int = 4) -> int:
     """Summed core dimension over the placements that `verify_relation_everywhere`
-    visits for the relations at k, each checked on its core's window. The sum
-    stops as soon as it passes SWEEP_DIMENSION_LIMIT, so any k is cheap to refuse."""
+    reports for the relations at k. The sum stops as soon as it passes
+    SWEEP_DIMENSION_LIMIT, so any k is cheap to refuse."""
     total = 0
     for relation in relations:
         core = sig_dim(k, core_signature(relation, k))
@@ -304,44 +268,44 @@ def sweep_dimension(k: int, relations=RELATION_IDS, max_len: int = 4) -> int:
     return total
 
 
-def _equations(relation: str, k: int, o: int) -> dict:
-    """{label: (lhs, rhs)}: the relation's equalities with its core at blocks
-    o+1, o+2, ..., each side (c, word) terms for sum c * value(word). Labels:
-    R1's split parts, R4's normalization exponent."""
+def _equations(relation: str, k: int) -> dict:
+    """{label: (lhs, rhs)}: the relation's equalities on its core signature
+    (blocks 1, 2, ...), each side (c, word) terms for sum c * value(word).
+    Labels: R1's split parts, R4's normalization exponent."""
     if relation in ("R1", "R2"):
         n, parts = (k, ((1, k - 1), (k - 1, 1))) if relation == "R1" else (2, ((1, 1),))
         expected = ((geometric_shift_sum(n), ()),)
-        return {f"split_{a}_{b}": (((1, (("split", o + 1, (a, b)), ("merge", o + 1))),), expected) for a, b in parts}
+        return {f"split_{a}_{b}": (((1, (("split", 1, (a, b)), ("merge", 1))),), expected) for a, b in parts}
     if relation == "R3":
-        word = (("split", o + 2, (1, k - 1)), ("merge", o + 1), ("split", o + 1, (1, 1)), ("merge", o + 2))
+        word = (("split", 2, (1, k - 1)), ("merge", 1), ("split", 1, (1, 1)), ("merge", 2))
         return {relation: (((1, word),), ((LaurentPoly.from_dict({2 * i: 1 for i in range(1, k)}), ()),))}
     if relation == "R4":
-        word = (("split", o + 1, (k - 1, 1)), ("merge", o + 2), ("split", o + 2, (1, 1)), ("merge", o + 3),
-                ("split", o + 3, (1, k - 1)), ("merge", o + 2), ("split", o + 2, (1, 1)), ("merge", o + 1))
-        bubble = (("merge", o + 2), ("split", o + 2, (1, k - 1)))
+        word = (("split", 1, (k - 1, 1)), ("merge", 2), ("split", 2, (1, 1)), ("merge", 3),
+                ("split", 3, (1, k - 1)), ("merge", 2), ("split", 2, (1, 1)), ("merge", 1))
+        bubble = (("merge", 2), ("split", 2, (1, k - 1)))
         coeff = LaurentPoly.from_dict({2 * i: 1 for i in range(2, k)})
         return {s: (((1, word),), ((LaurentPoly.t_power(s), ()), (coeff, bubble))) for s in (2 * k - 2, 2 * k)}
     if relation == "R5":
         # E_i = merge split at core block i has value e_i; a word's value is the
         # product in reverse word order, so E1 E2 E1 has value e1 e2 e1.
-        e1, e2 = ((("merge", o + i), ("split", o + i, (1, 1))) for i in (1, 2))
+        e1, e2 = ((("merge", i), ("split", i, (1, 1))) for i in (1, 2))
         t2 = LaurentPoly.t_power(2)
         return {relation: (((1, e1 + e2 + e1), (t2, e2)), ((1, e2 + e1 + e2), (t2, e1)))}
-    word = (("split", o + 1, (1, 1)), ("merge", o + 2), ("split", o + 2, (1, 1)), ("merge", o + 1))
+    word = (("split", 1, (1, 1)), ("merge", 2), ("split", 2, (1, 1)), ("merge", 1))
     expected = [(LaurentPoly.t_power(2), ())]
     if k >= 3:
-        expected.append((1, (("merge", o + 1), ("split", o + 1, (2, 1)))))
+        expected.append((1, (("merge", 1), ("split", 1, (2, 1)))))
     return {relation: (((1, word),), tuple(expected))}
 
 
-def _window_sum(k: int, ambient: Sig, window: tuple[int, int], terms) -> dict:
-    """Nonzero terms of sum c * X(word), X(word) the word's table on the window
-    of ambient (`_compose`); each word must return to ambient."""
+def _side_sum(k: int, core: Sig, terms) -> dict:
+    """Nonzero terms of sum c * X(word) on the core's space, X(word) the
+    word's table (`_compose`); each word must return to the core."""
     sums: dict[tuple[int, int, int], int] = {}
     for c, word in terms:
-        table, sig, _ = _compose(k, ambient, window, word)
-        if sig != ambient:
-            raise InvariantError(f"word {word} leaves {ambient} at {sig}")
+        table, sig = _compose(k, core, word)
+        if sig != core:
+            raise InvariantError(f"word {word} leaves {core} at {sig}")
         for f, d in c.terms if isinstance(c, LaurentPoly) else ((0, c),):
             for (r, j, e), v in table.items():
                 sums[r, j, e + f] = sums.get((r, j, e + f), 0) + v * d
@@ -351,20 +315,19 @@ def _window_sum(k: int, ambient: Sig, window: tuple[int, int], terms) -> dict:
 def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: int = 0) -> RelationReport:
     """Exact check of one relation on an ambient signature, core at block
     positions offset+1, offset+2, ... (1-based). Each side is I (x) X (x) I, X
-    its `_window_sum` on the core's blocks; both identity factors have
-    dimension >= 1, so the sides are equal exactly when their window sums are.
+    its `_side_sum` on the core alone; both identity factors have dimension
+    >= 1, so the sides are equal exactly when their core sums are, wherever
+    the core is placed.
     """
     core = core_signature(relation, k)
     if ambient is None:
         ambient, offset = core, 0
     ambient = tuple(ambient)
-    if ambient[offset : offset + len(core)] != core:
+    sig_dims(k, ambient)
+    if offset < 0 or ambient[offset : offset + len(core)] != core:
         raise ValueError(f"ambient {ambient} does not contain core {core} at offset {offset}")
-    window = (offset, offset + len(core))
-    holding = {
-        label: _window_sum(k, ambient, window, lhs) == _window_sum(k, ambient, window, rhs)
-        for label, (lhs, rhs) in _equations(relation, k, offset).items()
-    }
+    holding = {label: _side_sum(k, core, lhs) == _side_sum(k, core, rhs)
+               for label, (lhs, rhs) in _equations(relation, k).items()}
     holds, detail = all(holding.values()), {}
     if relation == "R1":
         detail = holding
@@ -378,4 +341,9 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
 
 
 def verify_relation_everywhere(relation: str, k: int, max_len: int = 4) -> list[RelationReport]:
-    return [verify_relation(relation, k, *placement) for placement in ambient_signatures(relation, k, max_len)]
+    """One report per placement of the core (`ambient_signatures`), each with
+    its own detail: the relation is checked once, on its core signature, and
+    every placement has that result (see `verify_relation`)."""
+    report = verify_relation(relation, k)
+    return [dataclasses.replace(report, ambient=ambient, offset=offset, detail=copy.deepcopy(report.detail))
+            for ambient, offset in ambient_signatures(relation, k, max_len)]

@@ -194,12 +194,12 @@ def test_one_bent_rewrite_reaches_the_relations_and_the_cube(monkeypatch):
     honest, _ = cube.tangle_alternating_sum(word, 3)
     real = functors._act
 
-    def bent(k, sig, window, move, table):
+    def bent(k, sig, move, table):
         """Every merge gets its exponents raised by 1."""
-        table, new_sig, new_window = real(k, sig, window, move, table)
+        table, new_sig = real(k, sig, move, table)
         if move[0] == "merge":
             table = {(r, c, e + 1): v for (r, c, e), v in table.items()}
-        return table, new_sig, new_window
+        return table, new_sig
 
     monkeypatch.setattr(functors, "_act", bent)
     got, _ = cube.tangle_alternating_sum(word, 3)

@@ -1,5 +1,6 @@
 """Merge/split Laurent matrices and the diagrammatic relations."""
 
+import math
 import os
 import pathlib
 import subprocess
@@ -158,6 +159,30 @@ class TestRelations:
         assert reports
         assert all(r.holds for r in reports)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_each_sweep_report_is_its_direct_check(self, k):
+        for relation in RELATIONS:
+            reports = functors.verify_relation_everywhere(relation, k)
+            assert [(r.ambient, r.offset) for r in reports] == list(functors.ambient_signatures(relation, k))
+            for report in reports:
+                assert report == functors.verify_relation(relation, k, report.ambient, report.offset)
+            # Each report owns its detail, nested lists included.
+            first, *others = reports
+            for value in first.detail.values():
+                if isinstance(value, list):
+                    value.append("planted")
+            first.detail["planted"] = True
+            for report in others:
+                assert report == functors.verify_relation(relation, k, report.ambient, report.offset)
+
+    def test_ambient_must_be_a_signature_holding_the_core(self):
+        for ambient, offset in (((0, 2, 9), 1), ((2, 4), 0)):
+            with pytest.raises(ValueError, match="outside 1..3"):
+                functors.verify_relation("R2", 3, ambient, offset)
+        for ambient, offset in (((2, 2), -2), ((1, 2), 0), ((1, 2), 2)):
+            with pytest.raises(ValueError, match="does not contain core"):
+                functors.verify_relation("R2", 3, ambient, offset)
+
     def test_ambient_enumeration_counts(self):
         # Core (1, 2) with one extra block of weight 1 or 2 on either side,
         # plus the bare core.
@@ -271,11 +296,10 @@ def signature_move_matrix(draw):
 
 
 def _act_on_all_of(k, sig, move, mat):
-    """`_act` on the window of all of sig, as the cube applies its moves: the
-    table wrapped by the checking constructor, which refuses a zero or
-    out-of-range term."""
-    table, new_sig, window = functors._act(k, sig, (0, len(sig)), move, mat.terms)
-    assert window == (0, len(new_sig))
+    """`_act` on the rows of sig, as the cube applies its moves: the table
+    wrapped by the checking constructor, which refuses a zero or out-of-range
+    term."""
+    table, new_sig = functors._act(k, sig, move, mat.terms)
     return LaurentMatrix(functors.sig_dim(k, new_sig), mat.ncols, table), new_sig
 
 
@@ -318,7 +342,9 @@ def test_split_refuses_a_table_with_two_indices_on_one_target(monkeypatch):
         functors._local_images.cache_clear()
 
 
-def test_relation_sweep_sees_a_split_bug_off_the_core(monkeypatch):
+def test_kron_reference_sees_a_split_bug_off_the_core(monkeypatch):
+    # Each relation is checked once on its core, where R2's split is at block
+    # 1; a split bug at a later block is the reference comparisons' to catch.
     real = functors._local_action
 
     def bent(k, sig, move):
@@ -330,27 +356,35 @@ def test_relation_sweep_sees_a_split_bug_off_the_core(monkeypatch):
 
     monkeypatch.setattr(functors, "_local_action", bent)
     assert functors.verify_relation("R2", 3).holds
-    assert not all(report.holds for report in functors.verify_relation_everywhere("R2", 3))
+    k, sig, move = 3, (1, 2), ("split", 2, (1, 1))
+    identity = functors.move_matrix(k, sig)[0]
+    got, _ = _act_on_all_of(k, sig, move, identity)
+    assert _as_poly_matrix(got) != _reference_move(k, sig, move)
+    with pytest.raises(AssertionError):
+        _assert_move_matrix_is_reference(k, sig, move)
 
 
-def test_relation_sweep_sees_a_merge_bug_off_the_core(monkeypatch):
-    # Every relation word is composed on its core window; a bug placed only
-    # off the core still shows on the placements that put a merge there.
+def test_references_see_a_merge_bug_off_the_core(monkeypatch):
+    # Only R4's core word merges at block 3, so the other relations hold on
+    # their cores and at every placement; the reference comparisons catch it.
     real = functors._act
 
-    def bent(k, sig, window, move, table):
+    def bent(k, sig, move, table):
         """Every merge from block position 3 on gets its exponents raised by 1."""
-        table, new_sig, new_window = real(k, sig, window, move, table)
+        table, new_sig = real(k, sig, move, table)
         if move[0] == "merge" and move[1] >= 3:
             table = {(r, c, e + 1): v for (r, c, e), v in table.items()}
-        return table, new_sig, new_window
+        return table, new_sig
 
     monkeypatch.setattr(functors, "_act", bent)
     for k in (2, 3, 4):
-        for relation in ("R1", "R2", "R3", "R5", "L5"):  # R4's core word merges at block 3
-            assert functors.verify_relation(relation, k).holds
-        for relation in RELATIONS:
-            assert not all(report.holds for report in functors.verify_relation_everywhere(relation, k))
+        for relation in ("R1", "R2", "R3", "R5", "L5"):
+            assert all(report.holds for report in functors.verify_relation_everywhere(relation, k))
+        assert not any(report.holds for report in functors.verify_relation_everywhere("R4", k))
+    k, sig, move = 3, (2, 1, 1, 1), ("merge", 3)
+    got, new_sig = functors.evaluate(k, sig, [move])
+    assert (_as_poly_matrix(got), new_sig) != _poly_apply_move(k, sig, move, _poly_identity(functors.sig_dim(k, sig)))
+    assert _as_poly_matrix(got) != _reference_move(k, sig, move)
 
 
 def _e(i):
@@ -387,12 +421,23 @@ def test_r5_fails_when_the_second_merge_is_bent(monkeypatch, k):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_verify_relation_builds_no_ambient_matrix(monkeypatch, k):
+    # The local images are built afresh, so the only matrices admitted are the
+    # local merges Lambda^a (x) Lambda^b -> Lambda^(a+b); `from_terms` is absent.
+    local_shapes = {(math.comb(k, a + b), math.comb(k, a) * math.comb(k, b))
+                    for a in range(1, k) for b in range(1, k - a + 1)}
+
     def never(*_args):
         raise AssertionError("an ambient matrix was built")
 
+    def local_only(nrows, ncols, terms):
+        if (nrows, ncols) not in local_shapes:
+            raise AssertionError(f"a {nrows} x {ncols} matrix was built")
+        return LaurentMatrix(nrows, ncols, terms)
+
     for name in ("move_matrix", "evaluate"):
         monkeypatch.setattr(functors, name, never)
-    monkeypatch.setattr(functors, "LaurentMatrix", None)
+    monkeypatch.setattr(functors, "LaurentMatrix", local_only)
+    functors._local_images.cache_clear()
     for relation in RELATIONS:
         core = functors.core_signature(relation, k)
         for ambient, offset in ((core, 0), ((k,) + core, 1), (core + (1,), 0)):
@@ -404,10 +449,10 @@ def test_relation_word_leaving_the_ambient_raises(monkeypatch):
     assert functors.verify_relation("R5", 2).holds
     real = functors._act
 
-    def drifting(k, sig, window, move, table):
+    def drifting(k, sig, move, table):
         """merge(2), the last move of R3's word, drifts to a longer signature."""
-        table, sig, window = real(k, sig, window, move, table)
-        return table, (sig + (1,) if move == ("merge", 2) else sig), window
+        table, sig = real(k, sig, move, table)
+        return table, (sig + (1,) if move == ("merge", 2) else sig)
 
     monkeypatch.setattr(functors, "_act", drifting)
     assert functors.verify_relation("R2", 2).holds
@@ -415,16 +460,11 @@ def test_relation_word_leaving_the_ambient_raises(monkeypatch):
         functors.verify_relation("R3", 2)
 
 
-def test_a_move_outside_the_window_raises():
-    # The window is block 2 alone, of dimension 3 in each signature.
-    identity = {(j, j, 0): 1 for j in range(3)}
-    for sig, move in (((1, 2, 1), ("merge", 1)), ((1, 2, 1), ("merge", 2)), ((1, 1, 2), ("split", 3, (1, 1))),
-                      ((1, 2, 1), ("ins", 1)), ((1, 2, 1), ("ins", 4)), ((3, 2, 1), ("del", 1))):
-        with pytest.raises(InvariantError, match="outside blocks 2..2"):
-            functors._act(3, sig, (1, 2), move, identity)
-    assert functors._act(3, (1, 2, 1), (1, 2), ("shift", 2), identity) == (
-        {(j, j, 2): 1 for j in range(3)}, (1, 2, 1), (1, 2))
-    assert functors._act(3, (1, 2, 1), (1, 2), ("ins", 3), identity) == (identity, (1, 2, 3, 1), (1, 3))
+def test_shift_and_ins_return_the_whole_new_signature():
+    # (1, 2, 1) has dimension 27 at k = 3; an inserted full block has dimension 1.
+    identity = {(j, j, 0): 1 for j in range(27)}
+    assert functors._act(3, (1, 2, 1), ("shift", 2), identity) == ({(j, j, 2): 1 for j in range(27)}, (1, 2, 1))
+    assert functors._act(3, (1, 2, 1), ("ins", 3), identity) == (identity, (1, 2, 3, 1))
 
 
 def _identity_factors(k, sig, move):
@@ -454,7 +494,7 @@ def test_move_matrix_matches_identity_and_kron_references(data):
 
 
 @pytest.mark.parametrize(
-    "k, sig, move, along_right",
+    "k, sig, move, right_larger",
     [
         (4, (1, 1, 3, 2), ("merge", 1), True),  # first block pair
         (4, (2, 3, 1, 1), ("merge", 3), False),  # last block pair
@@ -463,7 +503,7 @@ def test_move_matrix_matches_identity_and_kron_references(data):
         (3, (2, 1, 2), ("split", 3, (1, 1)), False),  # last block
         (4, (3, 2, 1), ("split", 1, (2, 1)), True),  # first block
         (3, (2, 2), ("split", 2, (1, 1)), False),
-        (3, (1, 3, 2), ("del", 2), True),  # left 3, right 3: the tie runs along the right
+        (3, (1, 3, 2), ("del", 2), True),  # left 3, right 3
         (3, (2, 1, 3), ("del", 3), False),
         (3, (3, 2, 1), ("del", 1), True),
         (3, (1, 2), ("ins", 3), False),
@@ -472,9 +512,10 @@ def test_move_matrix_matches_identity_and_kron_references(data):
         (2, (), ("shift", 3), True),
     ],
 )
-def test_move_matrix_runs_along_either_identity_factor(k, sig, move, along_right):
+def test_move_matrix_runs_along_either_identity_factor(k, sig, move, right_larger):
+    # The cases put the moved blocks at either end, with either identity factor the larger.
     left, right = _identity_factors(k, sig, move)
-    assert (right >= left) == along_right
+    assert (right >= left) == right_larger
     _assert_move_matrix_is_reference(k, sig, move)
 
 
@@ -487,10 +528,15 @@ def test_move_matrix_checks_the_move_like_apply_move():
         functors.move_matrix(3, (4,), ("shift", 1))
 
 
+def _moved_right(move, offset):
+    """The move with its block position moved right by offset (shift has none)."""
+    return move if move[0] == "shift" else (move[0], move[1] + offset, *move[2:])
+
+
 @st.composite
 def padded_words(draw):
     """(k, sig, word): one to six moves drawn on the middle blocks of a signature
-    padded on either side, so the word's window has identity factors around it."""
+    padded on either side, so identity factors lie around the moved blocks."""
     k = draw(st.integers(min_value=2, max_value=4))
     pads = st.lists(st.integers(min_value=1, max_value=k), max_size=2)
     left, right = tuple(draw(pads)), tuple(draw(pads))
@@ -499,7 +545,7 @@ def padded_words(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
         move = draw(st.sampled_from(_valid_moves(draw, k, cur)))
         _, cur = _poly_apply_move(k, cur, move, _poly_identity(functors.sig_dim(k, cur)))
-        word.append(move if move[0] == "shift" else (move[0], move[1] + len(left), *move[2:]))
+        word.append(_moved_right(move, len(left)))
     return k, left + middle + right, tuple(word)
 
 
@@ -536,7 +582,7 @@ def _lift(table, k, ambient, window):
 def _ambient_sum(k, ambient, terms):
     """sum c * value(word) on the whole ambient space with LaurentPoly
     entries, each word applied move by move with `_poly_apply_move`: the
-    path the window check replaces."""
+    path the core check replaces."""
     n = functors.sig_dim(k, ambient)
     total = SparseMatrix.zeros(n, n)
     for c, word in terms:
@@ -548,26 +594,33 @@ def _ambient_sum(k, ambient, terms):
     return total
 
 
-def test_window_sum_weights_each_word_by_its_coefficient():
+def test_side_sum_weights_each_word_by_its_coefficient():
     # The relations' own coefficients are all 1, so they cannot show a lost factor.
-    k, ambient, window = 3, (1, 2, 1), (1, 2)
-    bubble = (("split", 2, (1, 1)), ("merge", 2))
+    k, core = 3, (2,)
+    bubble = (("split", 1, (1, 1)), ("merge", 1))
     terms = ((-3, ()), (LaurentPoly.from_dict({1: 2, -1: -1}), bubble), (5, bubble))
-    got = _lift(functors._window_sum(k, ambient, window, terms), k, ambient, window)
-    assert _as_poly_matrix(got) == _ambient_sum(k, ambient, terms)
-    assert functors._window_sum(k, ambient, window, ((2, ()), (-2, ()))) == {}
+    got = LaurentMatrix(3, 3, functors._side_sum(k, core, terms))
+    assert _as_poly_matrix(got) == _ambient_sum(k, core, terms)
+    assert functors._side_sum(k, core, ((2, ()), (-2, ()))) == {}
+
+
+def _shifted(terms, offset):
+    """The (c, word) terms with every block position moved right by offset."""
+    return tuple((c, tuple(_moved_right(m, offset) for m in word)) for c, word in terms)
 
 
 @pytest.mark.parametrize("relation", RELATIONS)
 @pytest.mark.parametrize("k", [2, 3])
 def test_each_relation_side_lifts_to_its_ambient_sum(relation, k):
+    # The lemma every placement's shared result rests on: I (x) (core sum) (x) I
+    # is the side's words, shifted to the placement, applied on the whole ambient.
     core = functors.core_signature(relation, k)
-    for ambient, offset in functors.ambient_signatures(relation, k, max_len=4):
-        window = (offset, offset + len(core))
-        for lhs, rhs in functors._equations(relation, k, offset).values():
-            for side in (lhs, rhs):
-                lifted = _lift(functors._window_sum(k, ambient, window, side), k, ambient, window)
-                assert _as_poly_matrix(lifted) == _ambient_sum(k, ambient, side)
+    for lhs, rhs in functors._equations(relation, k).values():
+        for side in (lhs, rhs):
+            core_sum = functors._side_sum(k, core, side)
+            for ambient, offset in functors.ambient_signatures(relation, k, max_len=4):
+                lifted = _lift(core_sum, k, ambient, (offset, offset + len(core)))
+                assert _as_poly_matrix(lifted) == _ambient_sum(k, ambient, _shifted(side, offset))
 
 
 def _poly_apply_move(k, sig, move, mat):
