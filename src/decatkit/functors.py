@@ -254,14 +254,14 @@ SWEEP_DIMENSION_LIMIT = 15 * 10**4
 CORE_DIMENSION_LIMIT = 5 * 10**4
 
 
-def sweep_dimension(k: int, relations=RELATION_IDS, max_len: int = 4) -> int:
+def sweep_dimension(k: int, relations=RELATION_IDS) -> int:
     """Summed core dimension over the placements that `verify_relation_everywhere`
-    reports for the relations at k. The sum stops as soon as it passes
-    SWEEP_DIMENSION_LIMIT, so any k is cheap to refuse."""
+    reports for the relations at k at its default length 4. The sum stops as
+    soon as it passes SWEEP_DIMENSION_LIMIT, so any k is cheap to refuse."""
     total = 0
     for relation in relations:
         core = sig_dim(k, core_signature(relation, k))
-        for _ in ambient_signatures(relation, k, max_len):
+        for _ in ambient_signatures(relation, k):
             total += core
             if total > SWEEP_DIMENSION_LIMIT:
                 return total
@@ -321,7 +321,7 @@ def verify_relation(relation: str, k: int, ambient: Sig | None = None, offset: i
     """
     core = core_signature(relation, k)
     if ambient is None:
-        ambient, offset = core, 0
+        ambient = core
     ambient = tuple(ambient)
     sig_dims(k, ambient)
     if offset < 0 or ambient[offset : offset + len(core)] != core:

@@ -260,17 +260,6 @@ def test_relations_cores_above_the_limit_are_refused_before_any_check(capsys, mo
     assert cli.run(["relations", "--k", "100", "--relation", "R3"]) == 0
 
 
-def test_survey_script_refuses_a_sweep_above_the_limit():
-    root = pathlib.Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_relation_survey.py"), "--kmin", "2", "--kmax", "10"],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(root / "src")),
-    )
-    assert proc.returncode == 2
-    assert "k = 9 sweeps" in proc.stderr and f"over the limit {functors.SWEEP_DIMENSION_LIMIT}" in proc.stderr
-    assert proc.stdout == ""  # refused before the k = 2 sweep ran
-
-
 def test_blocks_pair(capsys):
     code, doc = run_json(
         capsys, ["blocks", "--n", "2", "--p", "31", "--a", "0,1", "--b", "1,0"]
@@ -307,20 +296,11 @@ def test_small_prime_override(capsys):
     assert "large-prime floor" in captured.err
 
 
-def test_sweep_script_applies_the_cli_floor(capsys):
-    # 7 does not exceed 4*3 = 12: the CLI and the script refuse it alike.
-    argv = ["--n", "3", "--p", "7", "--max", "1"]
-    assert cli.run(["blocks", *argv]) == 2
+def test_blocks_sweep_applies_the_large_prime_floor(capsys):
+    # 7 does not exceed 4*3 = 12.
+    assert cli.run(["blocks", "--n", "3", "--p", "7", "--max", "1"]) == 2
     message = capsys.readouterr().err.removeprefix("error: ").split(" (")[0]
     assert message == f"p=7 must exceed 4*n={cohomology.large_prime_floor(3)}"
-    root = pathlib.Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_block_sweep.py"), *argv], capture_output=True, text=True,
-        timeout=60, env=dict(os.environ, PYTHONPATH=str(root / "src")),
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(message) and "decatkit blocks --allow-small-p" in proc.stderr
-    assert proc.stdout == ""
 
 
 def test_nonprime_rejected(capsys):
@@ -378,6 +358,13 @@ def test_khovanov_trefoil_with_oracle(capsys):
     assert doc["euler"] == 2
     assert doc["dims"] == [2, 0, 1, 1]
     assert doc["min_degree"] == 0
+    assert doc["oracle_matches"] is True
+
+
+@pytest.mark.parametrize("name", sorted(cube.DIAGRAMS))
+def test_khovanov_oracle_agrees_on_every_catalogue_diagram(capsys, name):
+    code, doc = run_json(capsys, ["khovanov", "--k", "2", "--word", name, "--oracle"])
+    assert code == 0
     assert doc["oracle_matches"] is True
 
 
