@@ -16,10 +16,10 @@ builds it once per n: the root subsets grouped by weight offset, and each
 subset's contraction terms, read off the few nonzero brackets. A cochain
 cell is named by its subset, whose action faces are the subset itself with
 its a-th root dropped, at sign (-1)^a. A slice's cells are the subsets with
-a nonzero weight space, found by one lookup per offset group. `ce_slice`
-reads one slice, as each `blocks` pair does; `cohomology_table` finds all
-slices' cells in one pass. Raising columns are read through `module.column`
-only at cell vectors.
+a nonzero weight space, found by one lookup per offset group. A Verma slice
+depends on lambda - mu alone: `ce_slice` evaluates one template per offset,
+built over Z[lambda] from the PBW table. Finite modules and `cohomology_table`
+(all slices' cells in one pass) read raising columns through `module.column`.
 
 Raising operators never increase depth, so on a depth-truncated module every
 slice complex with window depth >= ht(lambda - mu) is computed exactly.
@@ -33,7 +33,7 @@ import itertools
 import operator
 import types
 
-from decatkit import liealg, weights
+from decatkit import liealg, verma, weights
 from decatkit.exactlin import QQ, FiniteComplex, InvariantError, PrimeField, SparseMatrix
 from decatkit.verma import TruncatedVerma, simple_quotient, weyl_dim
 
@@ -95,21 +95,36 @@ def slice_required_depth(module, mu_shifted: weights.Weight) -> int | None:
     return weights.root_height(tuple(l - m for l, m in zip(lam, mu_shifted)))
 
 
-def _slice_complex(module, cells) -> FiniteComplex:
-    """The complex of one slice, given as its cells: degree j's basis runs
-    through cells[j], the (subset, members) of its j-subsets in lex order,
-    each cell's members in turn."""
-    pairs, _, contraction = _skeleton(module.n)
-    column, p = module.column, module.field.p
-    index, dims = [], []  # index[j]: {subset: (first basis index, members)}
+def _cells(n: int, members_at) -> list[list]:
+    """cells[j]: (subset, members) for each j-subset whose offset off has members = members_at(off)."""
+    pairs, groups, _ = _skeleton(n)
+    cells: list[list] = [[] for _ in range(len(pairs) + 1)]
+    for off, subsets in groups:
+        if members := members_at(off):
+            for subset in subsets:
+                cells[len(subset)].append((subset, members))
+    return cells
+
+
+def _cell_index(cells) -> tuple[list[dict], tuple[int, ...]]:
+    """(index, dims) of a slice: degree j's basis runs through cells[j] in lex order, each
+    cell's members in turn, and index[j] maps a subset to (first basis index, members)."""
+    index, dims = [], []
     for level in cells:
         at, index_j = 0, {}
-        for subset, members in level:
+        for subset, members in sorted(level):
             index_j[subset] = (at, members)
             at += len(members)
         index.append(index_j)
         dims.append(at)
+    return index, tuple(dims)
 
+
+def _slice_complex(module, cells) -> FiniteComplex:
+    """The complex of one slice of `module`, given as its cells."""
+    pairs, _, contraction = _skeleton(module.n)
+    column, p = module.column, module.field.p
+    index, dims = _cell_index(cells)
     mats = []
     for j in range(len(pairs)):
         entries: dict[tuple[int, int], object] = {}
@@ -133,30 +148,57 @@ def _slice_complex(module, cells) -> FiniteComplex:
         # Field elements times ints: over F_p a residue is `% p`, over Q exact.
         entries = {pos: x for pos, v in entries.items() if (x := v % p if p else v)}
         mats.append(SparseMatrix(dims[j + 1], dims[j], entries))
-    return FiniteComplex(field=module.field, dims=tuple(dims), maps=tuple(mats))
+    return FiniteComplex(field=module.field, dims=dims, maps=tuple(mats))
+
+
+def _slice_template(n: int, delta: weights.Weight):
+    """The slice at mu = lambda - delta of every gl_n Verma window at least
+    ht(delta) deep, over Z[lambda]: (dims, maps), each map its nonzero entries
+    as parallel tuples (rows, cols, interned forms), kept in the PBW table."""
+    table = verma._pbw_table(n)
+    if (done := table.slices.get(delta)) is not None:
+        return done
+    pairs, _, contraction = _skeleton(n)
+    by_drop: dict[weights.Weight, list[int]] = {}  # a cell at offset off: the monomials dropping delta - off
+    for m in range(table.grow(weights.root_height(delta))):
+        by_drop.setdefault(table.drops[m], []).append(m)
+    index, dims = _cell_index(_cells(n, lambda off: by_drop.get(tuple(map(operator.sub, delta, off)))))
+    maps = []
+    for j in range(len(pairs)):
+        sums: dict[tuple[int, int], list[int]] = {}  # the terms of `_slice_complex`, summed as forms
+        for big, (row0, big_members) in index[j + 1].items():
+            slot = {m: row0 + u for u, m in enumerate(big_members)}
+            for a, k in enumerate(big):
+                col0, small_members = index[j].get(big[:a] + big[a + 1 :], (0, ()))
+                for u, m in enumerate(small_members):
+                    for m2, form in table.column(pairs[k], m).items():
+                        if m2 not in slot:
+                            raise InvariantError("action term left the slice")
+                        acc = sums.setdefault((slot[m2], col0 + u), [0] * (n + 1))
+                        acc[:] = map(operator.sub if a % 2 else operator.add, acc, form)
+            for u, (small, c) in itertools.product(range(len(big_members)), contraction.get(big, ())):
+                sums.setdefault((row0 + u, index[j][small][0] + u), [0] * (n + 1))[0] += c
+        maps.append(tuple(zip(*[(r, c, table.form(*f)) for (r, c), f in sums.items() if any(f)])) or ((), (), ()))
+    done = table.slices[delta] = (dims, tuple(maps))
+    return done
 
 
 def ce_slice(module, mu_shifted: weights.Weight) -> SliceComplex:
-    """Cochain complex of the module in the given shifted weight slice."""
+    """Cochain complex of the module in the given shifted weight slice; on a
+    Verma window, its slice template evaluated at lambda."""
+    if len(mu_shifted) != module.n:
+        raise ValueError(f"slice weight {tuple(mu_shifted)} has length {len(mu_shifted)}, not n = {module.n}")
     required = slice_required_depth(module, mu_shifted)
-    if required is not None and required > module.depth:
-        raise ValueError(
-            f"slice at {tuple(mu_shifted)} sits at depth {required}, beyond the "
-            f"window depth {module.depth}; rebuild the module with depth >= {required}"
-        )
-    pairs, groups, _ = _skeleton(module.n)
-    mu = weights.unshift(tuple(mu_shifted))
-    # cells[j]: (subset, members) for each j-subset whose weight mu + offset
-    # has basis vectors `members`.
-    cells: list[list[tuple[tuple[int, ...], list[int]]]] = [[] for _ in range(len(pairs) + 1)]
-    for off, subsets in groups:
-        members = module.weight_index.get(tuple(map(operator.add, mu, off)))
-        if members:
-            for subset in subsets:
-                cells[len(subset)].append((subset, members))
-    for level in cells:
-        level.sort()
-    return SliceComplex(complex=_slice_complex(module, cells))
+    if required is None:  # a finite module, or mu outside the cone below lambda
+        mu, at = weights.unshift(mu_shifted), module.weight_index.get
+        return SliceComplex(_slice_complex(module, _cells(module.n, lambda off: at(tuple(map(operator.add, mu, off))))))
+    if required > module.depth:
+        raise ValueError(f"slice at {tuple(mu_shifted)} sits at depth {required}, beyond the window depth "
+                         f"{module.depth}; rebuild the module with depth >= {required}")
+    dims, maps = _slice_template(module.n, tuple(map(operator.sub, module.lam_shifted, mu_shifted)))
+    mats = (SparseMatrix(dims[j + 1], dims[j], module.evaluate(zip(zip(rows, cols), forms)))
+            for j, (rows, cols, forms) in enumerate(maps))
+    return SliceComplex(FiniteComplex(field=module.field, dims=dims, maps=tuple(mats)))
 
 
 def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:
@@ -183,8 +225,6 @@ def cohomology_table(module) -> dict[tuple[int, weights.Weight], int]:
     kept = sorted((mu, cells) for mu, cells in slices.items() if cells)
     out: dict[tuple[int, weights.Weight], int] = {}
     for mu, cells in kept:
-        for level in cells:
-            level.sort()
         for deg, dim in _slice_complex(module, cells).homology_dims().items():
             if dim:
                 out[(deg, weights.shift(mu))] = dim

@@ -177,6 +177,7 @@ class _PBWTable:
         self.monos, self.depths, self.drops, self.index = [], [], [], {}  # index: monomial -> position
         self.columns = {x: {} for x in self.gl.pairs if x[0] != x[1]}  # {pair: {col: {row: form}}}
         self.forms: dict[tuple[int, ...], tuple[int, ...]] = {}  # each form -> its one interned copy
+        self.slices: dict = {}  # CE slice templates by weight offset, built by `cohomology`
         self.one = self.form(1, *[0] * n)
 
     def form(self, *coeffs: int) -> tuple[int, ...]:
@@ -263,18 +264,17 @@ class TruncatedVerma(_WeightModule):
     def column(self, pair: Pair, col: int) -> dict[int, object]:
         """e_pair times basis vector `col`, as {row: nonzero field value}: the
         table's column, each form evaluated once per module, in a fresh dict."""
-        i, j = pair  # one test on the hot path; `_check` names what failed
-        table = self._table
-        if not (0 <= col < len(self.basis_weight) and 0 < i <= self.n and 0 < j <= self.n
-                and table.depths[col] + i - j <= self.depth):
-            self._check(pair, col)
-        src = table.columns[pair].get(col) if i != j else None
+        self._check(pair, col)
+        return self.evaluate(self._table.column(pair, col).items())
+
+    def evaluate(self, terms) -> dict:
+        """{key: nonzero value} of (key, affine form) pairs; each form is valued at lambda once per module."""
         values, out = self._values, {}
-        for row, form in (table.column(pair, col) if src is None else src).items():
+        for key, form in terms:
             if (v := values.get(form)) is None:
                 v = values[form] = self.field.of(sum(c * x for c, x in zip(form, (1, *self.lam))))
             if v:
-                out[row] = v
+                out[key] = v
         return out
 
     def action(self, pair: Pair) -> SparseMatrix:

@@ -56,6 +56,13 @@ def test_slice_depth_guard_names_required_depth():
     assert cohomology.slice_required_depth(finite, (0, 2)) is None
 
 
+@pytest.mark.parametrize("mu", [(3, 2), (3, 2, 1, 0)])
+def test_slice_weight_of_the_wrong_length_is_refused(mu):
+    for module in [verma.TruncatedVerma(3, (4, 2, 0), 3), verma.simple_quotient(3, (4, 2, 0))]:
+        with pytest.raises(ValueError, match=rf"has length {len(mu)}, not n = 3"):
+            cohomology.ce_slice(module, mu)
+
+
 def test_slice_complexes_square_to_zero():
     module = verma.TruncatedVerma(3, (4, 2, 0), 3)
     for mu in slice_candidates(module):
@@ -475,6 +482,41 @@ def test_slice_complex_is_invariant_under_the_diagonal_shift(n, max_entry, field
         assert [m.entries for m in moved.maps] == [m.entries for m in cx.maps]
 
 
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(37), QQ], ids=["F5", "F37", "Q"])
+@pytest.mark.parametrize("n,max_entry", [(3, 3), (4, 2)], ids=["gl3-max3", "gl4-max2"])
+def test_slice_template_equals_the_column_path_on_every_blocks_pair(n, max_entry, field):
+    # A Verma slice is its offset's template evaluated at lambda; the column
+    # path reads the same slice through `module.column` on the module's own
+    # weight spaces.
+    grid = list(itertools.product(range(max_entry + 1), repeat=n))
+    pairs = 0
+    for b in grid:
+        below = [a for a in grid if weights.root_order_leq(a, b)]
+        depth = max(weights.root_height(tuple(y - x for x, y in zip(a, b))) for a in below)
+        module = verma.TruncatedVerma(n, b, depth, field)
+        for a in below:
+            mu = weights.unshift(a)
+            cells = cohomology._cells(n, lambda off: module.weight_index.get(tuple(x + y for x, y in zip(mu, off))))
+            expected = cohomology._slice_complex(module, cells)
+            cx = cohomology.ce_slice(module, a).complex
+            assert cx.dims == expected.dims
+            assert [m.entries for m in cx.maps] == [m.entries for m in expected.maps]
+            pairs += 1
+    assert pairs == {3: 292, 4: 509}[n]
+
+
+def test_blocks_sweep_builds_one_template_per_offset(monkeypatch):
+    for n, max_entry, p, q, count in [(3, 3, 31, 37, 16), (4, 2, 37, 41, 32)]:
+        table = verma._pbw_table(n)
+        monkeypatch.setattr(table, "slices", {})
+        cohomology.blocks_sweep(n, p, max_entry)
+        grid = list(itertools.product(range(max_entry + 1), repeat=n))
+        offsets = {tuple(y - x for x, y in zip(a, b)) for a in grid for b in grid if weights.root_order_leq(a, b)}
+        assert set(table.slices) == offsets and len(offsets) == count
+        cohomology.blocks_sweep(n, q, max_entry)
+        assert len(table.slices) == count
+
+
 # Doubling one entry of e_12 on the monomial (0, 1, 0) below (2, 1, 0)
 # breaks d squared = 0 in the slice at (0, 1, 2).
 BENT_WEIGHT, BENT_PAIR, BENT_MONOMIAL, BENT_SLICE = (2, 1, 0), (1, 2), (0, 1, 0), (0, 1, 2)
@@ -482,13 +524,18 @@ BENT_WEIGHT, BENT_PAIR, BENT_MONOMIAL, BENT_SLICE = (2, 1, 0), (1, 2), (0, 1, 0)
 
 def _bend_table_entry(monkeypatch):
     """Double, in the shared table of gl_3, the entry of the e_12 column on
-    the bent monomial whose value at the bent weight is nonzero mod 31."""
+    the bent monomial whose value at the bent weight is nonzero mod 31. The
+    table's columns are swapped for a copy and its slice templates for an
+    empty dict, so no template built before the bend hides it, and no column
+    or template built from it outlives the test."""
     module = verma.TruncatedVerma(3, BENT_WEIGHT, 4, PrimeField(31))
     col = module.basis.index(BENT_MONOMIAL)
     row = min(module.column(BENT_PAIR, col))
     table = verma._pbw_table(3)
     column = table.column(BENT_PAIR, col)
-    monkeypatch.setitem(table.columns[BENT_PAIR], col, {**column, row: tuple(2 * c for c in column[row])})
+    monkeypatch.setattr(table, "columns", {pair: dict(cols) for pair, cols in table.columns.items()})
+    table.columns[BENT_PAIR][col] = {**column, row: tuple(2 * c for c in column[row])}
+    monkeypatch.setattr(table, "slices", {})
     return module
 
 
@@ -506,3 +553,13 @@ def test_perturbed_raising_column_raises_in_the_sweep(monkeypatch):
         cohomology.verify_blocks_vanishing(3, BENT_SLICE, BENT_WEIGHT, 31)
     with pytest.raises(ComplexError):
         cohomology.blocks_sweep(3, 31, 2)
+
+
+def test_perturbed_raising_column_reaches_templates_built_before_it(monkeypatch):
+    cohomology.blocks_sweep(3, 31, 2)
+    assert verma._pbw_table(3).slices
+    _bend_table_entry(monkeypatch)
+    with pytest.raises(ComplexError):
+        cohomology.blocks_sweep(3, 31, 2)
+    monkeypatch.undo()
+    cohomology.blocks_sweep(3, 31, 2)
