@@ -16,10 +16,11 @@ builds it once per n: the root subsets grouped by weight offset, and each
 subset's contraction terms, read off the few nonzero brackets. A cochain
 cell is named by its subset, whose action faces are the subset itself with
 its a-th root dropped, at sign (-1)^a. A slice's cells are the subsets with
-a nonzero weight space, found by one lookup per offset group. A Verma slice
-depends on lambda - mu alone: `ce_slice` evaluates one template per offset,
-built over Z[lambda] from the PBW table. Finite modules and `cohomology_table`
-(all slices' cells in one pass) read raising columns through `module.column`.
+a nonzero weight space, found by one lookup per offset group. One loop,
+`_assemble`, walks the faces for two column readers. A Verma slice depends
+on lambda - mu alone: `ce_slice` evaluates one template per offset, summed
+over Z[lambda] as affine forms read off the PBW table. Finite modules and
+`cohomology_table` (all cells in one pass) sum values from `module.column`.
 
 Raising operators never increase depth, so on a depth-truncated module every
 slice complex with window depth >= ht(lambda - mu) is computed exactly.
@@ -120,34 +121,43 @@ def _cell_index(cells) -> tuple[list[dict], tuple[int, ...]]:
     return index, tuple(dims)
 
 
-def _slice_complex(module, cells) -> FiniteComplex:
-    """The complex of one slice of `module`, given as its cells."""
-    pairs, _, contraction = _skeleton(module.n)
-    column, p = module.column, module.field.p
+def _assemble(n: int, cells, column, add, one) -> tuple[tuple[int, ...], list[dict]]:
+    """(dims, maps) of the slice with these cells, each map {(row, col): sum}. column(pair, member)
+    reads a raising column as {member: x}; each entry folds its terms by acc = add(acc, c, x) from
+    acc None: c = +-1 on an action term, and c the contraction constant with x = `one` on a contraction."""
+    pairs, _, contraction = _skeleton(n)
     index, dims = _cell_index(cells)
-    mats = []
+    maps = []
     for j in range(len(pairs)):
-        entries: dict[tuple[int, int], object] = {}
+        sums: dict[tuple[int, int], object] = {}
         for big, (row0, big_members) in index[j + 1].items():
-            slot = {m: row0 + u for u, m in enumerate(big_members)}
+            slot = {m: row for row, m in enumerate(big_members, row0)}
             # Dropping root k = big[a] leaves a face, acted on by e_k with sign (-1)^a.
             for a, k in enumerate(big):
                 col0, small_members = index[j].get(big[:a] + big[a + 1 :], (0, ()))
                 sign = -1 if a % 2 else 1
-                for u, m in enumerate(small_members):
-                    for m2, val in column(pairs[k], m).items():
+                for col, m in enumerate(small_members, col0):
+                    for m2, x in column(pairs[k], m).items():
                         row = slot.get(m2)
                         if row is None:
                             raise InvariantError("action term left the slice")
-                        entries[row, col0 + u] = entries.get((row, col0 + u), 0) + sign * val
+                        sums[row, col] = add(sums.get((row, col)), sign, x)
             # A contraction term keeps the weight, so small and big share members.
             for small, c in contraction.get(big, ()):
                 col0 = index[j][small][0]
                 for u in range(len(big_members)):
-                    entries[row0 + u, col0 + u] = entries.get((row0 + u, col0 + u), 0) + c
-        # Field elements times ints: over F_p a residue is `% p`, over Q exact.
-        entries = {pos: x for pos, v in entries.items() if (x := v % p if p else v)}
-        mats.append(SparseMatrix(dims[j + 1], dims[j], entries))
+                    sums[row0 + u, col0 + u] = add(sums.get((row0 + u, col0 + u)), c, one)
+        maps.append(sums)
+    return dims, maps
+
+
+def _slice_complex(module, cells) -> FiniteComplex:
+    """The complex of one slice of `module`, given as its cells."""
+    dims, maps = _assemble(module.n, cells, module.column, lambda acc, c, x: c * x if acc is None else acc + c * x, 1)
+    # Field elements times ints: over F_p a residue is `% p`, over Q exact.
+    p = module.field.p
+    mats = (SparseMatrix(dims[j + 1], dims[j], {pos: x for pos, v in sums.items() if (x := v % p if p else v)})
+            for j, sums in enumerate(maps))
     return FiniteComplex(field=module.field, dims=dims, maps=tuple(mats))
 
 
@@ -158,28 +168,14 @@ def _slice_template(n: int, delta: weights.Weight):
     table = verma._pbw_table(n)
     if (done := table.slices.get(delta)) is not None:
         return done
-    pairs, _, contraction = _skeleton(n)
     by_drop: dict[weights.Weight, list[int]] = {}  # a cell at offset off: the monomials dropping delta - off
     for m in range(table.grow(weights.root_height(delta))):
         by_drop.setdefault(table.drops[m], []).append(m)
-    index, dims = _cell_index(_cells(n, lambda off: by_drop.get(tuple(map(operator.sub, delta, off)))))
-    maps = []
-    for j in range(len(pairs)):
-        sums: dict[tuple[int, int], list[int]] = {}  # the terms of `_slice_complex`, summed as forms
-        for big, (row0, big_members) in index[j + 1].items():
-            slot = {m: row0 + u for u, m in enumerate(big_members)}
-            for a, k in enumerate(big):
-                col0, small_members = index[j].get(big[:a] + big[a + 1 :], (0, ()))
-                for u, m in enumerate(small_members):
-                    for m2, form in table.column(pairs[k], m).items():
-                        if m2 not in slot:
-                            raise InvariantError("action term left the slice")
-                        acc = sums.setdefault((slot[m2], col0 + u), [0] * (n + 1))
-                        acc[:] = map(operator.sub if a % 2 else operator.add, acc, form)
-            for u, (small, c) in itertools.product(range(len(big_members)), contraction.get(big, ())):
-                sums.setdefault((row0 + u, index[j][small][0] + u), [0] * (n + 1))[0] += c
-        maps.append(tuple(zip(*[(r, c, table.form(*f)) for (r, c), f in sums.items() if any(f)])) or ((), (), ()))
-    done = table.slices[delta] = (dims, tuple(maps))
+    cells = _cells(n, lambda off: by_drop.get(tuple(map(operator.sub, delta, off))))
+    dims, maps = _assemble(n, cells, table.column, lambda acc, c, f: [c * x for x in f] if acc is None
+                           else [y + c * x for y, x in zip(acc, f)], table.one)
+    interned = (tuple(zip(*[(r, c, table.form(*f)) for (r, c), f in sums.items() if any(f)])) for sums in maps)
+    done = table.slices[delta] = (dims, tuple(m or ((), (), ()) for m in interned))
     return done
 
 
@@ -266,8 +262,11 @@ def verify_blocks_vanishing(n: int, a_shifted: weights.Weight, b_shifted: weight
     building a module or a slice.
     """
     a_shifted, b_shifted = tuple(a_shifted), tuple(b_shifted)
+    if not len(a_shifted) == len(b_shifted) == n:
+        raise ValueError(f"weights {a_shifted} and {b_shifted} are not both of length n = {n}")
+    field = PrimeField(p)  # refuses a composite p inside the root cone and outside it alike
     ht = weights.root_height(tuple(x - y for x, y in zip(b_shifted, a_shifted)))
-    module = None if ht is None else TruncatedVerma(n, b_shifted, ht, PrimeField(p))
+    module = None if ht is None else TruncatedVerma(n, b_shifted, ht, field)
     return _blocks_report(n, p, a_shifted, b_shifted, module)
 
 

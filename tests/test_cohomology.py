@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decatkit import cli, cohomology, liealg, verma, weights
-from decatkit.exactlin import QQ, ComplexError, FiniteComplex, PrimeField, SparseMatrix
+from decatkit.exactlin import QQ, ComplexError, FiniteComplex, InvariantError, PrimeField, SparseMatrix
 from verma_reference import CRITERION_WEIGHTS, reference_simple_quotient, small_regular_dominant
 
 
@@ -202,6 +202,16 @@ def test_blocks_pair_diagonal():
     rep = cohomology.verify_blocks_vanishing(2, (1, 0), (1, 0), 31)
     assert rep.homology == {0: 1, 1: 0}
     assert rep.block_congruent and rep.componentwise_leq and rep.root_order_leq
+
+
+def test_blocks_pair_is_validated_outside_the_root_cone_as_inside_it():
+    # The first pair of each kind lies outside the root cone, where no module is built.
+    for a, b in [((1, 0), (0, 1)), ((0, 1), (1, 0))]:
+        with pytest.raises(ValueError, match="not both of length n = 3"):
+            cohomology.verify_blocks_vanishing(3, a, b, 31)
+    for a, b in [((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 0))]:
+        with pytest.raises(ValueError, match="modulus 4 is not prime"):
+            cohomology.verify_blocks_vanishing(3, a, b, 4)
 
 
 def test_blocks_report_serialization_keys(tmp_path):
@@ -522,21 +532,28 @@ def test_blocks_sweep_builds_one_template_per_offset(monkeypatch):
 BENT_WEIGHT, BENT_PAIR, BENT_MONOMIAL, BENT_SLICE = (2, 1, 0), (1, 2), (0, 1, 0), (0, 1, 2)
 
 
-def _bend_table_entry(monkeypatch):
-    """Double, in the shared table of gl_3, the entry of the e_12 column on
-    the bent monomial whose value at the bent weight is nonzero mod 31. The
-    table's columns are swapped for a copy and its slice templates for an
-    empty dict, so no template built before the bend hides it, and no column
-    or template built from it outlives the test."""
+def _plant_table_entry(monkeypatch, plant):
+    """Replace, in the shared table of gl_3, the e_12 column on the bent
+    monomial by plant(table, column, row), row its first entry whose value at
+    the bent weight is nonzero mod 31. The table's columns are swapped for a
+    copy and its slice templates for an empty dict, so no template built
+    before the plant hides it, and no column or template built from it
+    outlives the test."""
     module = verma.TruncatedVerma(3, BENT_WEIGHT, 4, PrimeField(31))
     col = module.basis.index(BENT_MONOMIAL)
     row = min(module.column(BENT_PAIR, col))
     table = verma._pbw_table(3)
     column = table.column(BENT_PAIR, col)
     monkeypatch.setattr(table, "columns", {pair: dict(cols) for pair, cols in table.columns.items()})
-    table.columns[BENT_PAIR][col] = {**column, row: tuple(2 * c for c in column[row])}
+    table.columns[BENT_PAIR][col] = plant(table, column, row)
     monkeypatch.setattr(table, "slices", {})
     return module
+
+
+def _bend_table_entry(monkeypatch):
+    """Double that entry."""
+    return _plant_table_entry(monkeypatch,
+                              lambda table, column, row: {**column, row: tuple(2 * c for c in column[row])})
 
 
 def test_perturbed_raising_column_raises_in_the_table(monkeypatch):
@@ -563,3 +580,19 @@ def test_perturbed_raising_column_reaches_templates_built_before_it(monkeypatch)
         cohomology.blocks_sweep(3, 31, 2)
     monkeypatch.undo()
     cohomology.blocks_sweep(3, 31, 2)
+
+
+def test_raising_column_leaving_the_slice_raises(monkeypatch):
+    # e_12 takes the depth-2 bent monomial to depth 1; the planted row 0, valued 1, is at depth 0.
+    module = _plant_table_entry(monkeypatch, lambda table, column, row: {**column, 0: table.one})
+    with pytest.raises(InvariantError, match="action term left the slice"):
+        cohomology.ce_slice(module, BENT_SLICE)
+    with pytest.raises(InvariantError, match="action term left the slice"):
+        cohomology.cohomology_table(module)
+    # On a finite module, a raising column's entry at its own basis vector is one weight off.
+    simple = verma.simple_quotient(3, (3, 1, 0), PrimeField(31))
+    columns = simple._columns[BENT_PAIR]
+    col = next(c for c, column in columns.items() if column)
+    columns[col] = {**columns[col], col: 1}
+    with pytest.raises(InvariantError, match="action term left the slice"):
+        cohomology.cohomology_table(simple)
