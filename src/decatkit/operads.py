@@ -13,7 +13,9 @@ it by (s_1, ..., s_n) -> ([0, s_1], ..., [0, s_n]).
 
 Both share `Point`, integer numerators over one denominator, so one compose,
 equal, permute and unit serve both. `run_operad_checks` checks seeded points:
-associativity, unit, equivariance, basepoints, co-composition, the inclusion."""
+associativity, unit, equivariance, basepoints, co-composition, the inclusion.
+The samplers read `Random.getrandbits` through `_below`, so they consume a
+seeded `Random`'s stream exactly as `randint` and `randrange` would."""
 
 import dataclasses
 import itertools
@@ -55,7 +57,8 @@ class Point:
             raise ValueError("arity must be at least 1")
         g = math.gcd(den, *nums)
         point = object.__new__(cls)
-        vars(point).update(nums=tuple(c // g for c in nums) if g > 1 else nums, den=den // g)
+        fields = point.__dict__
+        fields["nums"], fields["den"] = (tuple([c // g for c in nums]), den // g) if g > 1 else (nums, den)
         point._check()
         return point
 
@@ -96,8 +99,10 @@ class IntervalFamily(Point):
     UNIT = ((Fraction(0), Fraction(1)),)
 
     def _check(self):
-        for s, t in zip(self.nums[::2], self.nums[1::2]):
-            if not (0 <= s < t <= self.den):
+        nums, den = self.nums, self.den
+        for i in range(0, len(nums), 2):
+            s, t = nums[i], nums[i + 1]
+            if not (0 <= s < t <= den):
                 raise ValueError(f"bad interval [{Fraction(s, self.den)}, {Fraction(t, self.den)}]")
 
     @property
@@ -126,13 +131,14 @@ def compose(outer, inners):
         return BASEPOINT
     if len(inners) != outer.arity:
         raise ValueError(f"need {outer.arity} inner points, got {len(inners)}")
-    kind, k = type(outer), outer.STRIDE
-    for x in inners:
+    kind, k, block, outer_nums = type(outer), outer.STRIDE, outer._block, outer.nums
+    scale = math.lcm(*(x.den for x in inners if isinstance(x, kind)))  # the loop refuses the rest
+    nums = []
+    for i, x in enumerate(inners):
         if not isinstance(x, kind):
             raise ValueError(f"cannot compose a {kind.__name__} with an inner {type(x).__name__}")
-    scale = math.lcm(*(x.den for x in inners))
-    nums = [c for i, x in enumerate(inners) for c in outer._block(
-        outer.nums[k * i : k * i + k], [a * (scale // x.den) for a in x.nums], scale)]
+        factor = scale // x.den
+        nums += block(outer_nums[k * i : k * i + k], x.nums if factor == 1 else [a * factor for a in x.nums], scale)
     point = kind._of(tuple(nums), outer.den * scale)
     return BASEPOINT if point.is_basepoint else point
 
@@ -173,27 +179,52 @@ def from_simplex(point):
     return IntervalFamily._of(tuple(c for s in point.nums for c in (0, s)), point.den)
 
 
+def _below(bits, n: int) -> int:
+    """`randrange(n)` for n >= 1 from `bits`, a `Random`'s getrandbits: the
+    rejection loop of `Random._randbelow`, which draws the same stream."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def sample_simplex(rng: random.Random, n: int, boundary_rate: int = 8) -> SimplexPoint:
     """Random rational point, interior except one time in boundary_rate."""
-    weights = [rng.randint(1, 9) for _ in range(n)]
-    if n > 1 and boundary_rate and rng.randrange(boundary_rate) == 0:
-        weights[rng.randrange(n)] = 0
+    bits, weights = rng.getrandbits, []
+    for _ in range(n):  # randint(1, 9), inlined
+        r = bits(4)
+        while r >= 9:
+            r = bits(4)
+        weights.append(r + 1)
+    if n > 1 and boundary_rate and _below(bits, boundary_rate) == 0:
+        weights[_below(bits, n)] = 0
     return SimplexPoint._of(tuple(weights), sum(weights))
 
 
 def sample_intervals(rng: random.Random, n: int, basepoint_rate: int = 8) -> IntervalFamily:
     """Random family in 48ths: one time in basepoint_rate deliberately
     scattered (usually basepoint-equivalent), else nested."""
-    if basepoint_rate and rng.randrange(basepoint_rate) == 0:
-        starts = (rng.randrange(24) for _ in range(n))
-        pairs = [(2 * a, 2 * rng.randint(a + 1, 24)) for a in starts]
+    bits = rng.getrandbits
+    if basepoint_rate and _below(bits, basepoint_rate) == 0:
+        starts = (_below(bits, 24) for _ in range(n))
+        nums = [c for a in starts for c in (2 * a, 2 * (a + 1 + _below(bits, 24 - a)))]
     else:
         # Every [a, b] has a < mid < b: the family has a common interior point.
-        lo = rng.randrange(23)
-        hi = rng.randint(lo + 2, 24)
-        mid = lo + hi
-        pairs = [(rng.randint(2 * lo, mid - 1), rng.randint(mid + 1, 2 * hi)) for _ in range(n)]
-    return IntervalFamily._of(tuple(c for pair in pairs for c in pair), 48)
+        lo = _below(bits, 23)
+        hi = lo + 2 + _below(bits, 23 - lo)
+        # randint(2 * lo, mid - 1) and randint(mid + 1, 2 * hi), inlined: both span w.
+        mid, w, nums = lo + hi, hi - lo, []
+        k = w.bit_length()
+        for _ in range(n):
+            a = bits(k)
+            while a >= w:
+                a = bits(k)
+            b = bits(k)
+            while b >= w:
+                b = bits(k)
+            nums += (2 * lo + a, mid + 1 + b)
+    return IntervalFamily._of(tuple(nums), 48)
 
 
 # (check prefix, point class, sampler, a based point of arity m > 1): the
@@ -202,6 +233,9 @@ _OPERADS = (
     ("j", SimplexPoint, sample_simplex, lambda m: SimplexPoint._of((0,) * (m - 1) + (1,), 1)),
     ("q", IntervalFamily, sample_intervals, lambda m: IntervalFamily._of((0, 1) * (m - 1) + (1, 2), 2)),
 )
+# Checks in one round of `run_operad_checks`: four axioms for each operad,
+# cocompose and inclusion.
+CHECKS_PER_ROUND = 4 * len(_OPERADS) + 2
 
 
 @dataclasses.dataclass
@@ -236,11 +270,14 @@ def run_operad_checks(seed: int = 0, budget: int = 1200, max_arity: int = 5) -> 
         if not ok:
             failures.append({"check": check, **{k: repr(v) for k, v in ctx.items()}})
 
-    def arity() -> int:
-        return rng.randint(1, max_arity)
+    bits = rng.getrandbits
 
-    n_checks = 4 * len(_OPERADS) + 2  # four axioms each, cocompose and inclusion
-    for _ in range(max(1, budget // n_checks)):
+    def arity() -> int:
+        return 1 + _below(bits, max_arity)
+
+    units = {kind: unit(kind) for _, kind, _, _ in _OPERADS}
+    corners = {(tag, m): corner(m) for tag, _, _, corner in _OPERADS for m in range(2, max_arity + 1)}
+    for _ in range(max(1, budget // CHECKS_PER_ROUND)):
         for tag, kind, sample, corner in _OPERADS:
             m = arity()
             ns = [arity() for _ in range(m)]
@@ -253,7 +290,7 @@ def run_operad_checks(seed: int = 0, budget: int = 1200, max_arity: int = 5) -> 
             record(f"{tag}_associativity", equal(left, right), a=a, bs=bs)
 
             x = sample(rng, arity())
-            one = unit(kind)
+            one = units[kind]
             ok = equal(compose(one, [x]), x) and equal(compose(x, [one] * x.arity), x)
             record(f"{tag}_unit", ok, x=x)
 
@@ -276,7 +313,7 @@ def run_operad_checks(seed: int = 0, budget: int = 1200, max_arity: int = 5) -> 
             ok = isinstance(compose(BASEPOINT, bs), Basepoint)
             ok = ok and isinstance(compose(a, with_base), Basepoint)
             if m > 1:
-                ok = ok and equal(compose(corner(m), bs), BASEPOINT)
+                ok = ok and equal(compose(corners[tag, m], bs), BASEPOINT)
             record(f"{tag}_basepoint", ok, a=a)
 
             if kind is SimplexPoint:

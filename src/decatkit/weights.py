@@ -71,13 +71,6 @@ def componentwise_leq(a: Weight, b: Weight) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def root_order_leq(a: Weight, b: Weight) -> bool:
-    """a <= b in the root order: b - a is a nonnegative sum of positive roots."""
-    if len(a) != len(b):
-        raise ValueError(f"weights have different lengths {len(a)} and {len(b)}")
-    return root_height(tuple(y - x for x, y in zip(a, b))) is not None
-
-
 def block_congruent(a: Weight, b: Weight, p: int) -> bool:
     """Sorted residue multisets of the entries mod p agree."""
     if len(a) != len(b):

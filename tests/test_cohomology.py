@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra_helpers import root_order_leq
 from decatkit import cli, cohomology, liealg, verma, weights
 from decatkit.exactlin import QQ, ComplexError, FiniteComplex, InvariantError, PrimeField, SparseMatrix
 from verma_reference import CRITERION_WEIGHTS, reference_simple_quotient, small_regular_dominant
@@ -323,7 +324,7 @@ def test_ce_slice_matches_alternating_sum_on_gl3(simple):
 
 def test_ce_slice_matches_alternating_sum_on_gl4_blocks_pairs():
     grid = list(itertools.product(range(3), repeat=4))
-    below = [(a, b) for a in grid for b in grid if weights.root_order_leq(a, b)]
+    below = [(a, b) for a in grid for b in grid if root_order_leq(a, b)]
     for t, (a, b) in enumerate(random.Random(4).sample(below, 20)):
         depth = weights.root_height(tuple(x - y for x, y in zip(b, a)))
         module = verma.TruncatedVerma(4, b, depth, PrimeField(5 if t % 2 else 37))
@@ -386,7 +387,7 @@ def test_blocks_sweep_reports_equal_direct_slices(n, max_entry):
 
 def test_blocks_pairs_outside_root_cone_build_no_slice(monkeypatch):
     grid = list(itertools.product(range(3), repeat=4))
-    outside = [(a, b) for a in grid for b in grid if not weights.root_order_leq(a, b)]
+    outside = [(a, b) for a in grid for b in grid if not root_order_leq(a, b)]
     pairs = random.Random(10).sample(outside, 20)
     expected = {(a, b): _direct_report(4, a, b, 37, 4) for a, b in pairs}
 
@@ -412,7 +413,7 @@ def test_every_blocks_pair_in_the_root_cone_reads_one_ce_slice(monkeypatch):
     monkeypatch.setattr(cohomology, "ce_slice", counting)
     grid = list(itertools.product(range(3), repeat=3))
     cohomology.blocks_sweep(3, 31, 2)
-    assert calls == [(b, a) for b in grid for a in grid if weights.root_order_leq(a, b)]
+    assert calls == [(b, a) for b in grid for a in grid if root_order_leq(a, b)]
     assert len(calls) == 80
     calls.clear()
     cohomology.verify_blocks_vanishing(2, (0, 1), (1, 0), 7)
@@ -466,7 +467,7 @@ def test_every_slice_homology_is_one_finite_complex(monkeypatch):
     ranked.clear()
     grid = list(itertools.product(range(3), repeat=3))
     cohomology.blocks_sweep(3, 31, 2)
-    assert len(ranked) == sum(weights.root_order_leq(a, b) for a in grid for b in grid)
+    assert len(ranked) == sum(root_order_leq(a, b) for a in grid for b in grid)
 
 
 @pytest.mark.parametrize(
@@ -478,7 +479,7 @@ def test_slice_complex_is_invariant_under_the_diagonal_shift(n, max_entry, field
     # ce_slice at (a + (1,...,1), b + (1,...,1)) is the complex at (a, b):
     # the same cochain dims and the same map entries.
     grid = list(itertools.product(range(max_entry + 1), repeat=n))
-    pairs = [(a, b) for b in grid for a in grid if weights.root_order_leq(a, b)]
+    pairs = [(a, b) for b in grid for a in grid if root_order_leq(a, b)]
     assert len(pairs) == {3: 292, 4: 509}[n]
 
     def complex_at(a, b):
@@ -501,7 +502,7 @@ def test_slice_template_equals_the_column_path_on_every_blocks_pair(n, max_entry
     grid = list(itertools.product(range(max_entry + 1), repeat=n))
     pairs = 0
     for b in grid:
-        below = [a for a in grid if weights.root_order_leq(a, b)]
+        below = [a for a in grid if root_order_leq(a, b)]
         depth = max(weights.root_height(tuple(y - x for x, y in zip(a, b))) for a in below)
         module = verma.TruncatedVerma(n, b, depth, field)
         for a in below:
@@ -521,7 +522,7 @@ def test_blocks_sweep_builds_one_template_per_offset(monkeypatch):
         monkeypatch.setattr(table, "slices", {})
         cohomology.blocks_sweep(n, p, max_entry)
         grid = list(itertools.product(range(max_entry + 1), repeat=n))
-        offsets = {tuple(y - x for x, y in zip(a, b)) for a in grid for b in grid if weights.root_order_leq(a, b)}
+        offsets = {tuple(y - x for x, y in zip(a, b)) for a in grid for b in grid if root_order_leq(a, b)}
         assert set(table.slices) == offsets and len(offsets) == count
         cohomology.blocks_sweep(n, q, max_entry)
         assert len(table.slices) == count

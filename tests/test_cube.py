@@ -1,5 +1,6 @@
 """Slice-word diagrams, the resolution cube, the k = 2 tangle scan and the Frobenius oracle."""
 
+import functools
 import itertools
 import pathlib
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra_helpers import add, scaled
 from decatkit import cli, cube, functors
 from decatkit.exactlin import QQ, ComplexError, FiniteComplex, InvariantError, LaurentPoly, PrimeField, SparseMatrix
 from khovanov_reference import (
@@ -157,8 +159,8 @@ def _signed_vertex_sum(word, k):
     added up as matrices of LaurentPoly entries."""
     resolved = cube.build_cube(word, k)
     sign = {1: LaurentPoly.t_power(0), -1: LaurentPoly.from_dict({0: -1})}
-    signed = [_as_poly_matrix(mat).scaled(sign[(-1) ** sum(bits)]) for bits, mat in resolved.values.items()]
-    return sum(signed[1:], signed[0]).scaled(sign[(-1) ** resolved.word.n_negative])
+    signed = [scaled(_as_poly_matrix(mat), sign[(-1) ** sum(bits)]) for bits, mat in resolved.values.items()]
+    return scaled(functools.reduce(add, signed), sign[(-1) ** resolved.word.n_negative])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

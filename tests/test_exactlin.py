@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra_helpers import add, scaled, transpose, zeros
 from decatkit import cohomology, exactlin, verma
 from decatkit.exactlin import (
     QQ,
@@ -84,8 +85,8 @@ def test_sparse_matrix_algebra():
     ident = SparseMatrix.from_triples(2, 2, [(0, 0, 1), (1, 1, 1)])
     assert m @ ident == m
     assert ident @ m == m
-    assert m.transpose().transpose() == m
-    assert not (m + m.scaled(-1)).entries
+    assert transpose(transpose(m)) == m
+    assert not add(m, scaled(m, -1)).entries
     k = m.kron(ident)
     assert (k.nrows, k.ncols) == (4, 4)
     assert m.columns() == {0: {0: 1}, 1: {0: 2, 1: 3}}
@@ -103,7 +104,7 @@ def test_laurent_matrix_construction_guards():
 def test_matrix_rank_known_values():
     m = SparseMatrix.from_triples(2, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 4)])
     assert matrix_rank(m, QQ) == 1
-    assert matrix_rank(SparseMatrix.zeros(3, 5), QQ) == 0
+    assert matrix_rank(zeros(3, 5), QQ) == 0
     assert matrix_rank(SparseMatrix.from_triples(4, 4, [(i, i, 1) for i in range(4)]), PrimeField(5)) == 4
     # Rank can genuinely drop mod p.
     drop = SparseMatrix.from_triples(1, 1, [(0, 0, 5)])
@@ -354,7 +355,7 @@ def test_empty_map_is_rank_zero_without_elimination(monkeypatch, field):
     # Q -> Q^2 -> Q^2 -> Q with a zero middle map.
     d0 = SparseMatrix.from_triples(2, 1, [(0, 0, 1), (1, 0, 1)])
     d2 = SparseMatrix.from_triples(1, 2, [(0, 0, 1), (0, 1, -1)])
-    cx = FiniteComplex(field, (1, 2, 2, 1), (d0, SparseMatrix.zeros(2, 2), d2))
+    cx = FiniteComplex(field, (1, 2, 2, 1), (d0, zeros(2, 2), d2))
     # The same dims with every map ranked by elimination.
     r0, r1, r2 = (matrix_rank(m, field) for m in cx.maps)
     expected = {0: 1 - r0, 1: 2 - r0 - r1, 2: 2 - r1 - r2, 3: 1 - r2}
@@ -364,6 +365,6 @@ def test_empty_map_is_rank_zero_without_elimination(monkeypatch, field):
     assert ranked == [d0, d2]
     # A nonzero d∘d planted next to an empty map is still caught.
     one = SparseMatrix(1, 1, {(0, 0): 1})
-    planted = FiniteComplex(field, (1, 1, 1, 1), (SparseMatrix.zeros(1, 1), one, one))
+    planted = FiniteComplex(field, (1, 1, 1, 1), (zeros(1, 1), one, one))
     with pytest.raises(ComplexError, match="differential squared"):
         planted.homology_dims()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra_helpers import add, scaled, transpose, zeros
 from decatkit import functors, liealg
 from decatkit.exactlin import InvariantError, LaurentMatrix, LaurentPoly, SparseMatrix, geometric_shift_sum
 from parabolic_helpers import merge_adjacent, nilradical_dim_difference
@@ -36,7 +37,7 @@ def merge_matrix_shifted(k, sig, i):
     """Merge normalized by t^(-2d), d the nilradical dimension difference."""
     mat, new_sig = functors.move_matrix(k, sig, ("merge", i))
     d = merge_shift_exponent(sig, i)
-    return _as_poly_matrix(mat).scaled(LaurentPoly.t_power(-2 * d)), new_sig
+    return scaled(_as_poly_matrix(mat), LaurentPoly.t_power(-2 * d)), new_sig
 
 
 class TestBlocksAndBases:
@@ -244,7 +245,7 @@ def _reference_move(k, sig, move):
     if kind == "merge":
         pos, span, local = i - 1, 2, _as_poly_matrix(functors.local_merge(k, sig[i - 1], sig[i]))
     elif kind == "split":
-        pos, span, local = i - 1, 1, _as_poly_matrix(functors.local_merge(k, *move[2])).transpose()
+        pos, span, local = i - 1, 1, transpose(_as_poly_matrix(functors.local_merge(k, *move[2])))
     elif kind == "shift":
         pos, span, local = 0, 0, _poly_identity(1, LaurentPoly.t_power(i))
     else:
@@ -570,13 +571,13 @@ def _ambient_sum(k, ambient, terms):
     entries, each word applied move by move with `_poly_apply_move`: the
     path the core check replaces."""
     n = functors.sig_dim(k, ambient)
-    total = SparseMatrix.zeros(n, n)
+    total = zeros(n, n)
     for c, word in terms:
         mat, sig = _poly_identity(n), ambient
         for move in word:
             mat, sig = _poly_apply_move(k, sig, move, mat)
         assert sig == ambient
-        total = total + mat.scaled(c if isinstance(c, LaurentPoly) else LaurentPoly.from_dict({0: c}))
+        total = add(total, scaled(mat, c if isinstance(c, LaurentPoly) else LaurentPoly.from_dict({0: c})))
     return total
 
 

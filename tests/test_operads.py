@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import operad_pins
 import operad_reference as reference
 import pytest
 
@@ -85,6 +86,8 @@ class TestSimplexComposition:
         family = operads.IntervalFamily(((0, Fraction(1, 2)), (Fraction(1, 4), 1)))
         with pytest.raises(ValueError, match="SimplexPoint with an inner IntervalFamily"):
             operads.compose(outer, [family, family])
+        with pytest.raises(ValueError, match="SimplexPoint with an inner tuple"):
+            operads.compose(outer, [(Fraction(1),), (Fraction(1),)])
 
     def test_permute_reorders_coords(self):
         p = operads.SimplexPoint((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
@@ -298,6 +301,18 @@ def test_identity_permute_failures_are_pinned(monkeypatch):
     report = operads.run_operad_checks(seed=0, budget=200)
     expected = [{"check": "j_equivariance", "c": c, "sigma": sigma} for c, sigma in IDENTITY_PERMUTE_FAILURES]
     assert report.failures == expected
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_below_draws_as_randrange(seed):
+    assert operad_pins.below_mismatches(seed) == []
+
+
+@pytest.mark.parametrize("key", sorted(operad_pins.PINS))
+def test_every_witness_of_a_run_is_pinned(key):
+    # With `equal` always false every trial fails, so the digest covers every
+    # drawn point: the whole draw stream, not just the failing checks.
+    assert operad_pins.digest(*key) == operad_pins.PINS[key]
 
 
 _SAMPLERS = {

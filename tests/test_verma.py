@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra_helpers import add, scaled
 from decatkit import liealg, verma, weights
 from decatkit.exactlin import QQ, InvariantError, PrimeField, SparseMatrix
 from verma_reference import CRITERION_WEIGHTS, reference_simple_quotient, small_regular_dominant, weight_dims
@@ -214,9 +215,9 @@ def _bracket_defects(module):
     bad = []
     for x in gl.pairs:
         for y in gl.pairs:
-            diff = mats[x] @ mats[y] + (mats[y] @ mats[x]).scaled(-1)
+            diff = add(mats[x] @ mats[y], scaled(mats[y] @ mats[x], -1))
             for z, c in gl.bracket(x, y).items():
-                diff = diff + mats[z].scaled(-c)
+                diff = add(diff, scaled(mats[z], -c))
             if any(map(module.field.of, diff.entries.values())):
                 bad.append((x, y))
     return bad

