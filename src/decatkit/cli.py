@@ -233,9 +233,7 @@ def _run_khovanov(args: argparse.Namespace) -> tuple[bool, dict]:
     ok = True
     if args.k == 2:
         table = cube.khovanov_bigraded_k2(word, field)
-        dims: dict[int, int] = {}
-        for (h, _), dim in table.items():
-            dims[h] = dims.get(h, 0) + dim
+        dims = cube.degree_sums(table)
         lo = min(dims) if dims else 0
         hi = max(dims) if dims else -1
         doc["min_degree"] = lo
@@ -452,9 +450,14 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     document = {"schema": 1, "subcommand": args.subcommand, "passed": ok}
     document.update(payload)
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    with out as fh:
         write_document(document, fh)
     return 0 if ok else 1
 

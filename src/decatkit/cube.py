@@ -223,7 +223,7 @@ def build_cube(word: SliceWord | str, k: int | None = None) -> Cube:
         table, sig = {(0, 0, 0): 1}, ()
         for idx, token in enumerate(word.tokens):
             table, sig = _apply_token(k, token, bit_at.get(idx), sig, table)
-        values[bits] = LaurentMatrix.from_terms(functors.sig_dim(k, sig), 1, table)
+        values[bits] = LaurentMatrix(functors.sig_dim(k, sig), 1, table)
         final_sigs.add(sig)
     if final_sigs != {word.final_labels}:
         raise InvariantError(f"resolutions end in signatures {final_sigs}, not {word.final_labels}")
@@ -258,7 +258,7 @@ def tangle_alternating_sum(word: SliceWord | str, k: int | None = None) -> tuple
         raise InvariantError(f"word ends in signature {sig}, not {word.final_labels}")
     sign = -1 if word.n_negative % 2 else 1
     terms = {key: sign * c for key, c in table.items() if c}
-    return LaurentMatrix.from_terms(functors.sig_dim(k, sig), 1, terms), sig
+    return LaurentMatrix(functors.sig_dim(k, sig), 1, terms), sig
 
 
 def euler_invariant(word: SliceWord | str, k: int | None = None) -> int:
@@ -567,13 +567,18 @@ def khovanov_bigraded_k2(word: SliceWord | str, field=QQ) -> dict[tuple[int, int
     return dict(sorted(table.items()))
 
 
-def khovanov_homology_k2(word: SliceWord | str, field=QQ) -> dict[int, int]:
-    """Homology dimensions {h: dim} at k = 2, shifted down by n_minus: the
-    sum over q of `khovanov_bigraded_k2`."""
+def degree_sums(table: dict[tuple[int, int], int]) -> dict[int, int]:
+    """{h: dim} from a bigraded table {(h, q): dim}, summed over q."""
     dims: dict[int, int] = {}
-    for (h, _), dim in khovanov_bigraded_k2(word, field).items():
+    for (h, _), dim in table.items():
         dims[h] = dims.get(h, 0) + dim
     return dims
+
+
+def khovanov_homology_k2(word: SliceWord | str, field=QQ) -> dict[int, int]:
+    """Homology dimensions {h: dim} at k = 2, shifted down by n_minus:
+    `degree_sums` of `khovanov_bigraded_k2`, as the CLI reads them."""
+    return degree_sums(khovanov_bigraded_k2(word, field))
 
 
 def oracle_euler_k2(word: SliceWord | str) -> int:

@@ -138,8 +138,8 @@ def geometric_shift_sum(count: int) -> LaurentPoly:
 class LaurentMatrix:
     """Matrix over the integer Laurent polynomials as graded terms: `terms`
     maps (row, col, exp) to the nonzero int coefficient of t^exp in entry
-    (row, col). The constructor checks every position and coefficient;
-    `from_terms` takes terms already known to be nonzero and in range as is.
+    (row, col). The one constructor checks every position and coefficient,
+    and keeps `terms` itself, not a copy.
     """
 
     nrows: int
@@ -152,13 +152,6 @@ class LaurentMatrix:
                 raise ValueError(f"term position ({i}, {j}) outside {self.nrows} x {self.ncols}")
             if not c:
                 raise ValueError(f"zero coefficient of t^{e} at ({i}, {j})")
-
-    @classmethod
-    def from_terms(cls, nrows: int, ncols: int, terms: dict[tuple[int, int, int], int]) -> "LaurentMatrix":
-        """`terms` itself, not copied; positions and coefficients unchecked."""
-        mat = object.__new__(cls)
-        mat.nrows, mat.ncols, mat.terms = nrows, ncols, terms
-        return mat
 
 
 @dataclasses.dataclass
@@ -248,27 +241,27 @@ class Echelon:
         self.p = field.p
         self.rows: dict[int, dict[int, int]] = {}
 
-    def reduce(self, vec: Mapping[int, object]) -> tuple[object, dict[int, int]]:
-        """(s, r) with s * vec - r in the span and no pivot column in r.
-
-        s is a positive rational over Q and 1 over F_p; r holds integers over
-        Q, primitive, and residues over F_p. Pivot columns of r are cleared
-        smallest first from a heap: eliminating a row only adds columns past
-        its pivot, so each pivot is cleared at most once. The span and its
-        pivots determine r, so the elimination order does not change it.
+    def reduce(self, vec: Mapping[int, object]) -> dict[int, int]:
+        """The remainder r: no pivot column is in r, and s * vec - r is in the
+        span for some s != 0 (1 over F_p). r holds integers over Q, primitive,
+        and residues over F_p. A caller that needs s tags vec with a 1 in a
+        column no row holds, as `nullspace` does: r's entry there is s.
+        Pivot columns of r are cleared smallest first from a heap: eliminating
+        a row only adds columns past its pivot, so each pivot is cleared at
+        most once. The span and its pivots determine r, so the elimination
+        order does not change it.
         """
         p = self.p
         if p is None:
-            num = math.lcm(*(v.denominator for v in vec.values()))
-            r = {j: v.numerator * (num // v.denominator) for j, v in vec.items() if v}
-            den = math.gcd(*r.values()) or 1
-            if den != 1:
-                r = {j: x // den for j, x in r.items()}
+            den = math.lcm(*(v.denominator for v in vec.values()))
+            r = {j: v.numerator * (den // v.denominator) for j, v in vec.items() if v}
+            g = math.gcd(*r.values()) or 1
+            if g != 1:
+                r = {j: x // g for j, x in r.items()}
         else:
             # Int entries reduce directly; only a Fraction needs `of` to divide.
             of = self.field.of
             r = {j: x for j, v in vec.items() if (x := v % p if type(v) is int else of(v))}
-            num = den = 1
         rows = self.rows
         heap = [j for j in r if j in rows]
         heapq.heapify(heap)
@@ -287,7 +280,6 @@ class Echelon:
                 if a != 1:
                     for j in r:
                         r[j] *= a
-                    num *= a
             for j, w in row.items():
                 x = r.get(j)
                 if x is None:
@@ -309,12 +301,11 @@ class Echelon:
                 g = math.gcd(*r.values())
                 if g != 1:
                     r = {j: x // g for j, x in r.items()}
-                    den *= g
-        return (Fraction(num, den) if p is None else 1), r
+        return r
 
     def insert(self, vec: Mapping[int, object]) -> bool:
         """Add vec to the span; False when it was already there."""
-        _, r = self.reduce(vec)
+        r = self.reduce(vec)
         if not r:
             return False
         self._store(r)
@@ -355,7 +346,7 @@ def nullspace(m: SparseMatrix, field) -> list[list]:
     for j in range(m.ncols):
         col = cols.get(j, {})
         col[m.nrows + j] = 1
-        _, r = echelon.reduce(col)
+        r = echelon.reduce(col)
         if min(r) < m.nrows:
             echelon._store(r)
             continue

@@ -191,7 +191,7 @@ def move_matrix(k: int, sig: Sig, *moves: Move) -> tuple[LaurentMatrix, Sig]:
     (`_compose`); the empty word gives the identity."""
     sig = tuple(sig)
     table, new_sig = _compose(k, sig, moves)
-    return LaurentMatrix.from_terms(sig_dim(k, new_sig), sig_dim(k, sig), table), new_sig
+    return LaurentMatrix(sig_dim(k, new_sig), sig_dim(k, sig), table), new_sig
 
 
 def evaluate(k: int, sig: Sig, moves) -> tuple[LaurentMatrix, Sig]:

@@ -202,11 +202,11 @@ def sample_simplex(rng: random.Random, n: int, boundary_rate: int = 8) -> Simple
     return SimplexPoint._of(tuple(weights), sum(weights))
 
 
-def sample_intervals(rng: random.Random, n: int, basepoint_rate: int = 8) -> IntervalFamily:
-    """Random family in 48ths: one time in basepoint_rate deliberately
-    scattered (usually basepoint-equivalent), else nested."""
+def sample_intervals(rng: random.Random, n: int) -> IntervalFamily:
+    """Random family in 48ths: one time in 8 deliberately scattered
+    (usually basepoint-equivalent), else nested."""
     bits = rng.getrandbits
-    if basepoint_rate and _below(bits, basepoint_rate) == 0:
+    if _below(bits, 8) == 0:
         starts = (_below(bits, 24) for _ in range(n))
         nums = [c for a in starts for c in (2 * a, 2 * (a + 1 + _below(bits, 24 - a)))]
     else:

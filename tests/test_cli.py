@@ -477,6 +477,26 @@ def test_khovanov_failed_square_check_is_not_a_bad_word(monkeypatch):
         cli.run(["khovanov", "--k", "2", "--word", "trefoil"])
 
 
+def test_khovanov_reads_the_degree_sums_from_cube(capsys, monkeypatch):
+    calls = dict.fromkeys(("khovanov_bigraded_k2", "degree_sums"), 0)
+
+    def counted(name):
+        real = getattr(cube, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cube, name, counted(name))
+    code, doc = run_json(capsys, ["khovanov", "--k", "2", "--word", "figure_eight"])
+    assert code == 0
+    assert calls == {"khovanov_bigraded_k2": 1, "degree_sums": 1}
+    assert (doc["min_degree"], doc["dims"], doc["total_rank"]) == (-2, [1, 1, 2, 1, 1], 6)
+
+
 def test_operad_check(capsys):
     code, doc = run_json(capsys, ["operad-check", "--budget", "150", "--seed", "5"])
     assert code == 0
@@ -566,6 +586,23 @@ def test_output_file_is_deterministic(tmp_path, capsys):
         assert code == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize("missing", [True, False])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, missing):
+    # A path under a missing directory, or a directory itself.
+    out = tmp_path / "missing" / "x.json" if missing else tmp_path
+    assert cli.run(["selftest", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {out}: ") and captured.err.count("\n") == 1
+
+
+def test_config_error_leaves_an_existing_out_file_alone(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    out.write_text("kept\n")
+    assert cli.run(["blocks", "--n", "3", "--p", "7", "--max", "1", "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
 
 
 def test_argparse_errors_exit_2():

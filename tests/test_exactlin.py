@@ -98,7 +98,7 @@ def test_laurent_matrix_construction_guards():
     with pytest.raises(ValueError, match="outside"):
         LaurentMatrix(2, 2, {(0, 2, 0): 1})
     terms = {(0, 0, 2): 5}
-    assert LaurentMatrix.from_terms(1, 1, terms).terms is terms
+    assert LaurentMatrix(1, 1, terms).terms is terms
 
 
 def test_matrix_rank_known_values():
@@ -217,7 +217,9 @@ def test_echelon_reduce_fraction_row():
     assert span.insert({1: Fraction(2, 5), 2: Fraction(-1, 7)})
     assert not span.insert({0: 3, 1: 2, 3: 12})
     vec = {0: Fraction(3, 4), 1: Fraction(-1, 6), 2: Fraction(5, 9), 3: 1}
-    s, r = span.reduce(vec)
+    # Column 4 is in no stored row, so its entry in r is the multiple s of vec.
+    r = span.reduce({**vec, 4: 1})
+    s = r.pop(4)
     assert s != 0
     assert not set(span.rows) & set(r)
     diff = {j: s * vec.get(j, 0) - r.get(j, 0) for j in set(vec) | set(r)}
@@ -326,11 +328,12 @@ def test_pivot_index_matches_scanning_reduce(data, field):
     for _, row in m.rows():
         assert indexed.insert(row) == scanned.insert(row)
     assert list(indexed.rows.items()) == scanned.rows
-    s, red = indexed.reduce(probe)
-    s_ref, red_ref = scanned.reduce(probe)
+    # Column c is in no row: tagged with it, r carries the multiple s of the
+    # probe, so equal remainders mean equal r and equal s, even when r is empty.
+    red = indexed.reduce({**probe, c: 1})
+    s_ref, red_ref = scanned.reduce({**probe, c: 1})
     assert red == red_ref
-    if red:
-        assert s == s_ref
+    assert red[c] == s_ref
     assert nullspace(m, field) == _scan_nullspace(m, field)
 
 

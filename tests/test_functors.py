@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebra_helpers import add, scaled, transpose, zeros
-from decatkit import functors, liealg
+from decatkit import cube, functors, liealg
 from decatkit.exactlin import InvariantError, LaurentMatrix, LaurentPoly, SparseMatrix, geometric_shift_sum
 from parabolic_helpers import merge_adjacent, nilradical_dim_difference
 
@@ -409,7 +409,8 @@ def test_r5_fails_when_the_second_merge_is_bent(monkeypatch, k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_verify_relation_builds_no_ambient_matrix(monkeypatch, k):
     # The local images are built afresh, so the only matrices admitted are the
-    # local merges Lambda^a (x) Lambda^b -> Lambda^(a+b); `from_terms` is absent.
+    # local merges Lambda^a (x) Lambda^b -> Lambda^(a+b). Every matrix goes
+    # through the one `LaurentMatrix` constructor, patched here.
     local_shapes = {(math.comb(k, a + b), math.comb(k, a) * math.comb(k, b))
                     for a in range(1, k) for b in range(1, k - a + 1)}
 
@@ -429,6 +430,27 @@ def test_verify_relation_builds_no_ambient_matrix(monkeypatch, k):
         core = functors.core_signature(relation, k)
         for ambient, offset in ((core, 0), ((k,) + core, 1), (core + (1,), 0)):
             assert functors.verify_relation(relation, k, ambient, offset).holds
+
+
+def test_every_laurent_matrix_is_checked(monkeypatch):
+    # Each act returns one term a row past its signature's dimension; the next
+    # act sees only the real terms, so the bad row reaches the final matrix.
+    real = functors._act
+
+    def overflowing(k, sig, move, table):
+        dim = functors.sig_dim(k, sig)
+        table, sig = real(k, sig, move, {key: c for key, c in table.items() if key[0] < dim})
+        return {**table, (functors.sig_dim(k, sig), 0, 0): 1}, sig
+
+    monkeypatch.setattr(functors, "_act", overflowing)
+    builds = (
+        lambda: functors.move_matrix(2, (1, 1), ("merge", 1)),
+        lambda: cube.tangle_alternating_sum(cube.DIAGRAMS["trefoil"], 2),
+        lambda: cube.build_cube(cube.DIAGRAMS["trefoil"], 2),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="outside"):
+            build()
 
 
 def test_relation_word_leaving_the_ambient_raises(monkeypatch):

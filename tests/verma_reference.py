@@ -111,7 +111,9 @@ def reference_simple_quotient(n: int, lam_shifted: weights.Weight, field=QQ) -> 
             img = cols.get(old, {})
             span = spans.get(verma.basis_weight[next(iter(img))]) if img else None
             if span is not None:
-                s, r = span.reduce(img)
+                # Tagged with -1, a column no row holds, r carries the multiple s.
+                r = span.reduce({**img, -1: 1})
+                s = r.pop(-1)
                 img = {row_idx: field.of(Fraction(v) / s) for row_idx, v in r.items()}
             if any(row_idx not in new_index for row_idx in img):
                 raise InvariantError("reduced vector touched a pivot")
